@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import ConfigurationError
 from .generators import (
@@ -104,6 +103,8 @@ def deviation_stats(
         raise ConfigurationError(f"need at least 100 trials for stable quantiles, got {trials}")
     if not T_list:
         raise ConfigurationError("T_list must not be empty")
+    if len(set(T_list)) != len(T_list):
+        raise ConfigurationError(f"T_list must not repeat a length, got {T_list}")
     shared = make_rng(rng) if rng is not None else None
     rows = []
     for T in T_list:
@@ -116,11 +117,30 @@ def deviation_stats(
         rows.append(DeviationRow(T, mean, float(np.median(dev)), rms, trials))
     exponent = stderr = None
     if len(rows) >= 2:
-        fit = sp_stats.linregress(
+        exponent, stderr = _ols(
             np.log([r.total_len for r in rows]), np.log([max(r.median_dev, 1e-12) for r in rows])
         )
-        exponent, stderr = float(fit.slope), float(fit.stderr)
     return DeviationReport(spec, tuple(rows), exponent, stderr)
+
+
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of ``y`` on ``x`` and the slope's standard error.
+
+    The ``x`` values must be distinct.  The order of operations is part of
+    the contract: population covariances from ``np.cov``, the correlation
+    clamped to [-1, 1] before it enters the standard error, and a standard
+    error of 0 for two points.  Reordering them moves fitted exponents in the
+    last bits, which changes the bytes of ``stats`` outputs.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    if len(x) == 2:
+        return float(slope), 0.0
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
 
 
 def afrw_moment_oracle(delta: float, l: int, depth_i: int) -> float:

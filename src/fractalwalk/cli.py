@@ -14,6 +14,7 @@ directory; no other environment variables are read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -71,9 +72,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, outputs: list[str]) -> None:
-    config = {
-        k: v for k, v in vars(args).items() if k not in ("func", "from_manifest") and not callable(v)
-    }
+    config = {k: v for k, v in vars(args).items() if k != "from_manifest"}
     manifest = {
         "tool": "fractalwalk",
         "version": __version__,
@@ -94,9 +93,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # Spec flags shared by the sampling commands
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, families=tuple(f.value for f in Family)) -> None:
-    p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--T", "--total-len", dest="total_len", type=int, required=True,
+def _add_spec_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    """Generator spec flags; ``required=False`` suits commands that can read --input instead."""
+    p.add_argument("--family", required=required, choices=[f.value for f in Family])
+    p.add_argument("--T", "--total-len", dest="total_len", type=int, required=required,
                    help="sequence length (power of two)")
     p.add_argument("--delta", type=float, default=0.0, help="flip-budget coefficient in [0, 1)")
     p.add_argument("--base-len", dest="base_len", type=int, default=None,
@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     common(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("stats", help="deviation statistics across lengths")
     _add_spec_flags(p)
@@ -469,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lengths for the sweep rows")
     p.add_argument("--trials", type=int, default=10_000)
     common(p)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("predict", help="run a prediction strategy over sampled sequences")
     _add_spec_flags(p)
@@ -482,15 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     common(p)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("inversion", help="worst opposite-excursion ratio of a sequence")
-    _add_spec_flags_optional(p)
+    _add_spec_flags(p, required=False)
     p.add_argument("--input", default=None, help="sequence file (.fwsq or .csv) instead of a spec")
     p.add_argument("--min-len", dest="min_len", type=int, default=analysis.DEFAULT_MIN_LEN)
     p.add_argument("--dyadic-only", dest="dyadic_only", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_inversion)
 
     p = sub.add_parser("alphaq", help="opposite-excursion probability estimate")
     _add_spec_flags(p)
@@ -498,19 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=256, help="window length (placed at the sequence end)")
     p.add_argument("--trials", type=int, default=10_000)
     common(p)
-    p.set_defaults(func=cmd_alphaq)
 
     p = sub.add_parser("theta", help="solve the self-similarity exponent equation")
     p.add_argument("--alpha", type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("fractal", help="build the deterministic inverting profile")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--format", choices=["binary", "csv"], default="binary")
     common(p)
-    p.set_defaults(func=cmd_fractal)
 
     p = sub.add_parser("fbm", help="fractional Brownian paths and the sign-predictor payoff")
     p.add_argument("--hurst", type=float, required=True)
@@ -521,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--sample", type=int, default=0, help="also write this many raw paths as CSV")
     common(p)
-    p.set_defaults(func=cmd_fbm)
 
     p = sub.add_parser("sweep", help="grid of analysis cells -> one long-format CSV")
     p.add_argument("--families", required=True, help="comma-separated family names")
@@ -535,28 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     p.add_argument("--master-seed", dest="master_seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true",
                    help="~10x fewer trials, doubled statistical tolerances (smoke test)")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
-
-
-def _add_spec_flags_optional(p: argparse.ArgumentParser) -> None:
-    """Spec flags with nothing required (for commands that can read --input instead)."""
-    p.add_argument("--family", default=None, choices=[f.value for f in Family])
-    p.add_argument("--T", "--total-len", dest="total_len", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--base-len", dest="base_len", type=int, default=None)
-    p.add_argument("--flip-mode", dest="flip_mode", choices=[m.value for m in FlipMode],
-                   default=FlipMode.EXACT_COUNT.value)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
 
 _COMMANDS = {
@@ -576,8 +554,12 @@ _COMMANDS = {
 def _namespace_from_manifest(argv: list[str]) -> argparse.Namespace:
     """Rebuild a full command namespace from a recorded manifest.
 
-    Replay is verbatim; the only flag honored alongside ``--from-manifest`` is
-    ``--output-dir`` (so replays can land next to, not on top of, the original).
+    The recorded configuration is turned back into a command line and parsed
+    by :func:`build_parser`, so a manifest passes the same validation as the
+    original invocation and must record exactly the command's fields.
+    Replay is verbatim; the only flag honored alongside
+    ``--from-manifest`` is ``--output-dir`` (so replays can land next to, not
+    on top of, the original).
     """
     rest = list(argv)
     i = rest.index("--from-manifest")
@@ -589,6 +571,8 @@ def _namespace_from_manifest(argv: list[str]) -> argparse.Namespace:
         manifest = json.loads(path.read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
+        raise ConfigurationError(f"manifest {path} is not a JSON object with a config object")
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise ConfigurationError(f"manifest names unknown command {command!r}")
@@ -596,17 +580,37 @@ def _namespace_from_manifest(argv: list[str]) -> argparse.Namespace:
         if rest[0] != command:
             raise ConfigurationError(f"manifest records command {command!r}, not {rest[0]!r}")
         rest = rest[1:]
-    args = argparse.Namespace(**manifest.get("config", {}))
-    args.command = command
-    args.func = _COMMANDS[command]
+    config = manifest.get("config", {})
+    replay_argv = [command]
+    for key, value in config.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        replay_argv.append(flag if value is True else f"{flag}={value}")
     while rest:
         flag = rest.pop(0)
         if flag == "--output-dir" and rest:
-            args.output_dir = rest.pop(0)
+            replay_argv.append(f"--output-dir={rest.pop(0)}")
         else:
             raise ConfigurationError(
                 f"only --output-dir may accompany --from-manifest, got {flag!r}"
             )
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args = build_parser().parse_args(replay_argv)
+    except SystemExit:
+        lines = err.getvalue().strip().splitlines()
+        raise ConfigurationError(
+            f"manifest {path} does not parse: {lines[-1] if lines else replay_argv}"
+        ) from None
+    parsed = vars(args)
+    unknown = sorted(set(config) - set(parsed))
+    missing = sorted(set(parsed) - set(config) - {"command", "from_manifest"})
+    if unknown or missing:
+        raise ConfigurationError(
+            f"manifest {path} config has unknown fields {unknown}, lacks fields {missing}"
+        )
     return args
 
 
@@ -617,7 +621,7 @@ def run(argv: list[str] | None = None) -> int:
             args = _namespace_from_manifest(argv)
         else:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .sequences import BitSequence
+from .sequences import MAX_TOTAL_LEN, BitSequence
 
 __all__ = [
     "ALPHA_MAX",
@@ -39,10 +39,14 @@ BASE_HEIGHT = 4
 _THETA_TOL = 1e-10
 
 
+def _exponent_equation(alpha: float, x: float) -> float:
+    """Left side minus right side of the exponent equation in ``x = 1/theta``."""
+    return 2.0 * ((1.0 + alpha) / 2.0) ** x + alpha**x - 1.0
+
+
 def theta_residual(alpha: float, theta: float) -> float:
     """Value of ``2*((1+alpha)/2)**(1/theta) + alpha**(1/theta) - 1``."""
-    x = 1.0 / theta
-    return 2.0 * ((1.0 + alpha) / 2.0) ** x + alpha**x - 1.0
+    return _exponent_equation(alpha, 1.0 / theta)
 
 
 def solve_theta(alpha: float) -> float:
@@ -56,15 +60,11 @@ def solve_theta(alpha: float) -> float:
         raise ConfigurationError(f"alpha must lie in [0, {ALPHA_MAX}], got {alpha}")
     if alpha == 0.0:
         return 1.0
-
-    def f(x: float) -> float:
-        return 2.0 * ((1.0 + alpha) / 2.0) ** x + alpha**x - 1.0
-
     lo, hi = 1.0, 64.0
-    assert f(lo) >= 0.0 and f(hi) < 0.0
+    assert _exponent_equation(alpha, lo) >= 0.0 and _exponent_equation(alpha, hi) < 0.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
+        if _exponent_equation(alpha, mid) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -126,7 +126,15 @@ def _render(height: int, alpha: float, cache: dict[int, np.ndarray]) -> np.ndarr
 
 
 def build_fractal(params: FractalParams) -> BitSequence:
-    """Materialize the fractal sequence of exact height ``params.target_height``."""
+    """Materialize the fractal sequence of exact height ``params.target_height``.
+
+    The length is checked against ``MAX_TOTAL_LEN`` before anything is rendered.
+    """
+    length = fractal_length(params)
+    if length > MAX_TOTAL_LEN:
+        raise ConfigurationError(
+            f"fractal of height {params.target_height} has length {length}, above {MAX_TOTAL_LEN}"
+        )
     seq = BitSequence(_render(params.target_height, params.alpha, {}))
     assert seq.height() == params.target_height
     return seq

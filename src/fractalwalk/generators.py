@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplingBudgetError
 from .seeding import make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _is_power_of_two
 
 __all__ = [
     "Family",
@@ -49,12 +49,6 @@ __all__ = [
     "generate_batch",
     "iter_generate_batches",
     "simulate_heights",
-    "gen_uniform",
-    "gen_frw",
-    "gen_opt_frw",
-    "gen_afrw",
-    "gen_aofrw",
-    "gen_entropy_conditioned",
 ]
 
 DEFAULT_REJECTION_BUDGET = 10_000_000
@@ -76,10 +70,6 @@ class FlipMode(str, enum.Enum):
 
 _MERGE_FAMILIES = (Family.FRW, Family.OPT_FRW, Family.AFRW, Family.AOFRW)
 _AUGMENTED = (Family.AFRW, Family.AOFRW)
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def default_base_len(family: Family, total_len: int) -> int:
@@ -144,7 +134,7 @@ class GeneratorSpec:
                 )
         elif self.k is not None:
             raise ConfigurationError(f"k is only meaningful for entropy_conditioned, got k={self.k}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 1 << 64):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not (0 <= self.seed < 1 << 64):
             raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     @property
@@ -326,15 +316,19 @@ def simulate_heights(
     return heights
 
 
-def _entropy_heights(
-    spec: GeneratorSpec, trials: int, rng: np.random.Generator, counters: MergeCounters
-) -> np.ndarray:
-    T = spec.total_len
-    thr = entropy_threshold(spec.k, T)
-    out = np.empty(trials, dtype=np.int64)
+def _rejection_fill(
+    out: np.ndarray, spec: GeneratorSpec, chunk: int, draw, counters: MergeCounters
+) -> None:
+    """Fill the rows of ``out`` with candidates whose |height| reaches the entropy threshold.
+
+    ``draw(m)`` returns ``(candidates, heights)`` for ``m`` fresh candidates;
+    they are drawn ``chunk`` at a time until every row is filled or
+    :data:`DEFAULT_REJECTION_BUDGET` candidates have been examined.
+    """
+    thr = entropy_threshold(spec.k, spec.total_len)
+    trials = out.shape[0]
     got = 0
     budget = DEFAULT_REJECTION_BUDGET
-    chunk = max(4096, min(trials * 4, 1 << 16))
     while got < trials:
         if counters.attempts >= budget:
             raise SamplingBudgetError(
@@ -342,16 +336,31 @@ def _entropy_heights(
                 f"samples (threshold {thr}); retry with a smaller k"
             )
         m = min(chunk, budget - counters.attempts)
-        h = 2 * rng.binomial(T, 0.5, size=m).astype(np.int64) - T
+        candidates, h = draw(m)
         qualifying = np.flatnonzero(np.abs(h) >= thr)
         take = min(len(qualifying), trials - got)
+        # Count only the candidates examined before the quota filled, so the
+        # acceptance rate is not diluted by the unused tail of the chunk.
         if take == trials - got:
             counters.attempts += int(qualifying[take - 1]) + 1
         else:
             counters.attempts += m
-        out[got : got + take] = h[qualifying[:take]]
+        out[got : got + take] = candidates[qualifying[:take]]
         got += take
         counters.accepted += take
+
+
+def _entropy_heights(
+    spec: GeneratorSpec, trials: int, rng: np.random.Generator, counters: MergeCounters
+) -> np.ndarray:
+    T = spec.total_len
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        h = 2 * rng.binomial(T, 0.5, size=m).astype(np.int64) - T
+        return h, h
+
+    out = np.empty(trials, dtype=np.int64)
+    _rejection_fill(out, spec, max(4096, min(trials * 4, 1 << 16)), draw, counters)
     return out
 
 
@@ -432,37 +441,17 @@ def _entropy_matrix(
     planted_prefix: int,
     counters: MergeCounters,
 ) -> np.ndarray:
-    T = spec.total_len
-    thr = entropy_threshold(spec.k, T)
     p = planted_prefix
-    free = T - p
-    out = np.empty((trials, T), dtype=np.int8)
+    free = spec.total_len - p
+
+    def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
+        block = 2 * rng.integers(0, 2, size=(m, free), dtype=np.int8) - 1
+        return block, p + block.sum(axis=1, dtype=np.int64)
+
+    out = np.empty((trials, spec.total_len), dtype=np.int8)
     if p:
         out[:, :p] = 1
-    got = 0
-    budget = DEFAULT_REJECTION_BUDGET
-    chunk = max(256, min(4 * trials, 1 << 14))
-    while got < trials:
-        if counters.attempts >= budget:
-            raise SamplingBudgetError(
-                f"rejection budget {budget} exhausted after accepting {got}/{trials} "
-                f"samples (threshold {thr}); retry with a smaller k"
-            )
-        m = min(chunk, budget - counters.attempts)
-        block = 2 * rng.integers(0, 2, size=(m, free), dtype=np.int8) - 1
-        h = p + block.sum(axis=1, dtype=np.int64)
-        qualifying = np.flatnonzero(np.abs(h) >= thr)
-        take = min(len(qualifying), trials - got)
-        # Count only the candidates examined before the quota filled, so the
-        # acceptance rate is not diluted by the unused tail of the chunk.
-        if take == trials - got:
-            counters.attempts += int(qualifying[take - 1]) + 1
-        else:
-            counters.attempts += m
-        ok = qualifying[:take]
-        out[got : got + take, p:] = block[ok]
-        got += take
-        counters.accepted += take
+    _rejection_fill(out[:, p:], spec, max(256, min(4 * trials, 1 << 14)), draw, counters)
     return out
 
 
@@ -599,22 +588,3 @@ def generate(
     else:
         seq = BitSequence(A[0])
     return Generated(seq, records=tuple(records))
-
-
-def _family_front_end(expected: Family):
-    def front(spec: GeneratorSpec, rng: int | np.random.Generator | None = None) -> Generated:
-        if spec.family is not expected:
-            raise ConfigurationError(f"spec family is {spec.family.value}, expected {expected.value}")
-        return generate(spec, rng)
-
-    front.__name__ = f"gen_{expected.value}"
-    front.__doc__ = f"Draw one ``{expected.value}`` sequence; see :func:`generate`."
-    return front
-
-
-gen_uniform = _family_front_end(Family.UNIFORM)
-gen_frw = _family_front_end(Family.FRW)
-gen_opt_frw = _family_front_end(Family.OPT_FRW)
-gen_afrw = _family_front_end(Family.AFRW)
-gen_aofrw = _family_front_end(Family.AOFRW)
-gen_entropy_conditioned = _family_front_end(Family.ENTROPY_CONDITIONED)

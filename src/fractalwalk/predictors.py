@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError
 from .seeding import make_rng
@@ -146,12 +145,11 @@ def weighted_majority_guarantee(total_len: int) -> float:
     return math.sqrt(2.0 * total_len * math.log(2.0))
 
 
-def _plus_probabilities(seq: BitSequence) -> np.ndarray:
-    """P(predict +1) before each position: logistic in the running height."""
-    T = len(seq.values)
-    eta = weighted_majority_rate(T)
+def _hedges(seq: BitSequence) -> np.ndarray:
+    """``2 P(predict +1) - 1`` before each position: ``tanh(eta * H_{t-1} / 2)``."""
+    eta = weighted_majority_rate(len(seq.values))
     heights_before = seq.prefix[:-1].astype(np.float64)
-    return expit(eta * heights_before)
+    return np.tanh(0.5 * eta * heights_before)
 
 
 def weighted_majority_run(
@@ -159,7 +157,7 @@ def weighted_majority_run(
 ) -> int:
     """One randomized pass; each bit is predicted +1 with the current weight fraction."""
     rng = make_rng(rng)
-    p_plus = _plus_probabilities(seq)
+    p_plus = 0.5 * (1.0 + _hedges(seq))
     preds = np.where(rng.random(p_plus.shape) < p_plus, 1, -1).astype(np.int64)
     return int(np.sum(preds * seq.values))
 
@@ -172,10 +170,7 @@ def weighted_majority_expected_payoff(seq: BitSequence) -> float:
     ``sum x_t * tanh(eta * H_{t-1} / 2)``; always at least
     ``|h(seq)| - weighted_majority_guarantee(T)``.
     """
-    T = len(seq.values)
-    eta = weighted_majority_rate(T)
-    heights_before = seq.prefix[:-1].astype(np.float64)
-    return float(np.sum(seq.values * np.tanh(0.5 * eta * heights_before)))
+    return float(np.sum(seq.values * _hedges(seq)))
 
 
 def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:

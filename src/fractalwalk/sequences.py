@@ -32,7 +32,7 @@ MAX_TOTAL_LEN = 1 << 24
 
 
 def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+    return not isinstance(n, bool) and n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ class IntSequence(_PrefixSummed):
             raise ConfigurationError("integer sequence entries must be odd")
         # Polynomial-in-length bound on augmented entries; rules out overflow
         # in the int64 prefix sums.
-        assert np.abs(arr).max() < (1 << 40), "entry magnitude out of supported range"
+        if np.abs(arr).max() >= (1 << 40):
+            raise ConfigurationError("integer sequence entry magnitude must stay below 2**40")
         self._init_storage(arr)
 
 

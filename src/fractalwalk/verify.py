@@ -1,8 +1,9 @@
 """Self-contained acceptance checks covering every headline property of the package.
 
-Each check is a function returning a :class:`CriterionResult`; :func:`run_all`
-executes the full battery.  Checks are independent (no shared state), use fixed
-derived seeds, and print one line each through :func:`format_result`.
+Each check is a function returning ``(passed, detail)``; :func:`run_criterion`
+wraps one in a timed :class:`CriterionResult` and :func:`run_all` executes the
+full battery.  Checks are independent (no shared state), use fixed derived
+seeds, and print one line each through :func:`format_result`.
 
 ``quick=True`` cuts Monte Carlo trial counts roughly tenfold and doubles the
 noise-bound tolerances where a threshold is statistical rather than exact; the
@@ -50,7 +51,7 @@ def _scale(trials: int, quick: bool) -> int:
 # --- 1 -----------------------------------------------------------------------
 
 
-def check_afrw_exact_moment(quick: bool = False) -> CriterionResult:
+def check_afrw_exact_moment(quick: bool = False) -> tuple[bool, str]:
     """Monte Carlo RMS of the augmented walk matches its closed-form second moment."""
     T, l = 1 << 14, 16
     depth = int(math.log2(T // l))
@@ -66,15 +67,13 @@ def check_afrw_exact_moment(quick: bool = False) -> CriterionResult:
         rel = abs(rms / target - 1.0)
         worst = max(worst, rel)
         lines.append(f"delta={delta}: rms={rms:.1f} target={target:.1f} rel={rel:.4f}")
-    return CriterionResult(
-        "afrw-exact-moment", worst <= tol, "; ".join(lines) + f" (tol {tol})", 0.0
-    )
+    return worst <= tol, "; ".join(lines) + f" (tol {tol})"
 
 
 # --- 2 -----------------------------------------------------------------------
 
 
-def check_recursion_decomposition_equivalence(quick: bool = False) -> CriterionResult:
+def check_recursion_decomposition_equivalence(quick: bool = False) -> tuple[bool, str]:
     """Exact enumeration: merge recursion vs closed-form block decomposition."""
     max_depth = 3 if quick else 4
     worst_tv = Fraction(0)
@@ -88,18 +87,14 @@ def check_recursion_decomposition_equivalence(quick: bool = False) -> CriterionR
             oracle = analysis.afrw_moment_oracle(float(delta), 1, depth)
             moment_ok = moment_ok and abs(float(m2) - oracle) <= 1e-9 * max(oracle, 1.0)
     passed = worst_tv <= Fraction(1, 10**9) and moment_ok
-    return CriterionResult(
-        "recursion-decomposition-equivalence",
-        passed,
-        f"max TV={float(worst_tv):.2e} (exact), moments agree={moment_ok}, depth<= {max_depth}",
-        0.0,
-    )
+    detail = f"max TV={float(worst_tv):.2e} (exact), moments agree={moment_ok}, depth<= {max_depth}"
+    return passed, detail
 
 
 # --- 3 -----------------------------------------------------------------------
 
 
-def check_uniform_null(quick: bool = False) -> CriterionResult:
+def check_uniform_null(quick: bool = False) -> tuple[bool, str]:
     """Uniform walk: square-root deviation exponent and no predictability signal."""
     trials = _scale(10_000, quick)
     exp_tol = 0.04 if quick else 0.02
@@ -119,13 +114,13 @@ def check_uniform_null(quick: bool = False) -> CriterionResult:
         + ", ".join(f"{m} delta_hat={v:.4f}" for m, v in hats.items())
         + f" (cap {hat_tol})"
     )
-    return CriterionResult("uniform-null", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 4 -----------------------------------------------------------------------
 
 
-def check_frw_exponent_monotone(quick: bool = False) -> CriterionResult:
+def check_frw_exponent_monotone(quick: bool = False) -> tuple[bool, str]:
     """Height-coupled flips push the deviation exponent strictly above 1/2."""
     trials = _scale(10_000, quick)
     T_list = [1 << k for k in range(10, 17)]
@@ -136,13 +131,13 @@ def check_frw_exponent_monotone(quick: bool = False) -> CriterionResult:
     gap = exps[0.1] - exps[0.0]
     passed = exps[0.0] < exps[0.05] < exps[0.1] and gap >= 0.02
     detail = ", ".join(f"delta={d}: {e:.4f}" for d, e in exps.items()) + f"; gap={gap:.4f} (>=0.02)"
-    return CriterionResult("frw-exponent-monotone", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 5 -----------------------------------------------------------------------
 
 
-def check_optfrw_deviation_growth(quick: bool = False) -> CriterionResult:
+def check_optfrw_deviation_growth(quick: bool = False) -> tuple[bool, str]:
     """Sqrt-budget flips grow median deviation faster than sqrt(T) by a log factor."""
     trials = _scale(10_000, quick)
     T_list = [1 << k for k in range(10, 17)]
@@ -150,19 +145,17 @@ def check_optfrw_deviation_growth(quick: bool = False) -> CriterionResult:
     report = analysis.deviation_stats(spec, T_list, trials)
     y = np.array([r.median_dev / math.sqrt(r.total_len) for r in report.rows])
     x = np.log2([r.total_len for r in report.rows])
-    from scipy import stats as sp_stats
-
-    fit = sp_stats.linregress(x, y)
-    sigmas = fit.slope / fit.stderr if fit.stderr > 0 else math.inf
-    passed = fit.slope > 0 and sigmas >= 3.0
-    detail = f"slope={fit.slope:.4f} per doubling, {sigmas:.1f} sigma (need >0 at 3 sigma)"
-    return CriterionResult("optfrw-deviation-growth", passed, detail, 0.0)
+    slope, stderr = analysis._ols(x, y)
+    sigmas = slope / stderr if stderr > 0 else math.inf
+    passed = slope > 0 and sigmas >= 3.0
+    detail = f"slope={slope:.4f} per doubling, {sigmas:.1f} sigma (need >0 at 3 sigma)"
+    return passed, detail
 
 
 # --- 6 -----------------------------------------------------------------------
 
 
-def check_rms_upper_bound(quick: bool = False) -> CriterionResult:
+def check_rms_upper_bound(quick: bool = False) -> tuple[bool, str]:
     """Measured RMS never exceeds the ceiling implied by measured unpredictability."""
     trials = _scale(10_000, quick)
     T_list = [1 << k for k in range(10, 17)]
@@ -186,13 +179,13 @@ def check_rms_upper_bound(quick: bool = False) -> CriterionResult:
         )
         passed = passed and slack >= 1.0
         lines.append(f"{family.value}(d={delta}): hat={hat:.3f} min bound/rms={slack:.2f}")
-    return CriterionResult("rms-upper-bound", passed, "; ".join(lines), 0.0)
+    return passed, "; ".join(lines)
 
 
 # --- 7 -----------------------------------------------------------------------
 
 
-def check_optfrw_unpredictability(quick: bool = False) -> CriterionResult:
+def check_optfrw_unpredictability(quick: bool = False) -> tuple[bool, str]:
     """Worst-case-conditioned payoff of the sqrt-budget family stays O(delta)."""
     trials = _scale(10_000, quick)
     lines = []
@@ -203,13 +196,13 @@ def check_optfrw_unpredictability(quick: bool = False) -> CriterionResult:
         ok = hat <= 8.0 * delta
         passed = passed and ok
         lines.append(f"delta={delta}: hat={hat:.4f} ({hat / delta:.2f}x, cap 8x)")
-    return CriterionResult("optfrw-unpredictability", passed, "; ".join(lines), 0.0)
+    return passed, "; ".join(lines)
 
 
 # --- 8 -----------------------------------------------------------------------
 
 
-def check_entropy_predictable(quick: bool = False) -> CriterionResult:
+def check_entropy_predictable(quick: bool = False) -> tuple[bool, str]:
     """Height-conditioned sampling is predictable: sign-of-first-half wins k*sqrt(T)-scale payoff."""
     T, k = 1 << 10, 2.0
     trials = _scale(10_000, quick)
@@ -222,13 +215,13 @@ def check_entropy_predictable(quick: bool = False) -> CriterionResult:
     floor = 0.1 * k * math.sqrt(T)
     passed = row.mean_payoff >= floor
     detail = f"sign-of-first-half payoff={row.mean_payoff:.1f} (floor {floor:.1f})"
-    return CriterionResult("entropy-predictable", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 9 -----------------------------------------------------------------------
 
 
-def check_frw_per_bit_payoff(quick: bool = False) -> CriterionResult:
+def check_frw_per_bit_payoff(quick: bool = False) -> tuple[bool, str]:
     """Weighted-majority payoff on singleton-block walks grows linearly in delta*T."""
     delta = 0.1
     trials = _scale(500, quick)
@@ -251,13 +244,13 @@ def check_frw_per_bit_payoff(quick: bool = False) -> CriterionResult:
     detail = (
         "payoffs=" + "/".join(f"{v:.0f}" for v in y) + f" at T=4096/8192/16384; c'={c:.3f}, R^2={r2:.3f}"
     )
-    return CriterionResult("frw-per-bit-payoff", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 10 ----------------------------------------------------------------------
 
 
-def check_theta_solver(quick: bool = False) -> CriterionResult:
+def check_theta_solver(quick: bool = False) -> tuple[bool, str]:
     """Self-similarity exponent solver hits closed-form anchors and tiny residuals."""
     del quick
     a1 = abs(fractal.solve_theta(0.0) - 1.0)
@@ -266,13 +259,13 @@ def check_theta_solver(quick: bool = False) -> CriterionResult:
     worst = max(abs(fractal.theta_residual(a, fractal.solve_theta(a))) for a in grid)
     passed = a1 <= 1e-9 and a2 <= 1e-9 and worst < 1e-10
     detail = f"anchor errors {a1:.1e}, {a2:.1e}; max grid residual {worst:.1e}"
-    return CriterionResult("theta-solver", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 11 ----------------------------------------------------------------------
 
 
-def check_fractal_builder(quick: bool = False) -> CriterionResult:
+def check_fractal_builder(quick: bool = False) -> tuple[bool, str]:
     """Deterministic fractal: exact heights, inverting on dyadic windows, length exponent ~ 1/theta."""
     del quick
     # Steeper alpha means length ~ h**(1/theta) with 1/theta ~ 2.9 at alpha=0.5,
@@ -313,13 +306,13 @@ def check_fractal_builder(quick: bool = False) -> CriterionResult:
         f"heights+lengths exact={exact} on {cells} cells; "
         f"dyadic ratio={ratio:.3f} (>=0.30); " + ", ".join(exps)
     )
-    return CriterionResult("fractal-builder", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 12 ----------------------------------------------------------------------
 
 
-def check_inversion_oracle(quick: bool = False) -> CriterionResult:
+def check_inversion_oracle(quick: bool = False) -> tuple[bool, str]:
     """Fast inversion scan is bit-for-bit equal to the quadruple-loop reference."""
     n = 12
     codes = np.arange(1 << n, dtype=np.int64)
@@ -340,13 +333,13 @@ def check_inversion_oracle(quick: bool = False) -> CriterionResult:
     eq64 = bool(np.all(fast64 == naive64))
     passed = eq12 and eq64
     detail = f"all 2^{n} length-{n}: {eq12}; {n_rand} random length-64: {eq64} (exact equality)"
-    return CriterionResult("inversion-oracle", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 13 ----------------------------------------------------------------------
 
 
-def check_alpha_q_inversion(quick: bool = False) -> CriterionResult:
+def check_alpha_q_inversion(quick: bool = False) -> tuple[bool, str]:
     """Opposite-excursion probability is high, and climbs rarely escape the staged bettor."""
     trials = _scale(10_000, quick)
     T = 1 << 10
@@ -369,13 +362,13 @@ def check_alpha_q_inversion(quick: bool = False) -> CriterionResult:
         f"q(uniform,a=0.2)={q_uniform:.3f}, q(opt-frw,a=0.1)={q_opt:.3f} (>=0.5); "
         f"theta={theta}, s=4 escape-given-high={escape:.4f} (<=0.25)"
     )
-    return CriterionResult("alpha-q-inversion", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 14 ----------------------------------------------------------------------
 
 
-def check_fbm(quick: bool = False) -> CriterionResult:
+def check_fbm(quick: bool = False) -> tuple[bool, str]:
     """Gaussian path covariance matches, and the sign bet earns its closed form, peaking at lag 1."""
     hurst, window = 0.6, 16
     cov_trials = _scale(20_000, quick)
@@ -402,13 +395,13 @@ def check_fbm(quick: bool = False) -> CriterionResult:
         f"worst cov rel err={worst_cov:.3f} (<= {cov_tol}); payoff mc={mc:.3f} vs {closed:.3f} "
         f"(rel {pay_rel:.3f} <= {pay_tol}); best lag={argmax_lag} (want 1)"
     )
-    return CriterionResult("fbm-checks", passed, detail, 0.0)
+    return passed, detail
 
 
 # --- 15 ----------------------------------------------------------------------
 
 
-def check_moment_inequalities(quick: bool = False) -> CriterionResult:
+def check_moment_inequalities(quick: bool = False) -> tuple[bool, str]:
     """Cauchy-Schwarz floor, bounded kurtosis, anti-concentration on every family."""
     trials = _scale(10_000, quick)
     T = 1 << 12
@@ -430,7 +423,7 @@ def check_moment_inequalities(quick: bool = False) -> CriterionResult:
             f"{spec.family.value}: cs={checks.cauchy_schwarz_ok} "
             f"ratio={checks.fourth_moment_ratio:.2f} anti={checks.anti_concentration:.2f}"
         )
-    return CriterionResult("moment-inequalities", passed, "; ".join(lines), 0.0)
+    return passed, "; ".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,8 @@ def run_criterion(name: str, quick: bool = False) -> CriterionResult:
             f"unknown criterion {name!r}; known: {[n for n, _ in CRITERIA]}"
         )
     start = time.perf_counter()
-    result = fn(quick=quick)
-    return CriterionResult(result.name, bool(result.passed), result.detail, time.perf_counter() - start)
+    passed, detail = fn(quick=quick)
+    return CriterionResult(name, bool(passed), detail, time.perf_counter() - start)
 
 
 def format_result(index: int, result: CriterionResult) -> str:

@@ -38,6 +38,7 @@ from fractalwalk import (
     total_variation,
     upper_bound_rms,
 )
+from fractalwalk.analysis import _ols
 
 
 class TestDeviationStats:
@@ -63,6 +64,27 @@ class TestDeviationStats:
         report = deviation_stats(self.SPEC, [1 << e for e in range(8, 13)], 2000)
         assert 0.4 < report.fitted_exponent < 0.6
         assert report.exponent_stderr < 0.1
+
+    def test_rejects_repeated_lengths(self):
+        with pytest.raises(ConfigurationError, match="repeat"):
+            deviation_stats(self.SPEC, [256, 512, 256], 200)
+
+    def test_fit_hand_case(self):
+        # Residuals -0.1, 0.3, -0.3, 0.1 about the slope-0.6 line; Sxx = 5.
+        slope, stderr = _ols(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0, 2.0]))
+        assert slope == pytest.approx(0.6)
+        assert stderr == pytest.approx(math.sqrt(0.2 / 2 / 5))
+        assert _ols(np.array([1.0, 2.0]), np.array([5.0, 3.0])) == (-2.0, 0.0)
+
+    def test_fit_matches_scipy_linregress_bit_for_bit(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        for i in range(400):
+            n = 2 + i % 9
+            x = np.log(np.sort(rng.choice(np.arange(1, 1 << 20), size=n, replace=False)))
+            y = 0.5 * x + 1.0 if i % 5 == 0 else rng.normal(size=n) + 0.5 * x
+            fit = stats.linregress(x, y)
+            assert _ols(x, y) == (fit.slope, fit.stderr)
 
     def test_rows_stable_under_extension(self):
         # Each length draws from its own derived stream, so adding lengths

@@ -293,6 +293,12 @@ class TestExitCodes:
             "--T-list", "1000", "--trials", "200",
         ) == 2
 
+    def test_repeated_lengths_exit_2(self, tmp_path):
+        assert run_in(
+            tmp_path, "stats", "--family", "uniform", "--T", "64",
+            "--T-list", "64,64", "--trials", "200",
+        ) == 2
+
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):
             run_in(tmp_path, "generate", "--family", "nope", "--T", "64")
@@ -325,6 +331,22 @@ class TestManifestReplay:
 
     def test_dangling_flag_exit_2(self):
         assert run(["--from-manifest"]) == 2
+
+    def test_empty_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "theta-manifest.json"
+        path.write_text(json.dumps({"command": "theta", "config": {}}))
+        assert run(["--from-manifest", str(path)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a"
+        assert run_in(a, "theta", "--alpha", "0.25") == 0
+        manifest = json.loads((a / "theta-manifest.json").read_text())
+        manifest["config"]["bogus"] = 1
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(manifest))
+        assert run(["--from-manifest", str(forged), "--output-dir", str(tmp_path / "b")]) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
 
 class TestEnvironment:

@@ -14,6 +14,7 @@ from fractalwalk import (
     ConfigurationError,
     FractalParams,
     build_fractal,
+    fractal,
     fractal_length,
     measured_exponent,
     part_heights,
@@ -145,6 +146,15 @@ class TestConstruction:
     def test_deterministic(self):
         params = FractalParams(alpha=0.2, target_height=300)
         assert build_fractal(params) == build_fractal(params)
+
+    def test_length_cap_checked_before_rendering(self, monkeypatch):
+        def no_render(*args):
+            raise AssertionError("rendered a fractal above the length cap")
+
+        monkeypatch.setattr(fractal, "_render", no_render)
+        params = FractalParams(alpha=1.0 / 3.0, target_height=2**14)
+        with pytest.raises(ConfigurationError, match="length"):
+            build_fractal(params)
 
 
 class TestLengthGrowth:

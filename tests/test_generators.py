@@ -24,12 +24,6 @@ from fractalwalk import (
     SamplingBudgetError,
     default_base_len,
     entropy_threshold,
-    gen_afrw,
-    gen_aofrw,
-    gen_entropy_conditioned,
-    gen_frw,
-    gen_opt_frw,
-    gen_uniform,
     generate,
     generate_batch,
     iter_generate_batches,
@@ -80,12 +74,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="delta"):
             GeneratorSpec(family=Family.FRW, total_len=16, delta=delta)
 
-    @pytest.mark.parametrize("total_len", [0, 3, 24, 1 << 25])
+    @pytest.mark.parametrize("total_len", [0, 3, 24, 1 << 25, True])
     def test_total_len_rejected(self, total_len):
         with pytest.raises(ConfigurationError):
             GeneratorSpec(family=Family.UNIFORM, total_len=total_len)
 
-    @pytest.mark.parametrize("base_len", [3, 32, 0])
+    @pytest.mark.parametrize("base_len", [3, 32, 0, True])
     def test_base_len_rejected(self, base_len):
         with pytest.raises(ConfigurationError, match="base_len"):
             GeneratorSpec(family=Family.FRW, total_len=16, delta=0.1, base_len=base_len)
@@ -112,7 +106,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="qualifies"):
             GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, k=9.0)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True])
     def test_seed_rejected(self, seed):
         with pytest.raises(ConfigurationError, match="seed"):
             GeneratorSpec(family=Family.UNIFORM, total_len=16, seed=seed)
@@ -470,30 +464,15 @@ class TestBatchIteration:
 
 
 class TestFrontEnds:
-    CASES = [
-        (gen_uniform, Family.UNIFORM),
-        (gen_frw, Family.FRW),
-        (gen_opt_frw, Family.OPT_FRW),
-        (gen_afrw, Family.AFRW),
-        (gen_aofrw, Family.AOFRW),
-        (gen_entropy_conditioned, Family.ENTROPY_CONDITIONED),
-    ]
-
-    @pytest.mark.parametrize("front,family", CASES)
-    def test_accepts_matching_family(self, front, family):
-        out = front(spec_for(family, total_len=32, seed=60))
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_sequence_type_and_length(self, family):
+        out = generate(spec_for(family, total_len=32, seed=60))
         expect_int = family in (Family.AFRW, Family.AOFRW)
         assert isinstance(out.sequence, IntSequence if expect_int else BitSequence)
         assert len(out.sequence) == 32
 
-    @pytest.mark.parametrize("front,family", CASES)
-    def test_rejects_other_families(self, front, family):
-        other = Family.UNIFORM if family is not Family.UNIFORM else Family.FRW
-        with pytest.raises(ConfigurationError, match="family"):
-            front(spec_for(other, total_len=32))
-
     def test_merge_families_report_records(self):
-        out = gen_frw(spec_for(Family.FRW, total_len=64, seed=61))
+        out = generate(spec_for(Family.FRW, total_len=64, seed=61))
         assert len(out.records) == 64 // 8 - 1
         assert all(r.augmented == 0 for r in out.records)
 

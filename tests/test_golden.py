@@ -1,0 +1,130 @@
+"""Golden outputs: fixed-seed CLI runs must keep producing the same bytes.
+
+Each case runs one command through ``cli.run`` at a small size and compares
+the sha256 of every output its manifest lists with a recorded value.  The
+manifest itself is not hashed because it records ``--output-dir``.  A change
+that moves any of these hashes changes a number the package reports; it must
+either be a bug or a deliberate, documented change of the random stream.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fractalwalk
+from fractalwalk.cli import run
+
+CASES = {
+    "generate-uniform": (
+        ["generate", "--family", "uniform", "--T", "256", "--seed", "1"],
+        {
+            "uniform-T256-seed1.fwsq": "037a4bf0f1c29e7965007865bbf413335ed0a29bff654e29f9a90eaa0f9612b3",
+            "uniform-T256-seed1.json": "21b2d9acb71ab510c06c78df89b0141782e61557a25f2ac641748ed31a512cc1",
+        },
+    ),
+    "generate-frw": (
+        ["generate", "--family", "frw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--seed", "2"],
+        {
+            "frw-T256-seed2.fwsq": "0fcb3f8ce2432276788df658f159e09d0762bf418b853bb2bbd4a6a47aa34861",
+            "frw-T256-seed2.json": "da549a7b3916d19464418f48d1cfbd143abcdd3c081b2bacd310ee9f0819d12a",
+        },
+    ),
+    "generate-opt_frw": (
+        ["generate", "--family", "opt_frw", "--T", "256", "--delta", "0.3", "--base-len", "4",
+         "--flip-mode", "bernoulli", "--seed", "3", "--format", "csv"],
+        {
+            "opt_frw-T256-seed3.csv": "42aae956dcea9d300b6e156473e530df7d947f8345a1756493dbc0b264479380",
+            "opt_frw-T256-seed3.json": "7b215f251a0d86c21cf5601111aab06de60001abd666402ea075cebc523a2190",
+        },
+    ),
+    "generate-afrw": (
+        ["generate", "--family", "afrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "4"],
+        {
+            "afrw-T256-seed4.fwsq": "f62c2914f468a1c897322fda46dad9573817e3981fc083fcb99974924b1205e0",
+            "afrw-T256-seed4.json": "5a537fcbf75b5edd3aa99f5120ebdf44cc42ce80bf7aef2dd8c1a5fe47a86ca3",
+        },
+    ),
+    "generate-aofrw": (
+        ["generate", "--family", "aofrw", "--T", "256", "--delta", "0.4", "--base-len", "2",
+         "--seed", "5"],
+        {
+            "aofrw-T256-seed5.fwsq": "f3aa7c60794f0bd55bf1adeefe1f1370310078a43b5dda83d619d44bf8b93608",
+            "aofrw-T256-seed5.json": "dfa97d884183ccabcc2739b66f288c9a9b3ee11cc30e4b46b9ad038e425c9538",
+        },
+    ),
+    "generate-entropy_conditioned": (
+        ["generate", "--family", "entropy_conditioned", "--T", "256", "--k", "1.5", "--seed", "6"],
+        {
+            "entropy_conditioned-T256-seed6.fwsq": "77e2d6a8c2e5bcfb67ec26337a79d30cde85aa219c68ddefaae618c8ff679759",
+            "entropy_conditioned-T256-seed6.json": "9d8266e45341f442e7ba9d7813dfee1e6df0ac391453ca15811d9fe68dadf639",
+        },
+    ),
+    "stats": (
+        ["stats", "--family", "opt_frw", "--T", "64", "--delta", "0.1", "--seed", "7",
+         "--T-list", "64,128,256,512", "--trials", "300"],
+        {
+            "stats.csv": "ab4b7b618170709658ae580a9bad43fe966f009a67bb5ae43ef8654d243e9bf4",
+            "stats.json": "4ce28d62d841c203ed9cff62225cbf3e682d96834a9b2967400fa48eb27a8519",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--families", "uniform,opt_frw,entropy_conditioned", "--deltas", "0.1",
+         "--T-list", "64", "--metrics", "deviation,delta_hat,alpha_q", "--trials", "1000",
+         "--parallelism", "1", "--master-seed", "8"],
+        {
+            "sweep.csv": "67e047ea291cfe61b19a62443f40cca412d533430e07e0f791cb81b43f1d9cd2",
+            "sweep-failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        },
+    ),
+    "fractal": (
+        ["fractal", "--alpha", "0.3", "--height", "200", "--format", "csv"],
+        {
+            "fractal-a0.3-h200.csv": "e81d251b97cddb79dda7d0fe4cd143dc0255fca445a1883d51c47a9c728ed8ba",
+            "fractal-a0.3-h200.json": "58e247fd8eca6db949536a9166a6d617823fa3a999b206aca60cc53380bb5acb",
+        },
+    ),
+    "theta": (
+        ["theta", "--alpha", "0.37"],
+        {"theta.json": "595349c6a19db26ae1162d3abf267628c6c52ceb99b1f6add67c8cc14b385579"},
+    ),
+    "predict-weighted_majority": (
+        ["predict", "--family", "frw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--seed", "9", "--predictor", "weighted_majority", "--trials", "40"],
+        {"predict.json": "960e7816ff8a2a8f3d5a0ed7182a781731edfcb5ad2e9efbf87686d8ee8c707b"},
+    ),
+    "predict-adaptive_bettor": (
+        ["predict", "--family", "afrw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--seed", "10", "--predictor", "adaptive_bettor", "--theta", "8", "--trials", "40"],
+        {"predict.json": "aa742074aba2dba418764c11973469a18bd30c1893a91c201284efd5217347cb"},
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_recorded_hashes(tmp_path, name):
+    argv, want = CASES[name]
+    assert run([*argv, "--output-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())
+    got = {out: _sha256(tmp_path / out) for out in manifest["outputs"]}
+    assert got == want
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, fractalwalk; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(fractalwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -93,6 +93,10 @@ class TestIntSequence:
         with pytest.raises(ConfigurationError):
             IntSequence(bad)
 
+    def test_rejects_entries_beyond_supported_magnitude(self):
+        with pytest.raises(ConfigurationError, match="magnitude"):
+            IntSequence([2**41 + 1])
+
 
 class TestAlignedDecompose:
     def test_hand_cases(self):
