@@ -34,6 +34,7 @@ from .generators import (
     iter_generate_batches,
     simulate_heights,
 )
+from .predictors import _first_hits
 from .seeding import derive_rng, make_rng
 from .sequences import BitSequence, IntSequence, Interval
 
@@ -491,6 +492,18 @@ class UnpredictabilityReport:
     )
 
 
+def _prefix_at(mat: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Each row's int64 prefix sum at the sorted, distinct columns ``cols``, built
+    as running sums of the slices between them."""
+    out = np.empty((mat.shape[0], len(cols)), dtype=np.int64)
+    prev, acc = 0, np.zeros(mat.shape[0], dtype=np.int64)
+    for i, c in enumerate(cols):
+        acc += mat[:, prev:c].sum(axis=1, dtype=np.int64)
+        out[:, i] = acc
+        prev = c
+    return out
+
+
 def _dyadic_range(lo: int, hi: int) -> list[int]:
     out = []
     v = 1
@@ -503,12 +516,9 @@ def _dyadic_range(lo: int, hi: int) -> list[int]:
 
 
 def _strict_prefix_lengths(spec: GeneratorSpec, min_x: int) -> list[int]:
-    T = spec.total_len
-    if spec.family in _MERGE_FAMILIES:
-        start = max(spec.base_len, min_x)
-    else:
-        start = min_x
-    return [p for p in _dyadic_range(start, T // 2)]
+    """Planted prefix lengths for strict mode: dyadic, covering whole base blocks."""
+    start = max(spec.base_len, min_x) if spec.family in _MERGE_FAMILIES else min_x
+    return _dyadic_range(start, spec.total_len // 2)
 
 
 def estimate_delta(
@@ -537,6 +547,8 @@ def estimate_delta(
     T = spec.total_len
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "estimate_delta", mode.value))
 
+    # (window, interval lo, interval len) cells grouped by planted prefix.  A cell
+    # bets the sign of its window's height; strict windows are all +1.
     if mode is EstimationMode.STRICT:
         prefixes = _strict_prefix_lengths(spec, min_x)
         if not prefixes:
@@ -546,44 +558,29 @@ def estimate_delta(
                 stacklevel=2,
             )
             mode = EstimationMode.WEAK_AVERAGED
-        else:
-            cells: list[tuple[int, int, int]] = []  # (window=p, lo=p, x)
-            payoffs: list[np.ndarray] = []
-            for p in prefixes:
-                xs = _dyadic_range(min_x, p)
-                block = np.empty((trials, len(xs)), dtype=np.int64)
-                done = 0
-                for part in iter_generate_batches(spec, trials, rng, chunk=chunk, planted_prefix=p):
-                    acc = np.cumsum(part[:, p : p + max(xs)], axis=1, dtype=np.int64)
-                    for col, x in enumerate(xs):
-                        block[done : done + part.shape[0], col] = acc[:, x - 1]
-                    done += part.shape[0]
-                for col, x in enumerate(xs):
-                    cells.append((p, p, x))
-                    payoffs.append(block[:, col])
-            return _assemble_report(spec, EstimationMode.STRICT, cells, payoffs, trials, bootstrap, rng)
+        groups = [(p, [(p, p, x) for x in _dyadic_range(min_x, p)]) for p in prefixes]
+    if mode is EstimationMode.WEAK_AVERAGED:
+        wins = windows if windows is not None else _dyadic_range(1, T // 2)
+        if any(w < 1 for w in wins):
+            raise ConfigurationError(f"windows must be positive, got {wins}")
+        xs = _dyadic_range(min_x, T // 2)
+        groups = [(0, [(w, T - x, x) for x in xs for w in wins if w <= T - x])]
 
-    xs = _dyadic_range(min_x, T // 2)
-    wins = windows if windows is not None else _dyadic_range(1, T // 2)
-    cells = []
-    for x in xs:
-        p = T - x
-        for w in wins:
-            if w <= p:
-                cells.append((w, p, x))
-    payoff_mat = np.zeros((len(cells), trials), dtype=np.int64)
-    done = 0
-    for part in iter_generate_batches(spec, trials, rng, chunk=chunk):
-        pref = np.zeros((part.shape[0], T + 1), dtype=np.int64)
-        np.cumsum(part, axis=1, dtype=np.int64, out=pref[:, 1:])
-        for ci, (w, p, x) in enumerate(cells):
-            hist = pref[:, p] - pref[:, p - w]
-            bet = np.where(hist >= 0, 1, -1)
-            payoff_mat[ci, done : done + part.shape[0]] = bet * (pref[:, p + x] - pref[:, p])
-        done += part.shape[0]
-    return _assemble_report(
-        spec, mode, cells, [payoff_mat[i] for i in range(len(cells))], trials, bootstrap, rng
-    )
+    cells, payoffs = [], []
+    for planted, group in groups:
+        cols = sorted({c for w, p, x in group for c in (p - w, p, p + x)})
+        at = {c: i for i, c in enumerate(cols)}
+        pay = np.empty((len(group), trials), dtype=np.int64)
+        done = 0
+        for part in iter_generate_batches(spec, trials, rng, chunk=chunk, planted_prefix=planted):
+            P = _prefix_at(part, cols)
+            for ci, (w, p, x) in enumerate(group):
+                bet = np.where(P[:, at[p]] - P[:, at[p - w]] >= 0, 1, -1)
+                pay[ci, done : done + part.shape[0]] = bet * (P[:, at[p + x]] - P[:, at[p]])
+            done += part.shape[0]
+        cells += group
+        payoffs.extend(pay)
+    return _assemble_report(spec, mode, cells, payoffs, trials, bootstrap, rng)
 
 
 def _assemble_report(
@@ -595,14 +592,11 @@ def _assemble_report(
     bootstrap: int,
     rng: np.random.Generator,
 ) -> UnpredictabilityReport:
-    rows = []
-    normalized = []
-    for (w, p, x), pay in zip(cells, payoffs):
-        mean = float(pay.mean())
-        rows.append(UnpredictabilityRow(w, p, x, mean, mean / math.sqrt(x), trials))
-        normalized.append(mean / math.sqrt(x))
-    best = int(np.argmax(normalized))
-    delta_hat = max(0.0, normalized[best])
+    means = [float(pay.mean()) for pay in payoffs]
+    rows = [UnpredictabilityRow(w, p, x, m, m / math.sqrt(x), trials)
+            for (w, p, x), m in zip(cells, means)]
+    best = int(np.argmax([r.normalized_payoff for r in rows]))
+    delta_hat = max(0.0, rows[best].normalized_payoff)
     pay = payoffs[best].astype(np.float64)
     x = cells[best][2]
     boots = np.empty(bootstrap)
@@ -664,35 +658,30 @@ def certify_inversion(
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "certify", theta, s_iterations))
 
     lo, hi = interval.lo, interval.hi
-    lower_hits = np.zeros(s_iterations, dtype=np.int64)
-    upper_hits = np.zeros(s_iterations, dtype=np.int64)
-    reached = np.zeros(s_iterations, dtype=np.int64)
-    n_high = 0
-    n_no_inv_high = 0
+    lower_hits, upper_hits, reached = np.zeros((3, s_iterations), dtype=np.int64)
+    n_high = n_no_inv_high = 0
     for part in iter_generate_batches(spec, trials, rng, chunk=chunk):
-        for row in part:
-            cum = np.cumsum(row[lo:hi], dtype=np.int64)
-            start, base = 0, 0
-            saw_lower = False
-            for stage in range(s_iterations):
-                if start >= cum.shape[0]:
-                    break
-                reached[stage] += 1
-                rel = cum[start:] - base
-                hits = np.flatnonzero((rel <= -lower) | (rel >= upper))
-                if hits.size == 0:
-                    break
-                t = int(hits[0])
-                if rel[t] <= -lower:
-                    lower_hits[stage] += 1
-                    saw_lower = True
-                else:
-                    upper_hits[stage] += 1
-                base = int(cum[start + t])
-                start += t + 1
-            high = int(cum[-1]) >= theta
-            n_high += high
-            n_no_inv_high += high and not saw_lower
+        cum = part[:, lo:hi].astype(np.int64)
+        np.cumsum(cum, axis=1, out=cum)  # in place: half the memory of a casting cumsum
+        # Each row's next stage starts at ``start`` from payoff ``base``; a row
+        # whose positions run out or whose stage misses both limits gets start == hi - lo.
+        start, base = np.zeros((2, cum.shape[0]), dtype=np.int64)
+        saw_lower = np.zeros(cum.shape[0], dtype=bool)
+        for stage in range(s_iterations):
+            reached[stage] += np.count_nonzero(start < cum.shape[1])
+            t = _first_hits(cum, base - lower, base + upper, start)
+            start[t < 0] = cum.shape[1]
+            hit = np.flatnonzero(t >= 0)
+            value = cum[hit, t[hit]]
+            low = value <= base[hit] - lower
+            lower_hits[stage] += np.count_nonzero(low)
+            upper_hits[stage] += np.count_nonzero(~low)
+            saw_lower[hit[low]] = True
+            base[hit] = value
+            start[hit] = t[hit] + 1
+        high = cum[:, -1] >= theta
+        n_high += int(np.count_nonzero(high))
+        n_no_inv_high += int(np.count_nonzero(high & ~saw_lower))
     p_high = n_high / trials
     p_joint = n_no_inv_high / trials
     return CertificationReport(

@@ -7,8 +7,9 @@ functions of the configuration (no timestamps, atomic writes), so re-running a
 command — directly or via ``--from-manifest`` — reproduces the bytes exactly.
 
 Exit codes: 0 success, 1 analysis failure (failed criteria or sweep cells),
-2 configuration error.  ``FRACTALWALK_OUTPUT_DIR`` sets the default output
-directory; no other environment variables are read.
+2 configuration error, including an unreadable or malformed ``--input`` file.
+``FRACTALWALK_OUTPUT_DIR`` sets the default output directory; no other environment
+variables are read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, fbm, fractal, predictors, verify
-from .errors import ConfigurationError, SamplingBudgetError
+from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError
 from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seeding import derive_seed
 from .seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
@@ -120,13 +121,13 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
     )
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, parse=int, what: str = "integer") -> list:
     try:
-        values = [int(v) for v in str(text).replace(",", " ").split()]
+        values = [parse(v) for v in str(text).replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ConfigurationError(f"expected a comma-separated {what} list, got {text!r}") from exc
     if not values:
-        raise ConfigurationError("empty integer list")
+        raise ConfigurationError(f"empty {what} list")
     return values
 
 
@@ -161,7 +162,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    T_list = _parse_int_list(args.T_list)
+    T_list = _parse_list(args.T_list)
     report = analysis.deviation_stats(spec, T_list, args.trials)
     out = _out_dir(args)
     rows = io.StringIO()
@@ -183,9 +184,33 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_predictor_flags(args: argparse.Namespace, T: int) -> None:
+    if args.predictor == "sign_of_prefix":
+        if args.window is None or args.x is None:
+            raise ConfigurationError("sign_of_prefix requires --window and --x")
+        if args.window < 1 or args.x < 1 or args.window + args.x > T:
+            raise ConfigurationError(
+                f"sign_of_prefix needs --window >= 1 and --x >= 1 with --window + --x <= {T}, "
+                f"got {args.window} and {args.x}"
+            )
+    elif args.predictor == "block_momentum":
+        if args.block_len is None:
+            raise ConfigurationError("block_momentum requires --block-len")
+        if args.block_len < 1 or T % args.block_len:
+            raise ConfigurationError(f"--block-len must divide {T}, got {args.block_len}")
+    elif args.predictor == "adaptive_bettor":
+        if args.theta is None:
+            raise ConfigurationError("adaptive_bettor requires --theta")
+        if 2.0 * args.alpha * args.theta < 1.0:
+            raise ConfigurationError(
+                f"limits degenerate: need 2*alpha*theta >= 1, got alpha={args.alpha}, theta={args.theta}"
+            )
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     T = spec.total_len
+    _check_predictor_flags(args, T)
     payoffs: list[float] = []
     extra: dict[str, float] = {}
     stop_causes: dict[str, int] = {}
@@ -197,23 +222,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.predictor == "weighted_majority":
             payoffs.append(predictors.weighted_majority_expected_payoff(seq))
         elif args.predictor == "sign_of_prefix":
-            if args.window is None or args.x is None:
-                raise ConfigurationError("sign_of_prefix requires --window and --x")
             target = Interval(T - args.x, T, T)
             plan = predictors.sign_of_prefix_plan(seq, args.window, target)
             payoffs.append(predictors.run_plan(seq, plan).payoff)
         elif args.predictor == "block_momentum":
-            if args.block_len is None:
-                raise ConfigurationError("block_momentum requires --block-len")
             payoffs.append(predictors.block_momentum_payoff(seq, args.block_len))
         else:  # adaptive_bettor
-            if args.theta is None:
-                raise ConfigurationError("adaptive_bettor requires --theta")
             ledger = predictors.adaptive_inversion_bettor(
                 seq, Interval(0, T, T), args.theta, args.alpha
             )
             payoffs.append(ledger.payoff)
-            cause = ledger.stop_cause.name if ledger.stop_cause else "EXHAUSTED"
+            cause = ledger.stop_cause.name
             stop_causes[cause] = stop_causes.get(cause, 0) + 1
     arr = np.asarray(payoffs, dtype=np.float64)
     extra["mean_payoff"] = float(arr.mean())
@@ -236,7 +255,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_inversion(args: argparse.Namespace) -> int:
     if args.input:
         path = Path(args.input)
-        seq = read_csv(path) if path.suffix == ".csv" else read_binary(path)
+        try:
+            seq = read_csv(path) if path.suffix == ".csv" else read_binary(path)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read --input {path}: {exc}") from exc
     else:
         if args.family is None or args.total_len is None:
             raise ConfigurationError("provide --input FILE or a full generator spec")
@@ -368,9 +390,9 @@ def _sweep_cell(payload: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    families = [Family(f) for f in str(args.families).replace(",", " ").split()]
-    deltas = [float(v) for v in str(args.deltas).replace(",", " ").split()]
-    T_list = _parse_int_list(args.T_list)
+    families = _parse_list(args.families, Family, "family")
+    deltas = _parse_list(args.deltas, float, "number")
+    T_list = _parse_list(args.T_list)
     metrics = str(args.metrics).replace(",", " ").split()
     known = {"deviation", "delta_hat", "alpha_q"}
     if not metrics or not set(metrics) <= known:
@@ -622,7 +644,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, SequenceFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SamplingBudgetError as exc:

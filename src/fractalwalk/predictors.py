@@ -90,6 +90,16 @@ class PayoffLedger:
         assert not (self.stopped_early and self.stop_cause is StopCause.EXHAUSTED)
 
 
+def _first_hits(running: np.ndarray, lower, upper, start) -> np.ndarray:
+    """Per row of ``running``, the first column at or after ``start`` holding a value
+    <= ``lower`` or >= ``upper``, else -1; the limits and start are scalars or per row."""
+    lower, upper, start = (np.reshape(v, (-1, 1)) for v in (lower, upper, start))
+    hit = (running <= lower) | (running >= upper)
+    hit &= np.arange(running.shape[1]) >= start
+    first = hit.argmax(axis=1)
+    return np.where(hit[np.arange(running.shape[0]), first], first, -1)
+
+
 def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedger:
     """Execute a plan: running payoff halts at the first stop-rule hit."""
     iv = plan.interval
@@ -97,15 +107,13 @@ def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedg
         raise IndexError(f"plan interval {iv} does not fit a sequence of length {len(seq.values)}")
     gains = plan.per_position.astype(np.int64) * seq.values[iv.lo : iv.hi]
     running = np.cumsum(gains)
-    if plan.stop_rule is not None:
-        rule = plan.stop_rule
-        hits = np.flatnonzero((running <= rule.lower_limit) | (running >= rule.upper_limit))
-        if hits.size:
-            t = int(hits[0])
+    rule = plan.stop_rule
+    if rule is not None:
+        t = int(_first_hits(running[None, :], rule.lower_limit, rule.upper_limit, 0)[0])
+        if t >= 0:
             cause = StopCause.LOWER if running[t] <= rule.lower_limit else StopCause.UPPER
             return PayoffLedger(int(running[t]), t + 1, True, cause)
-    total = int(running[-1]) if running.size else 0
-    return PayoffLedger(total, len(iv), False, StopCause.EXHAUSTED)
+    return PayoffLedger(int(running[-1]), len(iv), False, StopCause.EXHAUSTED)
 
 
 def constant_plan(value: int, interval: Interval, stop_rule: StopRule | None = None) -> PredictionPlan:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SequenceFormatError
-from .sequences import BitSequence, IntSequence
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence
 
 __all__ = ["write_binary", "read_binary", "write_csv", "read_csv", "atomic_write_bytes"]
 
@@ -86,6 +86,8 @@ def loads(data: bytes) -> BitSequence | IntSequence:
     n = int(np.frombuffer(data[6:14], dtype=np.uint64)[0])
     if n == 0:
         raise SequenceFormatError("zero-length sequence")
+    if n > MAX_TOTAL_LEN:
+        raise SequenceFormatError(f"header length {n} exceeds {MAX_TOTAL_LEN}")
     payload = data[14:]
     if kind == _KIND_BITS:
         need = (n + 7) // 8
@@ -94,6 +96,8 @@ def loads(data: bytes) -> BitSequence | IntSequence:
         bits01 = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
         return BitSequence(bits01.astype(np.int8) * 2 - 1)
     if kind == _KIND_INTS:
+        if n > len(payload):
+            raise SequenceFormatError(f"{n} integers cannot fit in {len(payload)} payload bytes")
         values = np.empty(n, dtype=np.int64)
         pos = 0
         for i in range(n):
@@ -106,11 +110,24 @@ def loads(data: bytes) -> BitSequence | IntSequence:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write a uniquely named temp file in the same directory, fsync it, then
+    rename it into place; the temp file is removed if any step fails.
+
+    The temp file is created with ``open(..., "xb")`` rather than
+    ``tempfile.mkstemp`` so the result keeps the umask-derived mode of a
+    plainly written file instead of mkstemp's 0600.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_binary(seq: BitSequence | IntSequence, path: str | Path) -> None:
@@ -128,7 +145,10 @@ def write_csv(seq: BitSequence | IntSequence, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> BitSequence | IntSequence:
-    rows = Path(path).read_text().split()
+    try:
+        rows = Path(path).read_text().split()
+    except UnicodeDecodeError as exc:
+        raise SequenceFormatError(f"CSV sequence file is not text: {exc}") from exc
     if not rows:
         raise SequenceFormatError("empty CSV sequence file")
     try:

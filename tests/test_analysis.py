@@ -19,10 +19,12 @@ from fractalwalk import (
     IntSequence,
     Interval,
     StopCause,
+    StopRule,
     adaptive_inversion_bettor,
     afrw_moment_oracle,
     alpha_q_estimate,
     certify_inversion,
+    constant_plan,
     decomposition_height_distribution,
     derive_rng,
     deviation_stats,
@@ -34,11 +36,12 @@ from fractalwalk import (
     inversion_ratio,
     inversion_ratio_naive,
     inversion_ratio_naive_batch,
+    run_plan,
     simulate_heights,
     total_variation,
     upper_bound_rms,
 )
-from fractalwalk.analysis import _ols
+from fractalwalk.analysis import _ols, _prefix_at
 
 
 class TestDeviationStats:
@@ -323,6 +326,24 @@ class TestAlphaQ:
         assert a == b
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prefix_at_matches_full_cumsum(data):
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+    info = np.iinfo(np.int8) if dtype is np.int8 else np.iinfo(np.int32)
+    n = data.draw(st.integers(1, 4))
+    T = data.draw(st.integers(1, 300))
+    flat = data.draw(st.lists(st.integers(info.min, info.max), min_size=n * T, max_size=n * T))
+    mat = np.array(flat, dtype=dtype).reshape(n, T)
+    ends = data.draw(st.sets(st.sampled_from([0, T])))
+    cols = sorted(data.draw(st.sets(st.integers(0, T), max_size=12)) | ends)
+    full = np.zeros((n, T + 1), dtype=np.int64)
+    np.cumsum(mat, axis=1, dtype=np.int64, out=full[:, 1:])
+    got = _prefix_at(mat, cols)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, full[:, cols])
+
+
 class TestEstimateDelta:
     def test_needs_enough_trials(self):
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=64, seed=1)
@@ -354,6 +375,11 @@ class TestEstimateDelta:
         small = estimate_delta(spec, "weak_averaged", 1000, windows=[8])
         wide = estimate_delta(spec, "weak_averaged", 1000, windows=[8, 16, 32])
         assert wide.delta_hat >= small.delta_hat
+
+    def test_windows_must_be_positive(self):
+        spec = GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=5)
+        with pytest.raises(ConfigurationError, match="windows"):
+            estimate_delta(spec, "weak_averaged", 1000, windows=[4, -4])
 
     def test_strict_mode_sees_height_coupled_bias(self):
         spec = GeneratorSpec(family=Family.FRW, total_len=256, delta=0.2, base_len=16, seed=5)
@@ -407,6 +433,46 @@ class TestCertifyInversion:
         assert report.stage_lower_rate == (lower,)
         assert report.stage_upper_rate == (upper,)
         assert report.stage_reached_rate == (1.0,)
+
+    @pytest.mark.parametrize(
+        "s_iterations, interval",
+        [(1, WHOLE), (3, WHOLE), (8, WHOLE), (3, Interval(200, 900, 1024))],
+    )
+    def test_stages_match_chained_run_plan(self, s_iterations, interval):
+        # Per-row oracle: each stage is one run_plan call betting +1 from where
+        # the previous stage stopped, with the per-stage stop rule.
+        theta, trials, alpha = 48, 600, 0.5
+        report = certify_inversion(self.SPEC, interval, theta, s_iterations, trials, alpha=alpha)
+        rule = StopRule(-math.ceil(alpha * theta / s_iterations),
+                        math.ceil(2 * alpha * theta / s_iterations))
+        batch = generate_batch(
+            self.SPEC, trials, rng=derive_rng(self.SPEC.seed, "certify", theta, s_iterations)
+        )
+        lower, upper, reached = [0] * s_iterations, [0] * s_iterations, [0] * s_iterations
+        n_high = n_escaped = 0
+        for row in batch:
+            seq, start, saw_lower = BitSequence(row), interval.lo, False
+            for stage in range(s_iterations):
+                if start >= interval.hi:
+                    break
+                reached[stage] += 1
+                ledger = run_plan(seq, constant_plan(1, Interval(start, interval.hi, 1024), rule))
+                if ledger.stop_cause is StopCause.EXHAUSTED:
+                    break
+                if ledger.stop_cause is StopCause.LOWER:
+                    lower[stage] += 1
+                    saw_lower = True
+                else:
+                    upper[stage] += 1
+                start += ledger.steps_used
+            high = seq.height(interval) >= theta
+            n_high += high
+            n_escaped += high and not saw_lower
+        assert report.stage_lower_rate == tuple(v / trials for v in lower)
+        assert report.stage_upper_rate == tuple(v / trials for v in upper)
+        assert report.stage_reached_rate == tuple(v / trials for v in reached)
+        assert report.p_high == n_high / trials
+        assert report.p_no_inversion_and_high == n_escaped / trials
 
     def test_staged_rates_are_coherent(self):
         report = certify_inversion(self.SPEC, self.WHOLE, theta=64, s_iterations=8, trials=600)

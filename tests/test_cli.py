@@ -119,6 +119,26 @@ class TestPredict:
             "--predictor", "sign_of_prefix", "--trials", "10",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--predictor", "sign_of_prefix", "--window", "4", "--x", "0"),
+            ("--predictor", "sign_of_prefix", "--window", "4", "--x", "4096"),
+            ("--predictor", "sign_of_prefix", "--window", "0", "--x", "64"),
+            ("--predictor", "sign_of_prefix", "--window", "1000", "--x", "64"),
+            ("--predictor", "block_momentum", "--block-len", "0"),
+            ("--predictor", "block_momentum", "--block-len", "48"),
+            ("--predictor", "adaptive_bettor", "--theta", "0"),
+            ("--predictor", "adaptive_bettor", "--theta", "1", "--alpha", "0.1"),
+        ],
+    )
+    def test_bad_predictor_flags_exit_2(self, tmp_path, capsys, flags):
+        assert run_in(
+            tmp_path, "predict", "--family", "uniform", "--T", "1024", "--trials", "10", *flags,
+        ) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "predict.json").exists()
+
 
 class TestInversion:
     def test_from_spec(self, tmp_path):
@@ -147,6 +167,16 @@ class TestInversion:
 
     def test_needs_spec_or_input(self, tmp_path):
         assert run_in(tmp_path, "inversion", "--min-len", "8") == 2
+
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        assert run_in(tmp_path, "inversion", "--input", str(tmp_path / "absent.fwsq")) == 2
+        assert "configuration error:" in capsys.readouterr().err
+
+    def test_malformed_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "garbage.fwsq"
+        path.write_bytes(b"garbage")
+        assert run_in(tmp_path, "inversion", "--input", str(path)) == 2
+        assert "too short" in capsys.readouterr().err
 
 
 class TestAlphaQ:
@@ -267,6 +297,18 @@ class TestSweep:
             tmp_path, "sweep", "--families", "uniform", "--T-list", "64",
             "--metrics", "bogus",
         ) == 2
+
+    def test_unknown_family_exit_2(self, tmp_path, capsys):
+        assert run_in(tmp_path, "sweep", "--families", "bogus", "--T-list", "64") == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_non_numeric_delta_exit_2(self, tmp_path, capsys):
+        assert run_in(
+            tmp_path, "sweep", "--families", "uniform", "--deltas", "abc", "--T-list", "64",
+        ) == 2
+        assert "abc" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestVerifyCommand:

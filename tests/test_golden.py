@@ -85,6 +85,15 @@ CASES = {
             "sweep-failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         },
     ),
+    "sweep-strict": (
+        ["sweep", "--families", "uniform,opt_frw,entropy_conditioned,frw", "--deltas", "0.1",
+         "--T-list", "256", "--metrics", "delta_hat", "--mode", "strict", "--trials", "1000",
+         "--parallelism", "1", "--master-seed", "11"],
+        {
+            "sweep.csv": "e73f0fe6893bef18cc61e7c0055d497dbf1c0be3116fcff29578546374676dd3",
+            "sweep-failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+        },
+    ),
     "fractal": (
         ["fractal", "--alpha", "0.3", "--height", "200", "--format", "csv"],
         {
@@ -105,6 +114,16 @@ CASES = {
         ["predict", "--family", "afrw", "--T", "256", "--delta", "0.2", "--base-len", "8",
          "--seed", "10", "--predictor", "adaptive_bettor", "--theta", "8", "--trials", "40"],
         {"predict.json": "aa742074aba2dba418764c11973469a18bd30c1893a91c201284efd5217347cb"},
+    ),
+    "predict-sign_of_prefix": (
+        ["predict", "--family", "opt_frw", "--T", "256", "--delta", "0.2", "--seed", "12",
+         "--predictor", "sign_of_prefix", "--window", "16", "--x", "32", "--trials", "40"],
+        {"predict.json": "7f521f56dad2948c9ea6a86167b2576d048aabf463fc94652409eb64677b4661"},
+    ),
+    "predict-block_momentum": (
+        ["predict", "--family", "frw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--seed", "13", "--predictor", "block_momentum", "--block-len", "16", "--trials", "40"],
+        {"predict.json": "c5cff84e01f7404fea07c1341f19d3d9cf3d43507301e1f9770b9a4f1840a0ba"},
     ),
 }
 

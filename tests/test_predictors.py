@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalwalk import (
     BitSequence,
@@ -29,6 +31,7 @@ from fractalwalk import (
     weighted_majority_rate,
     weighted_majority_run,
 )
+from fractalwalk.predictors import _first_hits
 
 
 def naive_run(values, preds, lo, rule):
@@ -89,6 +92,22 @@ class TestRunPlan:
             ledger = run_plan(BitSequence(values), PredictionPlan(Interval(lo, hi, T), preds, rule))
             expected = naive_run(values, preds, lo, rule)
             assert (ledger.payoff, ledger.steps_used, ledger.stopped_early, ledger.stop_cause) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_hits_matches_row_scan(data):
+    n, L = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 40))
+    running = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n * L, max_size=n * L)))
+    running = running.reshape(n, L).cumsum(axis=1)
+    lower = np.array(data.draw(st.lists(st.integers(-30, 0), min_size=n, max_size=n)))
+    upper = np.array(data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n)))
+    start = np.array(data.draw(st.lists(st.integers(0, L), min_size=n, max_size=n)))
+    want = [
+        next((t for t in range(start[i], L) if not lower[i] < running[i, t] < upper[i]), -1)
+        for i in range(n)
+    ]
+    assert _first_hits(running, lower, upper, start).tolist() == want
 
 
 class TestPlanValidation:

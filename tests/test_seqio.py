@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fractalwalk import BitSequence, IntSequence, SequenceFormatError, dumps, loads
-from fractalwalk.seqio import read_binary, read_csv, write_binary, write_csv
+from fractalwalk.seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
+from fractalwalk.sequences import MAX_TOTAL_LEN
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300))
@@ -75,7 +78,61 @@ def test_csv_bad_content(tmp_path):
         read_csv(p)
 
 
+def test_csv_binary_content_rejected(tmp_path):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(SequenceFormatError, match="not text"):
+        read_csv(p)
+
+
 def test_zero_length_rejected():
     header = b"FWSQ" + bytes([1, 0]) + np.uint64(0).tobytes()
     with pytest.raises(SequenceFormatError):
         loads(header)
+
+
+def _header(kind: int, n: int) -> bytes:
+    return b"FWSQ" + bytes([1, kind]) + np.uint64(n).tobytes()
+
+
+def test_forged_int_length_rejected():
+    with pytest.raises(SequenceFormatError, match="exceeds"):
+        loads(_header(1, 1 << 62) + b"\x02")
+
+
+def test_int_length_beyond_payload_rejected_before_allocating():
+    # 2**20 entries cannot fit in one payload byte; refusing it must not
+    # first reserve the 8 MiB an int64 array of that length would take.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SequenceFormatError, match="payload"):
+            loads(_header(1, 1 << 20) + b"\x02")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_oversized_bit_length_rejected():
+    n = MAX_TOTAL_LEN + 8
+    with pytest.raises(SequenceFormatError, match="exceeds"):
+        loads(_header(0, n) + bytes(n // 8))
+
+
+def test_atomic_write_leaves_fixed_tmp_name_alone(tmp_path):
+    target = tmp_path / "out.bin"
+    bystander = tmp_path / "out.bin.tmp"
+    bystander.write_bytes(b"someone else's file")
+    atomic_write_bytes(target, b"payload")
+    assert target.read_bytes() == b"payload"
+    assert bystander.read_bytes() == b"someone else's file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.bin.tmp"]
+
+
+def test_atomic_write_failure_removes_temp_file(tmp_path):
+    target = tmp_path / "sub"
+    target.mkdir()
+    (target / "x").write_bytes(b"")  # a non-empty directory cannot be replaced by a file
+    with pytest.raises(OSError):
+        atomic_write_bytes(target, b"data")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
