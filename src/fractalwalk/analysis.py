@@ -294,6 +294,150 @@ def _recover_witness(prefix: np.ndarray, lo: int, hi: int, want_positive: bool) 
     return u, v, int(prefix[v] - prefix[u])
 
 
+def _live_pair_count(prefix: np.ndarray, min_len: int) -> int:
+    """Number of intervals with ``hi - lo >= min_len`` and ``P[hi] != P[lo]``.
+
+    All such pairs, less those with equal prefix values, which one stable sort
+    counts: after it, ``(value rank, position)`` keys are sorted, and each entry
+    has as many equal partners ``min_len`` or more positions back as there are
+    keys of its group at or below its own key minus ``min_len``.
+    """
+    n = prefix.shape[0] - min_len
+    order = np.argsort(prefix, kind="stable")
+    vals = prefix[order]
+    rank = np.zeros(order.shape[0], dtype=np.int64)
+    np.cumsum(vals[1:] != vals[:-1], out=rank[1:])
+    key = rank * prefix.shape[0] + order
+    first = np.searchsorted(key, rank * prefix.shape[0])
+    back = np.searchsorted(key, key - min_len, side="right")
+    return n * (n + 1) // 2 - int(np.maximum(back - first, 0).sum())
+
+
+# The exhaustive sweep builds each start's first summary, of up to
+# _FIRST_POINTS points, in one pass: on short sequences the steps it replaces
+# would cost more numpy calls than the whole rest of the scan.  It checks
+# pruning every _PRUNE_EVERY steps, a fraction of a step's cost.
+_FIRST_POINTS = 16
+_PRUNE_EVERY = 8
+
+
+def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int]]:
+    """Smallest ratio over the intervals of length ``>= min_len`` that have a
+    nonzero height, and its first minimiser ``(lo, hi)``; there must be one.
+
+    The sweep runs over the length ``k`` for all starts at once.  Each start
+    carries the max-subarray summary of its points ``P[lo .. lo+k-1]``: the
+    minimum of ``P`` and of ``-P``, and the largest rise and drop (Bentley
+    1984), so one step appends one point.  The first summaries, of up to
+    ``_FIRST_POINTS`` points, come from one pass over sliding windows.  The
+    ratio is ``opp / |h|`` in float64, and ``h == 0`` yields ``nan`` or ``inf``,
+    which ``fmin`` never keeps below a live ratio.  ``best[lo]`` is the
+    smallest ratio of start ``lo`` so far.
+
+    Every few steps a start is dropped once ``min(rise, drop) / hmax`` exceeds
+    the best ratio so far, ``hmax`` being the largest ``|P[hi] - P[lo]|`` still
+    ahead of it: no longer interval of that start can then reach that ratio,
+    because rounding is monotone.  So a dropped start's entry may lie above
+    its own minimum, but an entry equal to the overall minimum is exact, and
+    the first such entry is the first minimising start.  Starts are swept as
+    dense slices until pruning has removed at least half of them, and as a
+    compacted index set after that.
+    """
+    T = prefix.shape[0] - 1
+    # Columns P and -P, padded with P[T]: a compacted start may step past T,
+    # and a repeated last point changes neither its summary nor its ratio.
+    q = np.empty((2 * T + 1, 2), dtype=np.int64)
+    q[: T + 1, 0] = prefix
+    q[T + 1 :, 0] = prefix[-1]
+    np.negative(q[:, 0], out=q[:, 1])
+    ahead = np.maximum.accumulate(q[::-1], axis=0)[::-1]  # suffix max of P and -P
+    first = min(min_len, _FIRST_POINTS)
+    # Each start's first points, as sliding windows over q.
+    win = np.ndarray((first, T - first + 2, 2), q.dtype, q, strides=(q.strides[0], *q.strides))
+    lows = np.minimum.accumulate(win, axis=0)
+    low = lows[-1].copy()  # min of P and of -P over each start's points
+    gain = (win - lows).max(axis=0)  # largest rise and largest drop among them
+    best = np.full(T - min_len + 1, math.inf)
+    starts = None  # the compacted active starts; None while the sweep is dense
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(first, T + 1):
+            if starts is None:
+                n = T - k + 1
+                hi, base, lw, gn, bst = q[k : k + n], q[:n], low[:n], gain[:n], best[:n]
+            else:
+                hi = q[starts + k]
+            np.maximum(gn, hi - lw, out=gn)
+            np.minimum(lw, hi, out=lw)
+            if k < min_len:
+                continue
+            # (rise / -h, drop / h): the one that is not negative is opp / |h|.
+            r = gn / (base - hi)
+            np.fmin(bst, np.maximum(r[:, 0], r[:, 1]), out=bst)
+            if (k - min_len + 1) % _PRUNE_EVERY:
+                continue
+            gbest = min(best.min(), bst.min())
+            hmax = (ahead[k + 1 : k + 1 + n] if starts is None else ahead[starts + k + 1]) - base
+            keep = ~(np.minimum(gn[:, 0], gn[:, 1]) / np.maximum(hmax[:, 0], hmax[:, 1]) > gbest)
+            if starts is None:
+                if 2 * np.count_nonzero(keep) > n:
+                    continue
+                starts = np.flatnonzero(keep)
+                base, lw, gn, bst = q[starts], lw[starts], gn[starts], best[starts]
+            else:
+                keep &= starts + k < T
+                best[starts] = bst
+                starts, base, lw, gn, bst = starts[keep], base[keep], lw[keep], gn[keep], bst[keep]
+            if not starts.size:
+                break
+        if starts is not None:
+            best[starts] = bst
+        lo = int(np.argmin(best))
+        # The first length that attains it: the start's ratio at every length,
+        # with the same arithmetic.
+        seg = q[lo : T + 1]
+        r = np.maximum.accumulate(seg - np.minimum.accumulate(seg, axis=0), axis=0) / (seg[0] - seg)
+        k = min_len + int(np.argmax(np.maximum(r[min_len:, 0], r[min_len:, 1]) == best[lo]))
+    return float(best[lo]), (lo, lo + k)
+
+
+def _dyadic_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int] | None, int]:
+    """Best ratio, its first aligned interval and the live count over aligned
+    intervals of length ``>= min_len``.
+
+    Each block carries its height, the minimum of ``P`` and of ``-P`` over its
+    points, and its largest rise and drop.  The smallest blocks get theirs in
+    one pass, and each level above merges pairs in O(1) per block, so the
+    whole scan is O(T).
+    """
+    size = 1
+    while size < min_len:
+        size <<= 1
+    best_ratio, best_x, scanned = math.inf, None, 0
+    T = prefix.shape[0] - 1
+    if size > T:
+        return best_ratio, best_x, scanned
+    pts = np.lib.stride_tricks.sliding_window_view(prefix, size + 1)[: T // size * size : size]
+    h, rise, neg = _segment_extremes(pts)
+    gain = np.column_stack([rise, -neg])
+    low = np.column_stack([pts.min(axis=1), -pts.max(axis=1)])
+    while h.shape[0]:
+        live = h != 0
+        scanned += int(np.count_nonzero(live))
+        if live.any():
+            opp = np.where(h > 0, gain[:, 1], gain[:, 0]).astype(np.float64)
+            ratios = np.where(live, opp / np.abs(np.where(live, h, 1)), math.inf)
+            i = int(np.argmin(ratios))
+            if ratios[i] < best_ratio:
+                best_ratio, best_x = float(ratios[i]), (i * size, (i + 1) * size)
+        a, b = slice(0, h.shape[0] - 1, 2), slice(1, h.shape[0], 2)
+        # A's points precede B's, so the cross rise is max B - min A, the cross drop max A - min B.
+        gain = np.maximum(np.maximum(gain[a], gain[b]), -(low[b, ::-1] + low[a]))
+        low = np.minimum(low[a], low[b])
+        h = h[a] + h[b]
+        size <<= 1
+    return best_ratio, best_x, scanned
+
+
 def inversion_ratio(
     seq: BitSequence | IntSequence, min_len: int = DEFAULT_MIN_LEN, dyadic_only: bool = False
 ) -> InversionReport:
@@ -301,9 +445,10 @@ def inversion_ratio(
 
     For every interval X with ``|X| >= min_len`` and nonzero height, the best
     opposite-sign subinterval height is divided by ``|h(X)|``; the report
-    carries the minimum and its witness pair.  Exhaustive mode scans all
-    O(T^2) intervals (length capped at 2^14); ``dyadic_only`` restricts X to
-    aligned intervals, which scales to the fractal builder's output sizes.
+    carries the minimum and its witness pair, the first minimiser in
+    ``(lo, hi)`` order.  Exhaustive mode scans all O(T^2) intervals (length
+    capped at 2^14); ``dyadic_only`` restricts X to aligned intervals, which
+    scales to the fractal builder's output sizes.
     """
     if min_len < 1:
         raise ConfigurationError("min_len must be positive")
@@ -316,48 +461,11 @@ def inversion_ratio(
             f"length {T} exceeds the exhaustive-scan cap {EXHAUSTIVE_SCAN_LIMIT}; use dyadic_only"
         )
 
-    best_ratio = math.inf
-    best_x: tuple[int, int] | None = None
-    scanned = 0
-
     if dyadic_only:
-        size = 1
-        while size < min_len:
-            size <<= 1
-        while size <= T:
-            starts = np.arange(0, T - size + 1, size)
-            idx = starts[:, None] + np.arange(size + 1)[None, :]
-            h, bp, bn = _segment_extremes(prefix[idx])
-            live = h != 0
-            scanned += int(np.count_nonzero(live))
-            if live.any():
-                opp = _opposite_magnitude(h, bp, bn).astype(np.float64)
-                ratios = np.where(live, opp / np.abs(np.where(live, h, 1)), math.inf)
-                i = int(np.argmin(ratios))
-                if ratios[i] < best_ratio:
-                    best_ratio = float(ratios[i])
-                    best_x = (int(starts[i]), int(starts[i]) + size)
-            size <<= 1
+        best_ratio, best_x, scanned = _dyadic_scan(prefix, min_len)
     else:
-        for lo in range(0, T - min_len + 1):
-            seg = prefix[lo:]
-            mins = np.minimum.accumulate(seg[:-1])
-            maxs = np.maximum.accumulate(seg[:-1])
-            best_pos = np.maximum(np.maximum.accumulate(seg[1:] - mins), 0)
-            best_neg = np.minimum(np.minimum.accumulate(seg[1:] - maxs), 0)
-            h = seg[1:] - seg[0]
-            sl = slice(min_len - 1, None)
-            h, best_pos, best_neg = h[sl], best_pos[sl], best_neg[sl]
-            live = h != 0
-            scanned += int(np.count_nonzero(live))
-            if not live.any():
-                continue
-            opp = _opposite_magnitude(h, best_pos, best_neg).astype(np.float64)
-            ratios = np.where(live, opp / np.abs(np.where(live, h, 1)), math.inf)
-            i = int(np.argmin(ratios))
-            if ratios[i] < best_ratio:
-                best_ratio = float(ratios[i])
-                best_x = (lo, lo + min_len + i)
+        scanned = _live_pair_count(prefix, min_len)
+        best_ratio, best_x = _exhaustive_scan(prefix, min_len) if scanned else (0.0, None)
 
     if best_x is None:
         return InversionReport(min_len, dyadic_only, scanned, 0.0)
@@ -565,6 +673,11 @@ def estimate_delta(
             raise ConfigurationError(f"windows must be positive, got {wins}")
         xs = _dyadic_range(min_x, T // 2)
         groups = [(0, [(w, T - x, x) for x in xs for w in wins if w <= T - x])]
+    if not any(group for _, group in groups):
+        raise ConfigurationError(
+            f"no cell to estimate: T={T} has no dyadic interval length in "
+            f"[min_x={min_x}, T/2={T // 2}] with a window that fits before it"
+        )
 
     cells, payoffs = [], []
     for planted, group in groups:

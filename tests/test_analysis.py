@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalwalk import (
@@ -15,6 +17,7 @@ from fractalwalk import (
     ConfigurationError,
     EstimationMode,
     Family,
+    FractalParams,
     GeneratorSpec,
     IntSequence,
     Interval,
@@ -23,6 +26,7 @@ from fractalwalk import (
     adaptive_inversion_bettor,
     afrw_moment_oracle,
     alpha_q_estimate,
+    build_fractal,
     certify_inversion,
     constant_plan,
     decomposition_height_distribution,
@@ -287,6 +291,122 @@ class TestInversionRatio:
             inversion_ratio(seq, min_len=8)
 
 
+def _brute_ratio(prefix, lo, hi):
+    """``opp / |h|`` of ``[lo, hi)`` from every pair of its points, or None when h == 0."""
+    pts = [int(v) for v in prefix[lo : hi + 1]]
+    h = pts[-1] - pts[0]
+    if h == 0:
+        return None
+    rise = max(max(b - a for a, b in itertools.combinations(pts, 2)), 0)
+    drop = max(max(a - b for a, b in itertools.combinations(pts, 2)), 0)
+    return (drop if h > 0 else rise) / abs(h)
+
+
+def _brute_scan(prefix, intervals):
+    """Smallest ratio, its first interval in the given order, and the live count."""
+    best, best_x, live = math.inf, None, 0
+    for lo, hi in intervals:
+        ratio = _brute_ratio(prefix, lo, hi)
+        if ratio is None:
+            continue
+        live += 1
+        if ratio < best:
+            best, best_x = ratio, (lo, hi)
+    return best, best_x, live
+
+
+def _check_against_brute(seq, min_len, intervals, dyadic_only):
+    T = len(seq)
+    report = inversion_ratio(seq, min_len=min_len, dyadic_only=dyadic_only)
+    best, best_x, live = _brute_scan(seq.prefix, intervals)
+    assert report.n_intervals == live
+    if best_x is None:
+        assert (report.overall_ratio, report.x_interval) == (0.0, None)
+    else:
+        assert report.overall_ratio == best
+        assert report.x_interval == Interval(*best_x, T)
+
+
+# Inputs on which pruning removes few or no starts, so the exhaustive sweep
+# stays dense from the first length to the last.
+_PATTERNS = {
+    "ones": [1],
+    "alternating": [1, -1],
+    "period3": [1, 1, -1],
+}
+
+
+@st.composite
+def _short_sequences(draw):
+    T = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["bits", "odd", *_PATTERNS]))
+    if kind == "bits":
+        seq = BitSequence(draw(st.lists(st.sampled_from([-1, 1]), min_size=T, max_size=T)))
+    elif kind == "odd":
+        seq = IntSequence([2 * v + 1 for v in draw(st.lists(st.integers(-4, 3), min_size=T, max_size=T))])
+    else:
+        sign = draw(st.sampled_from([-1, 1]))
+        seq = BitSequence(np.resize(np.array(_PATTERNS[kind]) * sign, T))
+    return seq, draw(st.integers(1, T))
+
+
+# Pruning must keep a start whose bound only ties the best ratio so far: here
+# a start dropped on a tie would move the first minimiser from lo=1 to lo=5.
+_TIE = (IntSequence([3, -3, -3, 3, 1, -3, 1, -1, 1, 1, -1, -1, 3, -1, -3, -1, 3, -1, -3, 3, 1]), 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_short_sequences())
+@example(_TIE)
+def test_exhaustive_matches_naive_batch(case):
+    seq, min_len = case
+    want = inversion_ratio_naive_batch(seq.values[None, :], min_len)[0]
+    assert inversion_ratio(seq, min_len=min_len).overall_ratio == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_short_sequences())
+@example(_TIE)
+def test_exhaustive_witness_and_count_match_brute_force(case):
+    seq, min_len = case
+    T = len(seq)
+    intervals = [(lo, hi) for lo in range(T - min_len + 1) for hi in range(lo + min_len, T + 1)]
+    _check_against_brute(seq, min_len, intervals, dyadic_only=False)
+
+
+def _aligned_intervals(T, min_len):
+    size = 1
+    while size < min_len:
+        size <<= 1
+    out = []
+    while size <= T:
+        out += [(lo, lo + size) for lo in range(0, T - size + 1, size)]
+        size <<= 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dyadic_matches_brute_force_over_aligned_intervals(data):
+    T = data.draw(st.integers(1, 80))
+    if data.draw(st.booleans()):
+        seq = BitSequence(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=T, max_size=T)))
+    else:
+        seq = IntSequence([2 * v + 1 for v in data.draw(st.lists(st.integers(-4, 3), min_size=T, max_size=T))])
+    min_len = data.draw(st.integers(1, T))
+    _check_against_brute(seq, min_len, _aligned_intervals(T, min_len), dyadic_only=True)
+
+
+@pytest.mark.parametrize("alpha,height", [(1.0 / 3.0, 24), (0.25, 16), (0.2, 24), (0.5, 8)])
+def test_dyadic_matches_brute_force_on_fractal_builds(alpha, height):
+    # The builder's lengths are not powers of two, so the top levels hold
+    # fewer blocks than a power-of-two length would.
+    seq = build_fractal(FractalParams(alpha, height))
+    assert len(seq) & (len(seq) - 1)
+    for min_len in (1, 4, 8):
+        _check_against_brute(seq, min_len, _aligned_intervals(len(seq), min_len), dyadic_only=True)
+
+
 class TestAlphaQ:
     SPEC = GeneratorSpec(family=Family.UNIFORM, total_len=1024, seed=31)
     WINDOW = Interval(768, 1024, 1024)
@@ -380,6 +500,22 @@ class TestEstimateDelta:
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=5)
         with pytest.raises(ConfigurationError, match="windows"):
             estimate_delta(spec, "weak_averaged", 1000, windows=[4, -4])
+
+    def test_no_cell_rejected_before_any_draw(self):
+        # T // 2 < min_x leaves no interval length: the error comes before the
+        # generator is touched, not from argmax over an empty cell list.
+        spec = GeneratorSpec(family=Family.UNIFORM, total_len=8, seed=5)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for mode in ("weak_averaged", "strict"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # strict falls back to weak
+                with pytest.raises(ConfigurationError, match="no cell"):
+                    estimate_delta(spec, mode, 1000, rng=rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ConfigurationError, match="no cell"):
+            estimate_delta(GeneratorSpec(family=Family.UNIFORM, total_len=64, seed=5),
+                           "weak_averaged", 1000, windows=[64])
 
     def test_strict_mode_sees_height_coupled_bias(self):
         spec = GeneratorSpec(family=Family.FRW, total_len=256, delta=0.2, base_len=16, seed=5)

@@ -292,6 +292,18 @@ class TestSweep:
         assert len(lines) == 1 + 3
         assert "cell failed" in capsys.readouterr().err
 
+    def test_cell_without_estimator_cells_fails_typed(self, tmp_path, capsys):
+        # At T=8 no interval length reaches the default min_x of 8: the cell
+        # fails with the package's error, not numpy's, and the exit code is 1.
+        code = run_in(
+            tmp_path, "sweep", "--families", "uniform", "--T-list", "8",
+            "--metrics", "delta_hat", "--parallelism", "1",
+        )
+        assert code == 1
+        failures = json.loads((tmp_path / "sweep-failures.json").read_text())
+        assert [f["error"].split(":")[0] for f in failures] == ["ConfigurationError"]
+        assert "ConfigurationError" in capsys.readouterr().err
+
     def test_unknown_metric_exit_2(self, tmp_path):
         assert run_in(
             tmp_path, "sweep", "--families", "uniform", "--T-list", "64",

@@ -125,20 +125,46 @@ CASES = {
          "--seed", "13", "--predictor", "block_momentum", "--block-len", "16", "--trials", "40"],
         {"predict.json": "c5cff84e01f7404fea07c1341f19d3d9cf3d43507301e1f9770b9a4f1840a0ba"},
     ),
+    "inversion": (
+        ["inversion", "--family", "uniform", "--T", "1024", "--seed", "5", "--min-len", "8"],
+        {"inversion.json": "4cc7b200ddbc39a98124f671ea7a4cb7be09bdf55ee025dc6ac32e4bdc8ed9b8"},
+    ),
+    "inversion-dyadic": (
+        ["inversion", "--family", "uniform", "--T", "1024", "--seed", "5", "--min-len", "8",
+         "--dyadic-only"],
+        {"inversion.json": "843bcb338d7343920eb7da6eb42222b25979829721f448f711db154a4237c65d"},
+    ),
 }
+
+# ``inversion --input`` on the file written by the ``generate-afrw`` case.  Its
+# ratio at this --min-len is above 0, so both witnesses are written.
+INPUT_CASE = (
+    ["inversion", "--input", "{gen}/afrw-T256-seed4.fwsq", "--min-len", "64"],
+    {"inversion.json": "bb86115cfc927be4f79f1deb724259e3b6dceac46a440cd740850a1fb3ccbd55"},
+)
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _output_hashes(argv, out_dir) -> dict[str, str]:
+    assert run([*argv, "--output-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / f"{argv[0]}-manifest.json").read_text())
+    return {out: _sha256(out_dir / out) for out in manifest["outputs"]}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_hashes(tmp_path, name):
     argv, want = CASES[name]
-    assert run([*argv, "--output-dir", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / f"{argv[0]}-manifest.json").read_text())
-    got = {out: _sha256(tmp_path / out) for out in manifest["outputs"]}
-    assert got == want
+    assert _output_hashes(argv, tmp_path) == want
+
+
+def test_inversion_of_written_file_matches_recorded_hash(tmp_path):
+    _output_hashes(CASES["generate-afrw"][0], tmp_path / "gen")
+    argv, want = INPUT_CASE
+    argv = [a.format(gen=tmp_path / "gen") for a in argv]
+    assert _output_hashes(argv, tmp_path / "inv") == want
 
 
 def test_import_leaves_scipy_unloaded():
