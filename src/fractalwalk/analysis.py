@@ -506,6 +506,34 @@ def inversion_ratio_naive_batch(values: np.ndarray, min_len: int) -> np.ndarray:
     return np.where(np.isfinite(best), best, 0.0)
 
 
+def inversion_ratio_dp_batch(values: np.ndarray, min_len: int) -> np.ndarray:
+    """Interval-DP reference ratios, equal to :func:`inversion_ratio_naive_batch`.
+
+    The best rise on ``[lo, hi]`` is the largest of the best rises on
+    ``[lo+1, hi]`` and ``[lo, hi-1]`` and of ``P[hi] - P[lo]``, and the best
+    drop likewise, so one pass over interval lengths, vectorized across
+    sequences and starts, fills all O(T^2) intervals.  It shares no code with
+    the scan it checks.
+    """
+    B, T = values.shape
+    prefix = np.zeros((B, T + 1), dtype=np.int64)
+    np.cumsum(values, axis=1, dtype=np.int64, out=prefix[:, 1:])
+    rise = np.zeros((B, T + 1), dtype=np.int64)  # length-0 intervals [lo, lo]
+    drop = np.zeros((B, T + 1), dtype=np.int64)
+    best = np.full(B, np.inf)
+    for length in range(1, T + 1):
+        h = prefix[:, length:] - prefix[:, :-length]
+        rise = np.maximum(np.maximum(rise[:, 1:], rise[:, :-1]), h)
+        drop = np.minimum(np.minimum(drop[:, 1:], drop[:, :-1]), h)
+        if length < min_len:
+            continue
+        live = h != 0
+        opp = np.where(h > 0, -drop, rise).astype(np.float64)
+        ratios = np.where(live, opp / np.abs(np.where(live, h, 1)), np.inf)
+        np.minimum(best, ratios.min(axis=1), out=best)
+    return np.where(np.isfinite(best), best, 0.0)
+
+
 def inversion_ratio_naive(seq: BitSequence | IntSequence, min_len: int = DEFAULT_MIN_LEN) -> float:
     return float(inversion_ratio_naive_batch(seq.values[None, :], min_len)[0])
 

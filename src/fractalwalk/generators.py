@@ -187,6 +187,16 @@ class FlipRecord:
 
 @dataclass
 class MergeCounters:
+    """Event counts of one generation call, counted on the path that ran.
+
+    :func:`simulate_heights` tracks only block heights, so after an augment
+    event it still derives eligible counts from the height as if the block
+    held pure +-1 entries; :func:`generate_batch` and :func:`generate` recount
+    them from the entries.  The two paths therefore agree in ``merges`` and in
+    ``flip_steps + augment_steps`` per merge, but can split that total
+    differently between flips and additions.
+    """
+
     merges: int = 0
     flip_steps: int = 0
     augment_events: int = 0
@@ -212,26 +222,26 @@ def _plan_level(
     spec: GeneratorSpec,
     n: int,
     h1: np.ndarray,
-    h2: np.ndarray,
+    dirs: np.ndarray,
     eligible: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip plan for one merge level, vectorized over merges.
 
-    Returns ``(direction, requested_steps, applied, augmented)``.  A merge
-    with ``h1 == 0`` never flips.  ``eligible`` must hold the current count
-    of opposite-sign entries in each second half.
+    ``dirs`` is ``np.sign(h1)``.  Returns ``(requested_steps, applied,
+    augmented)``: the unsigned budget, the bit flips and the +-2 additions of
+    each merge, all zero where ``h1 == 0``.  ``eligible`` must hold the
+    current count of opposite-sign entries in each second half.
     """
     fam = spec.family
     delta = spec.delta
-    dirs = np.sign(h1).astype(np.int64)
     live = dirs != 0
     if fam is Family.FRW:
-        requested = delta * np.abs(h1).astype(np.float64)
+        requested = delta * np.abs(h1)
     elif fam is Family.OPT_FRW:
         requested = np.where(live, delta * math.sqrt(n), 0.0)
     elif fam is Family.AFRW:
-        requested = delta * np.abs(h1).astype(np.float64) / 2.0
+        requested = delta * np.abs(h1) / 2.0
     elif fam is Family.AOFRW:
         requested = np.where(live, delta * math.sqrt(n) / 2.0, 0.0)
     else:  # pragma: no cover - guarded by callers
@@ -247,24 +257,25 @@ def _plan_level(
             augmented = np.zeros_like(applied)
     else:
         if fam in (Family.FRW, Family.AFRW):
-            prob = np.minimum(delta * np.abs(h1).astype(np.float64) / n, 1.0)
+            prob = np.minimum(delta * np.abs(h1) / n, 1.0)
         else:
             prob = np.where(live, min(delta / math.sqrt(n), 1.0), 0.0)
-        applied = rng.binomial(eligible, prob).astype(np.int64)
+        applied = rng.binomial(eligible, prob)
         augmented = np.zeros_like(applied)
 
-    applied = np.where(live, applied, 0)
-    augmented = np.where(live, augmented, 0)
+    dead = ~live
+    applied[dead] = 0
+    augmented[dead] = 0
     # Net change must point with sign(h1) or vanish; flip counts never exceed
     # what the eligible bits allow.
     assert np.all(applied <= eligible)
     assert np.all((applied + augmented == 0) | live)
-    return dirs, requested, applied, augmented
+    return requested, applied, augmented
 
 
 def _eligible_from_height(n: int, dirs: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Opposite-sign entry count of a pure +-1 block of length ``n`` and height ``h2``."""
-    return np.where(dirs != 0, (n - dirs * h2) // 2, 0).astype(np.int64)
+    return np.where(dirs != 0, (n - dirs * h2) // 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +291,11 @@ def simulate_heights(
     """Final heights of ``trials`` independent sequences, without materializing bits.
 
     Distribution-identical to summing :func:`generate_batch` rows but orders of
-    magnitude cheaper.  For the augmented families the eligible-bit bookkeeping
-    is exact until the first augment event in a trial (such events are counted;
-    at the documented default block lengths they are never observed).
+    magnitude cheaper.  The heights are exact for every family: in
+    ``exact_count`` mode an augmented family's merge always changes the height
+    by its rounded budget, however that budget splits into flips and
+    additions.  Only that split is approximate after an augment event, because
+    eligible counts are derived from heights alone (see :class:`MergeCounters`).
     """
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
@@ -301,8 +314,9 @@ def simulate_heights(
         while n < T:
             h1 = H[:, 0::2]
             h2 = H[:, 1::2]
-            elig = _eligible_from_height(n, np.sign(h1).astype(np.int64), h2)
-            dirs, _req, applied, augmented = _plan_level(spec, n, h1, h2, elig, rng)
+            dirs = np.sign(h1)
+            elig = _eligible_from_height(n, dirs, h2)
+            _req, applied, augmented = _plan_level(spec, n, h1, dirs, elig, rng)
             H = h1 + h2 + 2 * dirs * (applied + augmented)
             counters.merges += h1.shape[1] * trials
             counters.flip_steps += int(applied.sum())
@@ -425,10 +439,29 @@ def iter_generate_batches(
         left -= m
 
 
+def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """``(rows, cols)`` int8 matrix of uniform +-1 entries.
+
+    Byte-identical to ``2 * rng.integers(0, 2, (rows, cols), dtype=np.int8) - 1``
+    and leaves ``rng`` in the same state.  numpy draws a bounded int8 of range 2
+    by Lemire's method, which returns the top bit of one byte of the
+    ``next_uint32`` stream, low byte first, and drops the unused bytes of the
+    last word.  Here the same words are drawn at once and each byte ``b`` is
+    mapped in place to ``(~b >> 7) | 1``: +1 when its top bit is set, else -1.
+    """
+    size = rows * cols
+    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
+    b = words.astype("<u4", copy=False).view(np.int8)[:size]
+    np.invert(b, out=b)
+    np.right_shift(b, 7, out=b)
+    np.bitwise_or(b, 1, out=b)
+    return b.reshape(rows, cols)
+
+
 def _uniform_matrix(
     T: int, trials: int, rng: np.random.Generator, planted_prefix: int
 ) -> np.ndarray:
-    A = (2 * rng.integers(0, 2, size=(trials, T), dtype=np.int8) - 1).astype(np.int8)
+    A = _bits(rng, trials, T)
     if planted_prefix:
         A[:, :planted_prefix] = 1
     return A
@@ -445,7 +478,7 @@ def _entropy_matrix(
     free = spec.total_len - p
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        block = 2 * rng.integers(0, 2, size=(m, free), dtype=np.int8) - 1
+        block = _bits(rng, m, free)
         return block, p + block.sum(axis=1, dtype=np.int64)
 
     out = np.empty((trials, spec.total_len), dtype=np.int8)
@@ -466,7 +499,7 @@ def _merge_family_matrix(
     T = spec.total_len
     l = spec.base_len
     dtype = np.int64 if spec.family in _AUGMENTED else np.int8
-    A = (2 * rng.integers(0, 2, size=(trials, T), dtype=np.int8) - 1).astype(dtype)
+    A = _bits(rng, trials, T).astype(dtype, copy=False)
     if planted_prefix:
         A[:, :planted_prefix] = 1
     H = A.reshape(trials, T // l, l).sum(axis=2, dtype=np.int64)
@@ -478,23 +511,25 @@ def _merge_family_matrix(
         h1 = H[:, 0::2]
         h2 = H[:, 1::2]
         merges = h1.shape[1]
-        dirs0 = np.sign(h1).astype(np.int64)
-        elig = _eligible_from_height(n, dirs0, h2)
+        dirs = np.sign(h1)
+        elig = _eligible_from_height(n, dirs, h2)
         if tainted.any():
-            _recount_eligible(A, tainted, dirs0, elig, n, merges)
-        dirs, requested, applied, augmented = _plan_level(spec, n, h1, h2, elig, rng)
+            _recount_eligible(A, tainted, dirs, elig, n, merges)
+        requested, applied, augmented = _plan_level(spec, n, h1, dirs, elig, rng)
 
         trial_idx, merge_idx = np.nonzero(applied + augmented)
         base_pos = merge_idx * 2 * n + n
         flat_dir = dirs[trial_idx, merge_idx]
         _place_flips(A, trial_idx, base_pos, n, applied[trial_idx, merge_idx], flat_dir, rng)
 
-        aug_flat = augmented[trial_idx, merge_idx]
-        for i in np.flatnonzero(aug_flat):
-            t = int(trial_idx[i])
-            cols = base_pos[i] + rng.integers(0, n, size=int(aug_flat[i]))
-            np.add.at(A[t], cols, 2 * int(flat_dir[i]))
-            tainted[t] = True
+        # Each bounded draw is independent of the call it comes from, so one
+        # call for all additions reads the same numbers as one call per merge.
+        k = augmented[trial_idx, merge_idx]
+        if k.any():
+            rows = np.repeat(trial_idx, k)
+            cols = np.repeat(base_pos, k) + rng.integers(0, n, size=int(k.sum()))
+            np.add.at(A, (rows, cols), np.repeat(2 * flat_dir, k))
+            tainted[rows] = True
 
         if records is not None:
             signed = dirs * requested
@@ -523,14 +558,13 @@ def _recount_eligible(
     n: int,
     merges: int,
 ) -> None:
-    """Honest per-block eligible counts for trials that contain augmented entries."""
-    for t in np.flatnonzero(tainted):
-        for m in range(merges):
-            d = int(dirs[t, m])
-            if d == 0:
-                continue
-            s2 = A[t, m * 2 * n + n : m * 2 * n + 2 * n]
-            elig[t, m] = int(np.count_nonzero(s2 == -d))
+    """Honest per-block eligible counts for trials that contain augmented entries.
+
+    Entries stay odd, so no entry equals ``-dirs`` where ``dirs == 0``: such a
+    merge counts 0, as :func:`_eligible_from_height` gives it.
+    """
+    second = A[tainted].reshape(-1, merges, 2, n)[:, :, 1, :]
+    elig[tainted] = np.count_nonzero(second == -dirs[tainted][:, :, None], axis=2)
 
 
 def _place_flips(
@@ -548,7 +582,7 @@ def _place_flips(
     and keeps it when it still holds the opposite-sign value, which realizes
     a uniform without-replacement choice among the eligible positions.
     """
-    remaining = counts.astype(np.int64).copy()
+    remaining = counts.astype(np.int64)
     act = np.flatnonzero(remaining > 0)
     while act.size:
         off = rng.integers(0, n, size=act.size)

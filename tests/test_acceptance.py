@@ -8,6 +8,8 @@ authoritative checks, unlike the fast unit tests alongside them.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from fractalwalk import verify
@@ -27,3 +29,35 @@ def test_criterion(index, name):
     result = verify.run_criterion(name)
     print(verify.format_result(index, result))
     assert result.passed, f"{name}: {result.detail}"
+
+
+class _Halt(Exception):
+    pass
+
+
+class _HaltOnUse:
+    """Stands in for what a criterion computes with, so it stops at its first use."""
+
+    def __getattr__(self, name):
+        raise _Halt
+
+    def __call__(self, *args, **kwargs):
+        raise _Halt
+
+
+def test_quick_mode_never_asks_for_more_trials(monkeypatch):
+    asked = []
+    scale = verify._scale
+
+    def record(trials, quick):
+        asked.append((trials, scale(trials, quick)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(verify, "_scale", record)
+    for name in ("analysis", "fbm", "fractal", "predictors", "simulate_heights", "iter_generate_batches"):
+        monkeypatch.setattr(verify, name, _HaltOnUse())
+    for _name, check in verify.CRITERIA:
+        with contextlib.suppress(_Halt):
+            check(quick=True)
+    assert len(asked) >= 10
+    assert all(1 <= quick <= full for full, quick in asked), asked

@@ -45,7 +45,7 @@ from fractalwalk import (
     total_variation,
     upper_bound_rms,
 )
-from fractalwalk.analysis import _ols, _prefix_at
+from fractalwalk.analysis import DEFAULT_MIN_LEN, _ols, _prefix_at, inversion_ratio_dp_batch
 
 
 class TestDeviationStats:
@@ -362,6 +362,25 @@ def test_exhaustive_matches_naive_batch(case):
     seq, min_len = case
     want = inversion_ratio_naive_batch(seq.values[None, :], min_len)[0]
     assert inversion_ratio(seq, min_len=min_len).overall_ratio == want
+
+
+def test_dp_reference_matches_naive_on_all_length_12_inputs():
+    n = 12
+    codes = np.arange(1 << n, dtype=np.int64)
+    values = (((codes[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1).astype(np.int8)
+    for min_len in (1, DEFAULT_MIN_LEN):
+        want = inversion_ratio_naive_batch(values, min_len)
+        assert np.array_equal(inversion_ratio_dp_batch(values, min_len), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_short_sequences())
+@example(_TIE)
+def test_dp_reference_matches_naive_batch(case):
+    seq, min_len = case
+    values = seq.values[None, :]
+    got = inversion_ratio_dp_batch(values, min_len)
+    assert np.array_equal(got, inversion_ratio_naive_batch(values, min_len))
 
 
 @settings(max_examples=150, deadline=None)

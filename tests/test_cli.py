@@ -334,6 +334,9 @@ class TestVerifyCommand:
     def test_unknown_criterion_exit_2(self, tmp_path):
         assert run_in(tmp_path, "verify", "--only", "nope") == 2
 
+    def test_quick_deviation_growth_passes(self, tmp_path):
+        assert run_in(tmp_path, "verify", "--quick", "--only", "optfrw-deviation-growth") == 0
+
 
 class TestExitCodes:
     def test_bad_delta_exit_2(self, tmp_path):

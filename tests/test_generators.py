@@ -29,6 +29,7 @@ from fractalwalk import (
     iter_generate_batches,
     simulate_heights,
 )
+from fractalwalk.generators import _bits, _recount_eligible
 
 ALL_FAMILIES = list(Family)
 MERGE_FAMILIES = [Family.FRW, Family.OPT_FRW, Family.AFRW, Family.AOFRW]
@@ -525,3 +526,50 @@ def test_plain_families_stay_binary(family, delta, seed):
     batch = generate_batch(spec, 8)
     assert batch.dtype == np.int8
     assert np.all(np.abs(batch) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=9),
+    cols=st.integers(min_value=1, max_value=41),
+    prior=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_bits_match_bounded_int8_draws(rows, cols, prior, seed):
+    """The word-level fill reads exactly the bits numpy's bounded int8 draw reads.
+
+    The odd number of prior uint32 draws leaves half of a 64-bit word buffered
+    in the generator, and most ``rows * cols`` are not multiples of 4, so the
+    unused bytes of the last word must be dropped as numpy drops them.
+    """
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (got_rng, want_rng):
+        rng.integers(0, 1 << 32, size=2 * prior + 1, dtype=np.uint32)
+    got = _bits(got_rng, rows, cols)
+    want = 2 * want_rng.integers(0, 2, (rows, cols), dtype=np.int8) - 1
+    assert got.dtype == np.int8 and got.shape == (rows, cols)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trials=st.integers(min_value=1, max_value=6),
+    merges=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_recount_eligible_matches_per_block_count(trials, merges, n, seed):
+    rng = np.random.default_rng(seed)
+    A = 2 * rng.integers(-2, 2, size=(trials, 2 * n * merges)) + 1  # odd entries
+    tainted = rng.random(trials) < 0.6
+    dirs = rng.integers(-1, 2, size=(trials, merges))
+    elig = np.where(dirs != 0, rng.integers(0, n + 1, size=(trials, merges)), 0)
+    want = elig.copy()
+    for t in np.flatnonzero(tainted):
+        for m in range(merges):
+            if dirs[t, m] != 0:
+                second = A[t, m * 2 * n + n : (m + 1) * 2 * n]
+                want[t, m] = np.count_nonzero(second == -dirs[t, m])
+    _recount_eligible(A, tainted, dirs, elig, n, merges)
+    assert np.array_equal(elig, want)

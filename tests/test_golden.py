@@ -61,6 +61,32 @@ CASES = {
             "aofrw-T256-seed5.json": "dfa97d884183ccabcc2739b66f288c9a9b3ee11cc30e4b46b9ad038e425c9538",
         },
     ),
+    # Augment-heavy: with one-bit base blocks and delta 0.5 most merges run out
+    # of flippable bits and add +-2 to entries, across every level.
+    "generate-afrw-augment": (
+        ["generate", "--family", "afrw", "--T", "1024", "--delta", "0.5", "--base-len", "1",
+         "--seed", "14"],
+        {
+            "afrw-T1024-seed14.fwsq": "040b5a541634cb25fb4def8eb255b320cb9c1f3f9ec846627c623193005651e2",
+            "afrw-T1024-seed14.json": "91c0eb0a1fdec91d9fe20722da558552c9bea89b23c7a06c011d61f8c398c77c",
+        },
+    ),
+    "generate-aofrw-augment": (
+        ["generate", "--family", "aofrw", "--T", "1024", "--delta", "0.5", "--base-len", "1",
+         "--seed", "15"],
+        {
+            "aofrw-T1024-seed15.fwsq": "1f7dcef80cb8943bebc98946d87502db32659d3a57fd616c3e1f3fd975381a2a",
+            "aofrw-T1024-seed15.json": "5e3a1773c19b495cb22a431060106d6831fb92915a37f86689a1708d96b97e00",
+        },
+    ),
+    "generate-frw-bernoulli": (
+        ["generate", "--family", "frw", "--T", "1024", "--delta", "0.3", "--base-len", "4",
+         "--flip-mode", "bernoulli", "--seed", "16"],
+        {
+            "frw-T1024-seed16.fwsq": "83093c2d05868b74675a76a6506eea882be0227e24d48bed8a0f4a559f7dad6b",
+            "frw-T1024-seed16.json": "b8c19c4b90516dc1e522d837a8076a3b10733f552484cb8450c63ee392a0d170",
+        },
+    ),
     "generate-entropy_conditioned": (
         ["generate", "--family", "entropy_conditioned", "--T", "256", "--k", "1.5", "--seed", "6"],
         {
@@ -114,6 +140,12 @@ CASES = {
         ["predict", "--family", "afrw", "--T", "256", "--delta", "0.2", "--base-len", "8",
          "--seed", "10", "--predictor", "adaptive_bettor", "--theta", "8", "--trials", "40"],
         {"predict.json": "aa742074aba2dba418764c11973469a18bd30c1893a91c201284efd5217347cb"},
+    ),
+    # A 40-row augment-heavy batch: additions and recounts span many rows.
+    "predict-afrw-augment": (
+        ["predict", "--family", "afrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "17", "--predictor", "weighted_majority", "--trials", "40"],
+        {"predict.json": "54c088a24df1ead6ff9bc2d41e96cb6eac2585a83b66e8826149b066ce41b770"},
     ),
     "predict-sign_of_prefix": (
         ["predict", "--family", "opt_frw", "--T", "256", "--delta", "0.2", "--seed", "12",
