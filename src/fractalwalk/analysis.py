@@ -34,7 +34,7 @@ from .generators import (
     iter_generate_batches,
     simulate_heights,
 )
-from .predictors import _first_hits
+from .predictors import _first_hits, _sign_bets
 from .seeding import derive_rng, make_rng
 from .sequences import BitSequence, IntSequence, Interval
 
@@ -65,6 +65,12 @@ __all__ = [
 
 EXHAUSTIVE_SCAN_LIMIT = 1 << 14
 DEFAULT_MIN_LEN = 8
+
+# Rows generated per batch by the estimators, bootstrap resamples behind
+# estimate_delta's interval, and the size of alpha_q_estimate's first pass.
+_CHUNK = 2048
+_BOOTSTRAP = 200
+_FIRST_PASS_TRIALS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +554,6 @@ def alpha_q_estimate(
     alpha: float,
     trials: int,
     rng: int | np.random.Generator | None = None,
-    first_pass_trials: int = 1000,
     floor_coeff: float = 1.0,
 ) -> float:
     """Probability that a window carries an opposite-sign excursion of relative
@@ -563,8 +568,8 @@ def alpha_q_estimate(
         raise ConfigurationError(f"need at least 1000 trials, got {trials}")
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
-    if alpha < 0:
-        raise ConfigurationError("alpha must be non-negative")
+    if not 0 <= alpha < math.inf:
+        raise ConfigurationError(f"alpha must be finite and non-negative, got {alpha}")
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi))
     lo, hi = interval.lo, interval.hi
     x = len(interval)
@@ -572,7 +577,7 @@ def alpha_q_estimate(
     first = np.concatenate(
         [
             np.abs(chunk[:, lo:hi].sum(axis=1, dtype=np.int64))
-            for chunk in iter_generate_batches(spec, first_pass_trials, rng)
+            for chunk in iter_generate_batches(spec, _FIRST_PASS_TRIALS, rng)
         ]
     )
     delta_median = float(np.median(first))
@@ -664,8 +669,6 @@ def estimate_delta(
     rng: int | np.random.Generator | None = None,
     windows: list[int] | None = None,
     min_x: int = DEFAULT_MIN_LEN,
-    bootstrap: int = 200,
-    chunk: int = 2048,
 ) -> UnpredictabilityReport:
     """Estimate the unpredictability constant with the sign-of-prefix family.
 
@@ -713,15 +716,15 @@ def estimate_delta(
         at = {c: i for i, c in enumerate(cols)}
         pay = np.empty((len(group), trials), dtype=np.int64)
         done = 0
-        for part in iter_generate_batches(spec, trials, rng, chunk=chunk, planted_prefix=planted):
+        for part in iter_generate_batches(spec, trials, rng, chunk=_CHUNK, planted_prefix=planted):
             P = _prefix_at(part, cols)
             for ci, (w, p, x) in enumerate(group):
-                bet = np.where(P[:, at[p]] - P[:, at[p - w]] >= 0, 1, -1)
-                pay[ci, done : done + part.shape[0]] = bet * (P[:, at[p + x]] - P[:, at[p]])
+                bets = _sign_bets(P[:, at[p]] - P[:, at[p - w]], P[:, at[p + x]] - P[:, at[p]])
+                pay[ci, done : done + part.shape[0]] = bets
             done += part.shape[0]
         cells += group
         payoffs.extend(pay)
-    return _assemble_report(spec, mode, cells, payoffs, trials, bootstrap, rng)
+    return _assemble_report(spec, mode, cells, payoffs, trials, rng)
 
 
 def _assemble_report(
@@ -730,7 +733,6 @@ def _assemble_report(
     cells: list[tuple[int, int, int]],
     payoffs: list[np.ndarray],
     trials: int,
-    bootstrap: int,
     rng: np.random.Generator,
 ) -> UnpredictabilityReport:
     means = [float(pay.mean()) for pay in payoffs]
@@ -740,8 +742,8 @@ def _assemble_report(
     delta_hat = max(0.0, rows[best].normalized_payoff)
     pay = payoffs[best].astype(np.float64)
     x = cells[best][2]
-    boots = np.empty(bootstrap)
-    for b in range(bootstrap):
+    boots = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         boots[b] = pay[rng.integers(0, trials, size=trials)].mean() / math.sqrt(x)
     ci_low, ci_high = (float(v) for v in np.percentile(boots, [2.5, 97.5]))
     return UnpredictabilityReport(spec, mode, tuple(rows), delta_hat, ci_low, ci_high, trials)
@@ -775,7 +777,6 @@ def certify_inversion(
     trials: int,
     alpha: float = 0.5,
     rng: int | np.random.Generator | None = None,
-    chunk: int = 2048,
 ) -> CertificationReport:
     """Run the staged +1 bettor and measure how often a height-``theta`` climb
     escapes without any stage detecting an opposite excursion.
@@ -787,9 +788,9 @@ def certify_inversion(
     """
     if s_iterations < 1:
         raise ConfigurationError("s_iterations must be positive")
-    if alpha * theta / s_iterations < 1.0:
+    if not 1.0 <= alpha * theta / s_iterations < math.inf:
         raise ConfigurationError(
-            f"per-stage limits degenerate: need alpha*theta/s >= 1, got "
+            f"per-stage limits degenerate: need a finite alpha*theta/s >= 1, got "
             f"alpha={alpha}, theta={theta}, s={s_iterations}"
         )
     if interval.total_len != spec.total_len:
@@ -801,7 +802,7 @@ def certify_inversion(
     lo, hi = interval.lo, interval.hi
     lower_hits, upper_hits, reached = np.zeros((3, s_iterations), dtype=np.int64)
     n_high = n_no_inv_high = 0
-    for part in iter_generate_batches(spec, trials, rng, chunk=chunk):
+    for part in iter_generate_batches(spec, trials, rng, chunk=_CHUNK):
         cum = part[:, lo:hi].astype(np.int64)
         np.cumsum(cum, axis=1, out=cum)  # in place: half the memory of a casting cumsum
         # Each row's next stage starts at ``start`` from payoff ``base``; a row

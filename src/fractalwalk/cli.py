@@ -34,7 +34,7 @@ from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError
 from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seeding import derive_seed
 from .seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
-from .sequences import BitSequence, Interval, IntSequence
+from .sequences import Interval
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -201,54 +201,44 @@ def _check_predictor_flags(args: argparse.Namespace, T: int) -> None:
     elif args.predictor == "adaptive_bettor":
         if args.theta is None:
             raise ConfigurationError("adaptive_bettor requires --theta")
-        if 2.0 * args.alpha * args.theta < 1.0:
-            raise ConfigurationError(
-                f"limits degenerate: need 2*alpha*theta >= 1, got alpha={args.alpha}, theta={args.theta}"
-            )
+        predictors._bettor_limits(args.theta, args.alpha)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     T = spec.total_len
     _check_predictor_flags(args, T)
-    payoffs: list[float] = []
-    extra: dict[str, float] = {}
-    stop_causes: dict[str, int] = {}
+    stop_causes = None
     rng = np.random.default_rng(derive_seed(spec.seed, "predict", args.predictor))
     mat = generate_batch(spec, args.trials, rng)
-    wrap = BitSequence if mat.dtype == np.int8 else IntSequence
-    for row in mat:
-        seq = wrap(row)
-        if args.predictor == "weighted_majority":
-            payoffs.append(predictors.weighted_majority_expected_payoff(seq))
-        elif args.predictor == "sign_of_prefix":
-            target = Interval(T - args.x, T, T)
-            plan = predictors.sign_of_prefix_plan(seq, args.window, target)
-            payoffs.append(predictors.run_plan(seq, plan).payoff)
-        elif args.predictor == "block_momentum":
-            payoffs.append(predictors.block_momentum_payoff(seq, args.block_len))
-        else:  # adaptive_bettor
-            ledger = predictors.adaptive_inversion_bettor(
-                seq, Interval(0, T, T), args.theta, args.alpha
-            )
-            payoffs.append(ledger.payoff)
-            cause = ledger.stop_cause.name
-            stop_causes[cause] = stop_causes.get(cause, 0) + 1
-    arr = np.asarray(payoffs, dtype=np.float64)
-    extra["mean_payoff"] = float(arr.mean())
-    extra["stderr"] = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    if args.predictor == "weighted_majority":
+        payoffs = predictors._weighted_majority_payoffs(mat)
+    elif args.predictor == "sign_of_prefix":
+        P = analysis._prefix_at(mat, [T - args.x - args.window, T - args.x, T])
+        payoffs = predictors._sign_bets(P[:, 1] - P[:, 0], P[:, 2] - P[:, 1])
+    elif args.predictor == "block_momentum":
+        payoffs = predictors._block_momentum_payoffs(mat, args.block_len)
+    else:  # adaptive_bettor
+        lower, upper = predictors._bettor_limits(args.theta, args.alpha)
+        payoffs = predictors._bettor_payoffs(mat, lower, upper)
+        counts = np.bincount(np.digitize(payoffs, [lower + 1, upper]), minlength=3)
+        stop_causes = {k: int(n) for k, n in zip(["LOWER", "EXHAUSTED", "UPPER"], counts) if n}
+    arr = payoffs.astype(np.float64)
+    mean = float(arr.mean())
+    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     result = {
         "spec": spec,
         "predictor": args.predictor,
         "trials": args.trials,
-        **extra,
-        "normalized_by_sqrt_T": extra["mean_payoff"] / math.sqrt(T),
-        "stop_causes": stop_causes or None,
+        "mean_payoff": mean,
+        "stderr": stderr,
+        "normalized_by_sqrt_T": mean / math.sqrt(T),
+        "stop_causes": stop_causes,
     }
     out = _out_dir(args)
     _write_json(out / "predict.json", result)
     _write_manifest(args, out, ["predict.json"])
-    print(f"{args.predictor}: mean payoff {extra['mean_payoff']:.3f} +- {extra['stderr']:.3f}")
+    print(f"{args.predictor}: mean payoff {mean:.3f} +- {stderr:.3f}")
     return 0
 
 
@@ -278,8 +268,8 @@ def cmd_inversion(args: argparse.Namespace) -> int:
 def cmd_alphaq(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     x = args.x
-    if x > spec.total_len:
-        raise ConfigurationError("--x cannot exceed --T")
+    if not 1 <= x <= spec.total_len:
+        raise ConfigurationError(f"--x must lie in [1, --T], got {x}")
     window = Interval(spec.total_len - x, spec.total_len, spec.total_len)
     q_hat = analysis.alpha_q_estimate(spec, window, args.alpha, args.trials)
     result = {

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .predictors import _sign_bets
 from .seeding import make_rng
 
 __all__ = [
@@ -100,6 +101,8 @@ def sign_predictor_closed_form(hurst: float, window: int, lag_ratio: float) -> f
     regression coefficient; multiplying by the half-normal mean of the height
     yields ``((1+1/s)^{2H} - 1 - s^{-2H})/2 * sqrt(2/pi) * (s*x)^H``.
     """
+    if window < 1 or not 0 < lag_ratio < math.inf:
+        raise ConfigurationError(f"window and lag_ratio must be positive, got {window} and {lag_ratio}")
     h2 = 2.0 * hurst
     s = float(lag_ratio)
     coeff = 0.5 * ((1.0 + 1.0 / s) ** h2 - 1.0 - s**-h2)
@@ -128,6 +131,4 @@ def fbm_sign_predictor_payoff(
         )
     paths = fbm_sample_batch(params, trials, rng)
     mid = paths[:, t_mid - 1]
-    end = paths[:, t_end - 1]
-    bets = np.where(mid >= 0.0, 1.0, -1.0)
-    return float(np.mean(bets * (end - mid)))
+    return float(np.mean(_sign_bets(mid, paths[:, t_end - 1] - mid)))

@@ -410,14 +410,7 @@ def generate_batch(
         )
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
-
-    if spec.family is Family.UNIFORM:
-        A = _uniform_matrix(T, trials, rng, planted_prefix)
-    elif spec.family is Family.ENTROPY_CONDITIONED:
-        A = _entropy_matrix(spec, trials, rng, planted_prefix, counters)
-    else:
-        A = _merge_family_matrix(spec, trials, rng, planted_prefix, counters, records=None)
-
+    A = _family_matrix(spec, trials, rng, planted_prefix, counters, None)
     if with_counters:
         return A, counters
     return A
@@ -437,6 +430,23 @@ def iter_generate_batches(
         m = min(chunk, left)
         yield generate_batch(spec, m, rng, planted_prefix=planted_prefix)
         left -= m
+
+
+def _family_matrix(
+    spec: GeneratorSpec,
+    trials: int,
+    rng: np.random.Generator,
+    planted_prefix: int,
+    counters: MergeCounters,
+    records: list[FlipRecord] | None,
+) -> np.ndarray:
+    """The ``(trials, T)`` matrix of ``spec``'s family; ``records`` collects the
+    merges of the first row when given."""
+    if spec.family is Family.UNIFORM:
+        return _uniform_matrix(spec.total_len, trials, rng, planted_prefix)
+    if spec.family is Family.ENTROPY_CONDITIONED:
+        return _entropy_matrix(spec, trials, rng, planted_prefix, counters)
+    return _merge_family_matrix(spec, trials, rng, planted_prefix, counters, records)
 
 
 def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -607,18 +617,7 @@ def generate(
     Deterministic in ``(spec, spec.seed)`` when ``rng`` is omitted.
     """
     rng = make_rng(rng if rng is not None else spec.seed)
-    if spec.family is Family.UNIFORM:
-        A = _uniform_matrix(spec.total_len, 1, rng, 0)
-        return Generated(BitSequence(A[0]))
-    if spec.family is Family.ENTROPY_CONDITIONED:
-        counters = MergeCounters()
-        A = _entropy_matrix(spec, 1, rng, 0, counters)
-        return Generated(BitSequence(A[0]), acceptance_rate=counters.acceptance_rate)
-    records: list[FlipRecord] = []
-    counters = MergeCounters()
-    A = _merge_family_matrix(spec, 1, rng, 0, counters, records)
-    if spec.family in _AUGMENTED:
-        seq: BitSequence | IntSequence = IntSequence(A[0])
-    else:
-        seq = BitSequence(A[0])
-    return Generated(seq, records=tuple(records))
+    counters, records = MergeCounters(), []
+    A = _family_matrix(spec, 1, rng, 0, counters, records)
+    seq = IntSequence(A[0]) if spec.family in _AUGMENTED else BitSequence(A[0])
+    return Generated(seq, tuple(records), counters.acceptance_rate)

@@ -7,6 +7,9 @@ on its running payoff, which is how the inversion bettor detects
 opposite-direction excursions.  The weighted-majority scheme hedges between
 the two constant experts and tracks the best of them to within
 ``sqrt(2 T ln 2)``.
+
+Each betting rule has one batch kernel over ``(trials, T)`` rows, walked in
+blocks of :data:`_ROW_BLOCK` rows; the single-sequence functions are one-row calls.
 """
 
 from __future__ import annotations
@@ -86,8 +89,22 @@ class PayoffLedger:
     stop_cause: StopCause
 
     def __post_init__(self) -> None:
-        assert abs(self.payoff) <= self.steps_used
+        # Every gain is an odd integer, so the payoff has the parity of the steps.
+        assert (self.payoff - self.steps_used) % 2 == 0
         assert not (self.stopped_early and self.stop_cause is StopCause.EXHAUSTED)
+
+
+_ROW_BLOCK = 8  # small enough that a block's int64 and float64 temporaries stay in cache
+
+
+def _row_blocks(values: np.ndarray):
+    """Consecutive views of at most :data:`_ROW_BLOCK` rows of ``values``."""
+    return (values[lo : lo + _ROW_BLOCK] for lo in range(0, len(values), _ROW_BLOCK))
+
+
+def _sign_bets(history: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Payoff of betting the sign of ``history`` on ``target``; a zero history bets +1."""
+    return np.where(history >= 0, 1, -1) * target
 
 
 def _first_hits(running: np.ndarray, lower, upper, start) -> np.ndarray:
@@ -153,11 +170,17 @@ def weighted_majority_guarantee(total_len: int) -> float:
     return math.sqrt(2.0 * total_len * math.log(2.0))
 
 
-def _hedges(seq: BitSequence) -> np.ndarray:
-    """``2 P(predict +1) - 1`` before each position: ``tanh(eta * H_{t-1} / 2)``."""
-    eta = weighted_majority_rate(len(seq.values))
-    heights_before = seq.prefix[:-1].astype(np.float64)
+def _hedges(heights_before: np.ndarray) -> np.ndarray:
+    """``2 P(predict +1) - 1`` from the heights ``H_{t-1}`` before each position: ``tanh(eta * H_{t-1} / 2)``."""
+    eta = weighted_majority_rate(heights_before.shape[-1])
     return np.tanh(0.5 * eta * heights_before)
+
+
+def _weighted_majority_payoffs(values: np.ndarray) -> np.ndarray:
+    """Each row's exact expected payoff (see :func:`weighted_majority_expected_payoff`)."""
+    # H_{t-1} is the running sum less the current entry.
+    before = ((b, np.cumsum(b, axis=1, dtype=np.int64) - b) for b in _row_blocks(values))
+    return np.concatenate([(b * _hedges(h)).sum(axis=1) for b, h in before])
 
 
 def weighted_majority_run(
@@ -165,7 +188,7 @@ def weighted_majority_run(
 ) -> int:
     """One randomized pass; each bit is predicted +1 with the current weight fraction."""
     rng = make_rng(rng)
-    p_plus = 0.5 * (1.0 + _hedges(seq))
+    p_plus = 0.5 * (1.0 + _hedges(seq.prefix[:-1]))
     preds = np.where(rng.random(p_plus.shape) < p_plus, 1, -1).astype(np.int64)
     return int(np.sum(preds * seq.values))
 
@@ -178,7 +201,16 @@ def weighted_majority_expected_payoff(seq: BitSequence) -> float:
     ``sum x_t * tanh(eta * H_{t-1} / 2)``; always at least
     ``|h(seq)| - weighted_majority_guarantee(T)``.
     """
-    return float(np.sum(seq.values * _hedges(seq)))
+    return float(_weighted_majority_payoffs(seq.values[None, :])[0])
+
+
+def _block_momentum_payoffs(values: np.ndarray, block_len: int) -> np.ndarray:
+    """Each row's :func:`block_momentum_payoff`."""
+    T = values.shape[1]
+    if block_len < 1 or T % block_len != 0:
+        raise ConfigurationError(f"block_len must divide the sequence length, got {block_len} for {T}")
+    heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=np.int64) for b in _row_blocks(values))
+    return np.concatenate([_sign_bets(h[:, :-1], h[:, 1:]).sum(axis=1) for h in heights])
 
 
 def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
@@ -186,12 +218,22 @@ def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
 
     Zero previous height bets +1.  The first block is skipped (no history).
     """
-    T = len(seq.values)
-    if block_len < 1 or T % block_len != 0:
-        raise ConfigurationError(f"block_len must divide the sequence length, got {block_len} for {T}")
-    blocks = seq.values.reshape(T // block_len, block_len).sum(axis=1, dtype=np.int64)
-    bets = np.where(blocks[:-1] >= 0, 1, -1)
-    return int(np.sum(bets * blocks[1:]))
+    return int(_block_momentum_payoffs(seq.values[None, :], block_len)[0])
+
+
+def _bettor_limits(theta: int, alpha: float) -> tuple[int, int]:
+    """The inversion bettor's stop limits ``(-ceil(alpha*theta), ceil(2*alpha*theta))``."""
+    if not 1.0 <= 2.0 * alpha * theta < math.inf:
+        raise ConfigurationError(f"limits degenerate: need finite 2*alpha*theta >= 1, got {alpha=}, {theta=}")
+    return -math.ceil(alpha * theta), math.ceil(2.0 * alpha * theta)
+
+
+def _bettor_payoffs(values: np.ndarray, lower: int, upper: int) -> np.ndarray:
+    """Per row, the payoff of betting +1 on every entry until the running payoff
+    reaches ``lower`` or ``upper``; a payoff strictly between them ran out of entries."""
+    cums = (np.cumsum(b, axis=1, dtype=np.int64) for b in _row_blocks(values))
+    # No hit (-1) reads the final payoff.
+    return np.concatenate([c[np.arange(len(c)), _first_hits(c, lower, upper, 0)] for c in cums])
 
 
 def adaptive_inversion_bettor(
@@ -200,9 +242,4 @@ def adaptive_inversion_bettor(
     """Bet +1 throughout ``target``, stopping at payoff -ceil(alpha*theta) or
     +ceil(2*alpha*theta); a LOWER stop certifies an opposite-direction excursion
     of relative size ``alpha`` against a height-``theta`` climb."""
-    if 2.0 * alpha * theta < 1.0:
-        raise ConfigurationError(
-            f"limits degenerate: need 2*alpha*theta >= 1, got alpha={alpha}, theta={theta}"
-        )
-    rule = StopRule(-math.ceil(alpha * theta), math.ceil(2.0 * alpha * theta))
-    return run_plan(seq, constant_plan(1, target, rule))
+    return run_plan(seq, constant_plan(1, target, StopRule(*_bettor_limits(theta, alpha))))

@@ -233,13 +233,8 @@ def check_frw_per_bit_payoff(quick: bool = False) -> tuple[bool, str]:
     y = []
     for T in T_list:
         spec = _spec(Family.FRW, T, "frw-per-bit", delta=delta, base_len=1)
-        eta = predictors.weighted_majority_rate(T)
-        total = 0.0
-        for part in iter_generate_batches(spec, trials, derive_rng(spec.seed, "wm")):
-            pref = np.zeros((part.shape[0], T + 1), dtype=np.int64)
-            np.cumsum(part, axis=1, dtype=np.int64, out=pref[:, 1:])
-            total += float((part * np.tanh(0.5 * eta * pref[:, :-1])).sum())
-        y.append(total / trials)
+        parts = iter_generate_batches(spec, trials, derive_rng(spec.seed, "wm"))
+        y.append(sum(float(predictors._weighted_majority_payoffs(p).sum()) for p in parts) / trials)
     f = np.array([delta * T for T in T_list])
     y = np.array(y)
     c = float((f @ y) / (f @ f))

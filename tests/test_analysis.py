@@ -442,6 +442,11 @@ class TestAlphaQ:
         with pytest.raises(ConfigurationError, match="alpha"):
             alpha_q_estimate(self.SPEC, self.WINDOW, -0.1, 2000)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ConfigurationError, match="alpha"):
+            alpha_q_estimate(self.SPEC, self.WINDOW, alpha, 2000)
+
     def test_uniform_window_usually_inverts(self):
         q = alpha_q_estimate(self.SPEC, self.WINDOW, 0.2, 2000)
         assert q > 0.5
@@ -570,6 +575,11 @@ class TestCertifyInversion:
     def test_degenerate_stage_limits_rejected(self):
         with pytest.raises(ConfigurationError, match="degenerate"):
             certify_inversion(self.SPEC, self.WHOLE, theta=4, s_iterations=1, trials=100, alpha=0.2)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigurationError, match="degenerate"):
+            certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=1, trials=100, alpha=alpha)
 
     def test_interval_ambient_checked(self):
         with pytest.raises(ConfigurationError, match="ambient"):

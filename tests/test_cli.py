@@ -130,6 +130,8 @@ class TestPredict:
             ("--predictor", "block_momentum", "--block-len", "48"),
             ("--predictor", "adaptive_bettor", "--theta", "0"),
             ("--predictor", "adaptive_bettor", "--theta", "1", "--alpha", "0.1"),
+            ("--predictor", "adaptive_bettor", "--theta", "8", "--alpha", "nan"),
+            ("--predictor", "adaptive_bettor", "--theta", "8", "--alpha", "inf"),
         ],
     )
     def test_bad_predictor_flags_exit_2(self, tmp_path, capsys, flags):
@@ -196,6 +198,23 @@ class TestAlphaQ:
         ) == 2
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--alpha", "0.3", "--x", "0"),
+            ("--alpha", "0.3", "--x", "-4"),
+            ("--alpha", "nan", "--x", "16"),
+            ("--alpha", "inf", "--x", "16"),
+        ],
+    )
+    def test_bad_flags_exit_2(self, tmp_path, capsys, flags):
+        assert run_in(
+            tmp_path, "alphaq", "--family", "uniform", "--T", "64", "--trials", "1000", *flags,
+        ) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "alphaq.json").exists()
+
+
 class TestThetaAndFractal:
     def test_theta_output(self, tmp_path, capsys):
         assert run_in(tmp_path, "theta", "--alpha", "0.25") == 0
@@ -242,6 +261,13 @@ class TestFbm:
         assert run_in(
             tmp_path, "fbm", "--hurst", "0.6", "--grid-len", "16", "--window", "16",
         ) == 2
+
+
+    @pytest.mark.parametrize("flags", [("--lag-ratio", "0"), ("--lag-ratio", "-2"), ("--window", "0")])
+    def test_bad_flags_exit_2(self, tmp_path, capsys, flags):
+        assert run_in(tmp_path, "fbm", "--hurst", "0.6", "--grid-len", "64", *flags) == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "fbm.json").exists()
 
 
 class TestSweep:

@@ -129,6 +129,11 @@ class TestSignPredictor:
         assert values[0] == max(values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("window, lag_ratio", [(16, 0), (16, -1), (16, math.nan), (0, 1)])
+    def test_closed_form_needs_positive_window_and_lag(self, window, lag_ratio):
+        with pytest.raises(ConfigurationError, match="window and lag_ratio"):
+            sign_predictor_closed_form(0.6, window, lag_ratio)
+
     def test_grid_too_short(self):
         params = FbmParams(hurst=0.6, grid_len=16)
         with pytest.raises(ConfigurationError, match="grid_len"):

@@ -157,6 +157,29 @@ CASES = {
          "--seed", "13", "--predictor", "block_momentum", "--block-len", "16", "--trials", "40"],
         {"predict.json": "c5cff84e01f7404fea07c1341f19d3d9cf3d43507301e1f9770b9a4f1840a0ba"},
     ),
+    # 100 rows: the batch predictors cross row-block boundaries, and the last
+    # block is partial.  The bettor stops 8 EXHAUSTED, 53 LOWER and 39 UPPER.
+    "predict-adaptive_bettor-blocks": (
+        ["predict", "--family", "frw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--seed", "21", "--predictor", "adaptive_bettor", "--theta", "24", "--trials", "100"],
+        {"predict.json": "9d2de8bf6baf578568d6fb848aa2c92775f42588f22295c64b8cb60d2bc4e565"},
+    ),
+    "predict-sign_of_prefix-afrw": (
+        ["predict", "--family", "afrw", "--T", "256", "--delta", "0.3", "--base-len", "4",
+         "--seed", "22", "--predictor", "sign_of_prefix", "--window", "32", "--x", "64",
+         "--trials", "100"],
+        {"predict.json": "8dab469cac87c12f7c38debe2f173c38456bfe96e8f09d5bc431c9fa94757c0a"},
+    ),
+    "predict-block_momentum-aofrw": (
+        ["predict", "--family", "aofrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "23", "--predictor", "block_momentum", "--block-len", "16", "--trials", "100"],
+        {"predict.json": "91962871882c65c53ed939b48fdf7f117d4c977486694302af788ffb90dfde68"},
+    ),
+    "predict-weighted_majority-aofrw": (
+        ["predict", "--family", "aofrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "24", "--predictor", "weighted_majority", "--trials", "100"],
+        {"predict.json": "7cdc6873a04a1a6c5ae458566180957e4710706f5ec8f7932464e4c833fb2e6a"},
+    ),
     "inversion": (
         ["inversion", "--family", "uniform", "--T", "1024", "--seed", "5", "--min-len", "8"],
         {"inversion.json": "4cc7b200ddbc39a98124f671ea7a4cb7be09bdf55ee025dc6ac32e4bdc8ed9b8"},

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalwalk import (
@@ -31,7 +31,16 @@ from fractalwalk import (
     weighted_majority_rate,
     weighted_majority_run,
 )
-from fractalwalk.predictors import _first_hits
+from fractalwalk.analysis import _prefix_at
+from fractalwalk.predictors import (
+    _ROW_BLOCK,
+    _bettor_limits,
+    _bettor_payoffs,
+    _block_momentum_payoffs,
+    _first_hits,
+    _sign_bets,
+    _weighted_majority_payoffs,
+)
 
 
 def naive_run(values, preds, lo, rule):
@@ -74,6 +83,12 @@ class TestRunPlan:
         ledger = run_plan(seq, constant_plan(1, Interval(0, 4, 4)))
         assert ledger.payoff == 0
 
+    def test_integer_entries_can_outgrow_the_steps(self):
+        seq = IntSequence([5, 3, -1, 1])
+        rule = StopRule(lower_limit=-2, upper_limit=6)
+        ledger = run_plan(seq, constant_plan(1, Interval(0, 4, 4), rule))
+        assert ledger == PayoffLedger(8, 2, True, StopCause.UPPER)
+
     def test_interval_must_match_sequence(self):
         with pytest.raises(IndexError):
             run_plan(self.SEQ, constant_plan(1, Interval(0, 8, 8)))
@@ -108,6 +123,72 @@ def test_first_hits_matches_row_scan(data):
         for i in range(n)
     ]
     assert _first_hits(running, lower, upper, start).tolist() == want
+
+
+@st.composite
+def value_rows(draw):
+    """A ``(rows, T)`` batch spanning several row blocks: +-1 bits as int8, or odd
+    integers as int64 (the augmented families' entries)."""
+    rows = draw(st.integers(1, 3 * _ROW_BLOCK))
+    T = 1 << draw(st.integers(0, 6))
+    odd = draw(st.booleans())
+    choices = [-5, -3, -1, 1, 3, 5] if odd else [-1, 1]
+    flat = draw(st.lists(st.sampled_from(choices), min_size=rows * T, max_size=rows * T))
+    return np.array(flat, dtype=np.int64 if odd else np.int8).reshape(rows, T)
+
+
+def _wrap(row):
+    return IntSequence(row) if row.dtype == np.int64 else BitSequence(row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_rows())
+def test_weighted_majority_kernel_matches_row_formula(values):
+    eta = math.sqrt(8.0 * math.log(2.0) / values.shape[1])
+    want = []
+    for row in values:
+        before = np.concatenate([[0], np.cumsum(row, dtype=np.int64)[:-1]]).astype(np.float64)
+        want.append(float(np.sum(row * np.tanh(0.5 * eta * before))))
+    assert _weighted_majority_payoffs(values).tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_rows(), st.data())
+def test_block_momentum_kernel_matches_row_formula(values, data):
+    T = values.shape[1]
+    block_len = data.draw(st.sampled_from([b for b in (1, 2, 4, 8) if T % b == 0]))
+    want = []
+    for row in values:
+        h = [int(row[i : i + block_len].sum()) for i in range(0, T, block_len)]
+        want.append(sum((1 if a >= 0 else -1) * b for a, b in zip(h, h[1:])))
+    assert _block_momentum_payoffs(values, block_len).tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_rows(), st.data())
+def test_sign_of_prefix_kernel_matches_run_plan(values, data):
+    T = values.shape[1]
+    assume(T >= 2)
+    x = data.draw(st.integers(1, T - 1))
+    w = data.draw(st.integers(1, T - x))
+    P = _prefix_at(values, [T - x - w, T - x, T])
+    target = Interval(T - x, T, T)
+    want = [run_plan(_wrap(r), sign_of_prefix_plan(_wrap(r), w, target)).payoff for r in values]
+    assert _sign_bets(P[:, 1] - P[:, 0], P[:, 2] - P[:, 1]).tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_rows(), st.integers(1, 12), st.sampled_from([0.25, 0.5, 1.0]))
+def test_bettor_kernel_matches_run_plan(values, theta, alpha):
+    assume(2 * alpha * theta >= 1)
+    T = values.shape[1]
+    lower, upper = _bettor_limits(theta, alpha)
+    payoffs = _bettor_payoffs(values, lower, upper)
+    ledgers = [adaptive_inversion_bettor(_wrap(r), Interval(0, T, T), theta, alpha) for r in values]
+    assert payoffs.tolist() == [led.payoff for led in ledgers]
+    # The payoff alone tells how the run ended.
+    causes = np.where(payoffs <= lower, "LOWER", np.where(payoffs >= upper, "UPPER", "EXHAUSTED"))
+    assert causes.tolist() == [led.stop_cause.name for led in ledgers]
 
 
 class TestPlanValidation:
@@ -245,6 +326,12 @@ class TestAdaptiveInversionBettor:
         seq = BitSequence(np.ones(8, dtype=np.int8))
         with pytest.raises(ConfigurationError, match="limits"):
             adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=1, alpha=0.3)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        seq = BitSequence(np.ones(8, dtype=np.int8))
+        with pytest.raises(ConfigurationError, match="limits"):
+            adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=4, alpha=alpha)
 
     def test_gamblers_ruin_on_uniform(self):
         # Limits -15/+30 on a symmetric walk: P(hit lower first) = 30/45 = 2/3.
