@@ -3,7 +3,7 @@
 Covers four families of questions about a sequence distribution:
 
 * how far it wanders (:func:`deviation_stats`, :func:`afrw_moment_oracle`,
-  :func:`upper_bound_rms`),
+  :func:`exact_height_law`, :func:`upper_bound_rms`),
 * how predictable it is (:func:`estimate_delta`),
 * how reliably climbs are punctuated by opposite-direction excursions
   (:func:`inversion_ratio`, :func:`alpha_q_estimate`,
@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .generators import (
+    Family,
+    FlipMode,
     GeneratorSpec,
     _MERGE_FAMILIES,
     iter_generate_batches,
@@ -43,6 +45,7 @@ __all__ = [
     "DeviationReport",
     "deviation_stats",
     "afrw_moment_oracle",
+    "exact_height_law",
     "upper_bound_rms",
     "ideal_height_distribution",
     "decomposition_height_distribution",
@@ -153,6 +156,66 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def afrw_moment_oracle(delta: float, l: int, depth_i: int) -> float:
     """Exact second moment ``(1 + (1+delta)^2)^i * l`` of the augmented walk's height."""
     return (1.0 + (1.0 + delta) ** 2) ** depth_i * l
+
+
+# Largest law exact_height_law convolves; a level costs the square of its size.
+_LAW_MAX_SUPPORT = 1 << 15
+
+
+def exact_height_law(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the height that :func:`~fractalwalk.generators.simulate_heights` samples.
+
+    Returns ``(heights, probabilities)``, heights in steps of 2.  Covers
+    ``uniform`` (a binomial law) and ``afrw``/``aofrw`` in ``exact_count``
+    mode, whose merge changes the height by exactly twice its rounded budget
+    ``b``: ``h1 + h2 + 2 sign(h1) (floor(b) + Bernoulli(b - floor(b)))``.
+    Each level shifts the first half's law by that step, with ``b`` computed
+    as the sampler computes it, and convolves the result with the law of the
+    second half.  Probabilities are float64 and sum to 1 up to rounding.
+    """
+    fam = spec.family
+    if not (fam is Family.UNIFORM or (fam in (Family.AFRW, Family.AOFRW)
+                                      and spec.flip_mode is FlipMode.EXACT_COUNT)):
+        raise ConfigurationError(
+            f"exact_height_law covers uniform, and afrw/aofrw in exact_count mode; "
+            f"got {fam.value} in {spec.flip_mode.value} mode"
+        )
+    T = spec.total_len
+    l = T if fam is Family.UNIFORM else spec.base_len
+
+    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if max(a.size, b.size) > _LAW_MAX_SUPPORT:
+            raise ConfigurationError(f"the height law outgrew {_LAW_MAX_SUPPORT} points; use a smaller T")
+        return np.convolve(a, b)
+
+    # A law is (lo, p): height lo + 2i has probability p[i].
+    lo, p = -1, np.array([0.5, 0.5])
+    n = 1
+    while n < l:
+        lo, p = 2 * lo, convolve(p, p)
+        n *= 2
+    while n < T:
+        h = lo + 2 * np.arange(p.size)
+        if fam is Family.AFRW:
+            budget = np.abs(h, dtype=np.float64)
+            budget *= spec.delta
+            budget /= 2.0
+        else:
+            budget = np.where(h != 0, spec.delta * math.sqrt(n) / 2.0, 0.0)
+        whole = np.floor(budget)
+        frac = budget - whole
+        stay = h + 2 * np.sign(h) * whole.astype(np.int64)
+        move = stay + 2 * np.sign(h)
+        first = min(stay.min(), move.min())
+        shifted = np.bincount(
+            np.concatenate([stay - first, move - first]) // 2,
+            weights=np.concatenate([p * (1.0 - frac), p * frac]),
+        )
+        lo, p = first + lo, convolve(shifted, p)
+        nz = np.flatnonzero(p)
+        lo, p = lo + 2 * int(nz[0]), p[nz[0] : nz[-1] + 1]
+        n *= 2
+    return lo + 2 * np.arange(p.size), p
 
 
 def upper_bound_rms(delta: float, T: int) -> float:

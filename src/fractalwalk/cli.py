@@ -380,6 +380,8 @@ def _sweep_cell(payload: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.parallelism < 1:
+        raise ConfigurationError(f"--parallelism must be at least 1, got {args.parallelism}")
     families = _parse_list(args.families, Family, "family")
     deltas = _parse_list(args.deltas, float, "number")
     T_list = _parse_list(args.T_list)
@@ -407,8 +409,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "mode": args.mode, "alpha": args.alpha,
                 })
 
-    if args.parallelism > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallelism) as pool:
+    # The pool starts all its workers up front, so it gets no more than there
+    # are cells or cores.
+    workers = min(args.parallelism, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell, cells))
     else:
         outcomes = [_sweep_cell(c) for c in cells]

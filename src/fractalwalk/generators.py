@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_REJECTION_BUDGET = 10_000_000
+# Largest trials x columns matrix one call may build: 2 GiB of int64.
+_MAX_MATRIX_ENTRIES = 1 << 28
 
 
 class Family(str, enum.Enum):
@@ -222,64 +224,229 @@ def _plan_level(
     spec: GeneratorSpec,
     n: int,
     h1: np.ndarray,
-    dirs: np.ndarray,
+    live: np.ndarray,
     eligible: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | float, np.ndarray, np.ndarray]:
     """Flip plan for one merge level, vectorized over merges.
 
-    ``dirs`` is ``np.sign(h1)``.  Returns ``(requested_steps, applied,
-    augmented)``: the unsigned budget, the bit flips and the +-2 additions of
-    each merge, all zero where ``h1 == 0``.  ``eligible`` must hold the
-    current count of opposite-sign entries in each second half.
+    ``live`` marks the merges with ``h1 != 0``, and ``eligible`` holds the
+    current count of opposite-sign entries in each second half, 0 where
+    ``h1 == 0``.  Returns ``(requested_steps, applied, augmented)``: the
+    unsigned budget, the bit flips and the +-2 additions of each merge.  The
+    sqrt-budget families give every live merge the same budget, and
+    ``requested`` is then that one number.  A dead merge has a zero budget
+    and gets zero steps in both modes.
     """
     fam = spec.family
     delta = spec.delta
-    live = dirs != 0
-    if fam is Family.FRW:
-        requested = delta * np.abs(h1)
-    elif fam is Family.OPT_FRW:
-        requested = np.where(live, delta * math.sqrt(n), 0.0)
-    elif fam is Family.AFRW:
-        requested = delta * np.abs(h1) / 2.0
-    elif fam is Family.AOFRW:
-        requested = np.where(live, delta * math.sqrt(n) / 2.0, 0.0)
+    coupled = fam in (Family.FRW, Family.AFRW)
+    if coupled:
+        requested = np.abs(h1, dtype=np.float64)
+        requested *= delta
+    elif fam in (Family.OPT_FRW, Family.AOFRW):
+        requested = delta * math.sqrt(n)
     else:  # pragma: no cover - guarded by callers
         raise AssertionError(f"family {fam} has no merge step")
+    if fam in _AUGMENTED:
+        requested /= 2.0
 
     if spec.flip_mode is FlipMode.EXACT_COUNT:
-        whole = np.floor(requested)
-        steps = whole.astype(np.int64) + (rng.random(requested.shape) < (requested - whole))
+        u = rng.random(live.shape)
+        if coupled:
+            whole = np.floor(requested)
+            steps = whole.astype(np.int64)
+            frac = np.subtract(requested, whole, out=whole)
+            steps += u < frac
+        else:
+            whole = math.floor(requested)
+            steps = np.where(u < requested - whole, whole + 1, whole)
+            steps *= live
         applied = np.minimum(steps, eligible)
         if fam in _AUGMENTED:
-            augmented = steps - applied
+            augmented = np.subtract(steps, applied, out=steps)
         else:
             augmented = np.zeros_like(applied)
     else:
-        if fam in (Family.FRW, Family.AFRW):
+        if coupled:
             prob = np.minimum(delta * np.abs(h1) / n, 1.0)
         else:
-            prob = np.where(live, min(delta / math.sqrt(n), 1.0), 0.0)
+            prob = min(delta / math.sqrt(n), 1.0)
         applied = rng.binomial(eligible, prob)
         augmented = np.zeros_like(applied)
 
-    dead = ~live
-    applied[dead] = 0
-    augmented[dead] = 0
-    # Net change must point with sign(h1) or vanish; flip counts never exceed
-    # what the eligible bits allow.
+    # Flip counts never exceed what the eligible bits allow.
     assert np.all(applied <= eligible)
-    assert np.all((applied + augmented == 0) | live)
     return requested, applied, augmented
 
 
-def _eligible_from_height(n: int, dirs: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Opposite-sign entry count of a pure +-1 block of length ``n`` and height ``h2``."""
-    return np.where(dirs != 0, (n - dirs * h2) // 2, 0)
+# Merges per row block of a level: the step's temporaries then fit in cache.
+_LEVEL_BLOCK = 1 << 15
+
+
+def _merge_level(
+    spec: GeneratorSpec,
+    n: int,
+    H: np.ndarray,
+    rng: np.random.Generator,
+    counters: MergeCounters,
+    recount=None,
+    visit=None,
+) -> np.ndarray:
+    """Merge each adjacent pair of length-``n`` blocks, given their heights ``H``, in every trial.
+
+    Returns the merged heights.  Eligible counts are derived from the
+    heights as if the blocks held pure +-1 entries.  Rows go in blocks of
+    about ``_LEVEL_BLOCK`` merges; the plan draws its numbers in row-major
+    order, so the blocks read the same stream as one call on all rows would.
+    For each block ``rows``, ``recount(rows, dirs, eligible)`` may correct
+    the eligible counts in place before the plan is drawn, and ``visit(rows,
+    dirs, requested, applied, augmented)`` sees the plan, with ``dirs =
+    sign(h1)``.
+    """
+    trials = H.shape[0]
+    merged = np.empty((trials, H.shape[1] // 2), dtype=np.int64)
+    step = max(1, _LEVEL_BLOCK // merged.shape[1])
+    for r in range(0, trials, step):
+        rows = slice(r, r + step)
+        h1 = H[rows, 0::2]
+        h2 = H[rows, 1::2]
+        dirs = np.clip(h1, -1, 1)
+        live = dirs != 0
+        # n - dirs * h2 is even, so the shift halves it exactly.
+        elig = dirs * h2
+        np.subtract(n, elig, out=elig)
+        elig >>= 1
+        elig *= live
+        if recount is not None:
+            recount(rows, dirs, elig)
+        requested, applied, augmented = _plan_level(spec, n, h1, live, elig, rng)
+        if visit is not None:
+            visit(rows, dirs, requested, applied, augmented)
+        counters.merges += live.size
+        counters.flip_steps += int(applied.sum())
+        if spec.family in _AUGMENTED:
+            counters.augment_events += int(np.count_nonzero(augmented))
+            counters.augment_steps += int(augmented.sum())
+        out = np.add(applied, augmented, out=merged[rows])
+        # The net change must point with sign(h1) or vanish.
+        assert np.all((out == 0) | live)
+        out *= dirs
+        out <<= 1
+        out += h1
+        out += h2
+    return merged
+
+
+# ---------------------------------------------------------------------------
+# Base-block heights
+
+# numpy draws Binomial(n, p <= 1/2) by inversion while n * p <= 30, and by
+# BTPE, a rejection sampler, above that.
+_INVERSION_MAX_MEAN = 30.0
+_TABLE_BITS = 16
+_FILL_CHUNK = 1 << 14
+_inversion_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _inversion_draw(l: int, u: float) -> int | None:
+    """numpy's ``random_binomial_inversion`` for Binomial(l, 1/2) on the uniform ``u``.
+
+    A scalar copy of numpy's loop, operation for operation.  Returns ``None``
+    where the loop would pass its bound and draw a fresh uniform.
+    """
+    p = q = 0.5
+    mean = l * p
+    bound = int(min(l, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x = 0
+    px = math.exp(l * math.log(q))
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((l - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(cuts, table)`` that read :func:`_inversion_draw` off one uniform.
+
+    ``next_double`` returns ``m * 2**-53`` for an integer ``m``, and the draw
+    is a nondecreasing step function of ``m``.  ``cuts[k-1]`` is the smallest
+    ``m`` whose draw reaches ``k``, in units of ``2**(53 - _TABLE_BITS)``, so
+    a uniform scaled by ``2**_TABLE_BITS`` draws the number of cuts at or below
+    it.  ``table`` holds the height ``2x - l`` of each of the ``2**_TABLE_BITS``
+    buckets of ``m`` that no cut splits, and ``l + 1`` for the others.
+    """
+    if l in _inversion_tables:
+        return _inversion_tables[l]
+    top = 1 << 53
+    # Larger uniforms never draw less, so a bound passed anywhere on the grid
+    # is passed at its last point.
+    if _inversion_draw(l, (top - 1) / top) is None:
+        raise AssertionError(f"Binomial({l}, 1/2) inversion can redraw; no exact table")
+    m = np.empty(l, dtype=np.int64)
+    for k in range(1, l + 1):
+        lo, hi = 0, top  # hi == top stands for "never reached"
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _inversion_draw(l, mid / top) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        m[k - 1] = lo
+    shift = 53 - _TABLE_BITS
+    first = np.arange(1 << _TABLE_BITS, dtype=np.int64) << shift
+    x_first = np.searchsorted(m, first, side="right")
+    x_last = np.searchsorted(m, first + ((1 << shift) - 1), side="right")
+    table = np.where(x_first == x_last, 2 * x_first - l, l + 1)
+    cuts = m * 2.0**-shift
+    cuts.flags.writeable = table.flags.writeable = False
+    _inversion_tables[l] = (cuts, table)
+    return cuts, table
+
+
+def _base_heights(rng: np.random.Generator, l: int, shape) -> np.ndarray:
+    """int64 heights ``2 * Binomial(l, 1/2) - l`` of ``shape`` blocks of ``l`` uniform +-1 entries.
+
+    Equal, draw for draw, to ``2 * rng.binomial(l, 0.5, shape) - l``, and it
+    leaves ``rng`` in the same state.  Where numpy samples by inversion, each
+    draw reads one ``next_double``.  For the power-of-two lengths that blocks
+    have, the fill draws the same doubles in chunks, looks each one up in
+    :func:`_inversion_table` and resolves the rare uniforms that land in a
+    bucket split by a cut against the cuts themselves.  Other lengths, and
+    BTPE's rejection sampling above the inversion range, go to numpy.
+    """
+    if l * 0.5 > _INVERSION_MAX_MEAN or l & (l - 1):
+        heights = rng.binomial(l, 0.5, size=shape)
+        heights *= 2
+        heights -= l
+        return heights
+    cuts, table = _inversion_table(l)
+    heights = np.empty(shape, dtype=np.int64)
+    flat = heights.reshape(-1)
+    for lo in range(0, flat.size, _FILL_CHUNK):
+        u = rng.random(min(_FILL_CHUNK, flat.size - lo))
+        u *= 1 << _TABLE_BITS
+        part = flat[lo : lo + u.size]
+        np.take(table, u.astype(np.intp), out=part)
+        split = np.flatnonzero(part > l)
+        part[split] = 2 * np.searchsorted(cuts, u[split], side="right") - l
+    return heights
 
 
 # ---------------------------------------------------------------------------
 # Height-only simulation
+
+
+def _check_entries(trials: int, cols: int) -> None:
+    """Refuse a ``(trials, cols)`` matrix above the entry cap before anything is drawn."""
+    if trials * cols > _MAX_MATRIX_ENTRIES:
+        raise ConfigurationError(
+            f"{trials} trials x {cols} = {trials * cols} entries exceed the cap of "
+            f"{_MAX_MATRIX_ENTRIES}; use fewer trials"
+        )
 
 
 def simulate_heights(
@@ -296,32 +463,28 @@ def simulate_heights(
     by its rounded budget, however that budget splits into flips and
     additions.  Only that split is approximate after an augment event, because
     eligible counts are derived from heights alone (see :class:`MergeCounters`).
+
+    Base-block heights are ``2 * rng.binomial(l, 0.5) - l``, and the fill
+    equals that call draw for draw (see :func:`_base_heights`); the merge
+    levels then draw in row-major order.  A call that needs more than
+    ``2**28`` base-block heights is refused before anything is drawn.
     """
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
+    T = spec.total_len
+    _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
-    T = spec.total_len
 
     if spec.family is Family.UNIFORM:
-        heights = 2 * rng.binomial(T, 0.5, size=trials).astype(np.int64) - T
+        heights = _base_heights(rng, T, trials)
     elif spec.family is Family.ENTROPY_CONDITIONED:
         heights = _entropy_heights(spec, trials, rng, counters)
     else:
-        l = spec.base_len
-        H = 2 * rng.binomial(l, 0.5, size=(trials, T // l)).astype(np.int64) - l
-        n = l
+        n = spec.base_len
+        H = _base_heights(rng, n, (trials, T // n))
         while n < T:
-            h1 = H[:, 0::2]
-            h2 = H[:, 1::2]
-            dirs = np.sign(h1)
-            elig = _eligible_from_height(n, dirs, h2)
-            _req, applied, augmented = _plan_level(spec, n, h1, dirs, elig, rng)
-            H = h1 + h2 + 2 * dirs * (applied + augmented)
-            counters.merges += h1.shape[1] * trials
-            counters.flip_steps += int(applied.sum())
-            counters.augment_events += int(np.count_nonzero(augmented))
-            counters.augment_steps += int(augmented.sum())
+            H = _merge_level(spec, n, H, rng, counters)
             n *= 2
         heights = H[:, 0]
 
@@ -370,7 +533,7 @@ def _entropy_heights(
     T = spec.total_len
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
-        h = 2 * rng.binomial(T, 0.5, size=m).astype(np.int64) - T
+        h = _base_heights(rng, T, m)
         return h, h
 
     out = np.empty(trials, dtype=np.int64)
@@ -397,7 +560,8 @@ def generate_batch(
     return int8, augmented families int64.
 
     Rows are generated in one vectorized pass; callers with large trial
-    counts should chunk via :func:`iter_generate_batches`.
+    counts should chunk via :func:`iter_generate_batches`.  A matrix of more
+    than ``2**28`` entries is refused before anything is drawn.
     """
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
@@ -408,6 +572,7 @@ def generate_batch(
         raise ConfigurationError(
             f"planted_prefix must cover whole base blocks of {spec.base_len}"
         )
+    _check_entries(trials, T)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
     A = _family_matrix(spec, trials, rng, planted_prefix, counters, None)
@@ -515,44 +680,39 @@ def _merge_family_matrix(
     H = A.reshape(trials, T // l, l).sum(axis=2, dtype=np.int64)
     tainted = np.zeros(trials, dtype=bool)  # trials holding non +-1 entries
 
+    def recount(rows: slice, dirs: np.ndarray, elig: np.ndarray) -> None:
+        if tainted[rows].any():
+            _recount_eligible(A[rows], tainted[rows], dirs, elig, n, dirs.shape[1])
+
+    # Per row block of a level, the merges that move anything:
+    # (trial, merge, dir, flips, additions).
+    moves: list[tuple[np.ndarray, ...]] = []
+
+    def visit(rows: slice, dirs, requested, applied, augmented) -> None:
+        t, m = np.nonzero(applied + augmented)
+        moves.append((t + rows.start, m, dirs[t, m], applied[t, m], augmented[t, m]))
+        if records is not None and rows.start == 0:
+            signed = (dirs * requested)[0]
+            for j in range(dirs.shape[1]):
+                records.append(FlipRecord(level, float(signed[j]), int(applied[0, j]), int(augmented[0, j])))
+
     level = 0
     n = l
     while n < T:
-        h1 = H[:, 0::2]
-        h2 = H[:, 1::2]
-        merges = h1.shape[1]
-        dirs = np.sign(h1)
-        elig = _eligible_from_height(n, dirs, h2)
-        if tainted.any():
-            _recount_eligible(A, tainted, dirs, elig, n, merges)
-        requested, applied, augmented = _plan_level(spec, n, h1, dirs, elig, rng)
-
-        trial_idx, merge_idx = np.nonzero(applied + augmented)
+        moves.clear()
+        H = _merge_level(spec, n, H, rng, counters, recount, visit)
+        trial_idx, merge_idx, flat_dir, flips, k = map(np.concatenate, zip(*moves))
         base_pos = merge_idx * 2 * n + n
-        flat_dir = dirs[trial_idx, merge_idx]
-        _place_flips(A, trial_idx, base_pos, n, applied[trial_idx, merge_idx], flat_dir, rng)
+        _place_flips(A, trial_idx, base_pos, n, flips, flat_dir, rng)
 
         # Each bounded draw is independent of the call it comes from, so one
         # call for all additions reads the same numbers as one call per merge.
-        k = augmented[trial_idx, merge_idx]
         if k.any():
             rows = np.repeat(trial_idx, k)
             cols = np.repeat(base_pos, k) + rng.integers(0, n, size=int(k.sum()))
             np.add.at(A, (rows, cols), np.repeat(2 * flat_dir, k))
             tainted[rows] = True
 
-        if records is not None:
-            signed = dirs * requested
-            for m in range(merges):
-                records.append(
-                    FlipRecord(level, float(signed[0, m]), int(applied[0, m]), int(augmented[0, m]))
-                )
-
-        H = h1 + h2 + 2 * dirs * (applied + augmented)
-        counters.merges += merges * trials
-        counters.flip_steps += int(applied.sum())
-        counters.augment_events += int(np.count_nonzero(augmented))
-        counters.augment_steps += int(augmented.sum())
         n *= 2
         level += 1
 
@@ -571,7 +731,7 @@ def _recount_eligible(
     """Honest per-block eligible counts for trials that contain augmented entries.
 
     Entries stay odd, so no entry equals ``-dirs`` where ``dirs == 0``: such a
-    merge counts 0, as :func:`_eligible_from_height` gives it.
+    merge counts 0, as :func:`_merge_level` derives it.
     """
     second = A[tainted].reshape(-1, merges, 2, n)[:, :, 1, :]
     elig[tainted] = np.count_nonzero(second == -dirs[tainted][:, :, None], axis=2)

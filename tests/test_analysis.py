@@ -34,6 +34,7 @@ from fractalwalk import (
     deviation_stats,
     distribution_moment,
     estimate_delta,
+    exact_height_law,
     generate_batch,
     height_moment_checks,
     ideal_height_distribution,
@@ -183,6 +184,110 @@ class TestExactEnumeration:
             ideal_height_distribution(0.1, -1)
         with pytest.raises(ConfigurationError, match="depth"):
             decomposition_height_distribution(0.1, -1)
+
+
+def _reference_height_law(spec: GeneratorSpec) -> dict[int, float]:
+    """The exact law by enumeration: every base sign pattern, then every pair
+    of half heights and both outcomes of each rounded budget."""
+    l, delta = spec.base_len, spec.delta
+    law: dict[int, float] = {}
+    for signs in itertools.product((-1, 1), repeat=l):
+        law[sum(signs)] = law.get(sum(signs), 0.0) + 0.5**l
+    n = l
+    while n < spec.total_len:
+        new: dict[int, float] = {}
+        for h1, p1 in law.items():
+            if spec.family is Family.AFRW:
+                budget = abs(h1) * delta / 2.0
+            else:
+                budget = delta * math.sqrt(n) / 2.0 if h1 else 0.0
+            whole = math.floor(budget)
+            sign = (h1 > 0) - (h1 < 0)
+            for steps, ps in ((whole, 1.0 - (budget - whole)), (whole + 1, budget - whole)):
+                for h2, p2 in law.items():
+                    h = h1 + 2 * sign * steps + h2
+                    new[h] = new.get(h, 0.0) + p1 * ps * p2
+        law = new
+        n *= 2
+    return law
+
+
+class TestExactHeightLaw:
+    def test_uniform_is_the_binomial_law(self):
+        heights, p = exact_height_law(GeneratorSpec(Family.UNIFORM, 64))
+        assert np.array_equal(heights, np.arange(-64, 65, 2))
+        want = np.array([math.comb(64, k) / 2**64 for k in range(65)])
+        assert np.allclose(p, want, rtol=1e-12, atol=0)
+
+    def test_zero_delta_afrw_is_uniform(self):
+        a = exact_height_law(GeneratorSpec(Family.AFRW, 64, delta=0.0, base_len=4))
+        b = exact_height_law(GeneratorSpec(Family.UNIFORM, 64))
+        assert np.array_equal(a[0], b[0])
+        assert np.allclose(a[1], b[1], rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "family, T, l, delta",
+        [(Family.AFRW, 16, 1, 0.5), (Family.AFRW, 32, 4, 0.3), (Family.AOFRW, 32, 2, 0.3),
+         (Family.AOFRW, 16, 1, 0.9)],
+    )
+    def test_matches_enumeration(self, family, T, l, delta):
+        spec = GeneratorSpec(family, T, delta=delta, base_len=l)
+        heights, p = exact_height_law(spec)
+        want = _reference_height_law(spec)
+        got = {int(h): float(q) for h, q in zip(heights, p) if q}
+        assert got.keys() == {h for h, q in want.items() if q}
+        for h, q in got.items():
+            assert q == pytest.approx(want[h], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, T, l, delta",
+        [(Family.AFRW, 1 << 14, 16, 0.1), (Family.AOFRW, 1 << 12, 8, 0.5), (Family.AFRW, 256, 1, 0.9)],
+    )
+    def test_normalized_with_the_parity_of_T(self, family, T, l, delta):
+        heights, p = exact_height_law(GeneratorSpec(family, T, delta=delta, base_len=l))
+        assert abs(p.sum() - 1.0) < 1e-12
+        assert np.all(p >= 0) and p[0] > 0 and p[-1] > 0
+        assert np.all(np.diff(heights) == 2) and heights[0] % 2 == T % 2
+
+    @pytest.mark.parametrize("delta, gap", [(0.05, 0.0100), (0.1, 0.0136)])
+    def test_rms_above_idealised_recursion(self, delta, gap):
+        # The rounded budget adds variance at every merge: at T=2^10, l=16
+        # the integer process runs about 1% above the closed form.
+        heights, p = exact_height_law(GeneratorSpec(Family.AFRW, 1 << 10, delta=delta, base_len=16))
+        rms = math.sqrt(float(p @ heights.astype(np.float64) ** 2))
+        assert rms / math.sqrt(afrw_moment_oracle(delta, 16, 6)) - 1 == pytest.approx(gap, abs=5e-5)
+
+    @pytest.mark.parametrize(
+        "family, T, l, delta, seed",
+        [(Family.AFRW, 1 << 10, 16, 0.05, 123), (Family.AFRW, 1 << 10, 16, 0.1, 123),
+         (Family.AOFRW, 1 << 10, 16, 0.1, 123), (Family.AFRW, 1 << 8, 4, 0.5, 123),
+         (Family.AFRW, 1 << 8, 1, 0.5, 7), (Family.UNIFORM, 1 << 10, None, 0.0, 5)],
+    )
+    def test_sampled_second_moment_z_test(self, family, T, l, delta, seed):
+        # One-sample z-test of the heights' second moment against the exact
+        # law, at fixed seeds; a correct sampler stays within |z| <= 4.
+        spec = GeneratorSpec(family, T, delta=delta, base_len=l, seed=seed)
+        heights, p = exact_height_law(spec)
+        h2 = heights.astype(np.float64) ** 2
+        m2, m4 = float(p @ h2), float(p @ h2**2)
+        trials = 40_000
+        sample = simulate_heights(spec, trials).astype(np.float64) ** 2
+        z = (sample.mean() - m2) / math.sqrt((m4 - m2**2) / trials)
+        assert abs(z) <= 4.0
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(family=Family.FRW, delta=0.1), dict(family=Family.OPT_FRW, delta=0.1),
+         dict(family=Family.AFRW, delta=0.1, flip_mode="bernoulli"),
+         dict(family=Family.ENTROPY_CONDITIONED, k=1.0)],
+    )
+    def test_other_processes_rejected(self, kw):
+        with pytest.raises(ConfigurationError, match="exact_height_law covers"):
+            exact_height_law(GeneratorSpec(total_len=64, **kw))
+
+    def test_support_cap(self):
+        with pytest.raises(ConfigurationError, match="outgrew"):
+            exact_height_law(GeneratorSpec(Family.UNIFORM, 1 << 20))
 
 
 class TestMomentChecks:

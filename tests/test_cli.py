@@ -8,6 +8,8 @@ bytes, not parsed content.
 from __future__ import annotations
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fractalwalk import (
     sign_predictor_closed_form,
     write_csv,
 )
+from fractalwalk import cli
 from fractalwalk.cli import run
 
 
@@ -330,6 +333,47 @@ class TestSweep:
         assert [f["error"].split(":")[0] for f in failures] == ["ConfigurationError"]
         assert "ConfigurationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_exit_2(self, tmp_path, capsys, value):
+        args = list(self.ARGS)
+        args[args.index("--parallelism") + 1] = value
+        assert run_in(tmp_path, *args) == 2
+        assert "--parallelism" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "parallelism, cpus, workers",
+        [(64, 8, 4), (3, 8, 3), (64, 2, 2), (64, 1, None), (1, 8, None)],
+    )
+    def test_pool_sized_by_cells_and_cores(self, tmp_path, monkeypatch, parallelism, cpus, workers):
+        # The pool forks every worker up front, so it must not ask for more
+        # than there are cells (4 here) or cores.  The recording stand-in
+        # runs the cells in-process; no real pool is started.
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        args = list(self.ARGS)
+        args[args.index("--parallelism") + 1] = str(parallelism)
+        assert run_in(tmp_path / "pool", *args) == 0
+        assert started == ([] if workers is None else [workers])
+        assert run_in(tmp_path / "serial", *self.ARGS) == 0
+        for name in ("sweep.csv", "sweep-failures.json"):
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
     def test_unknown_metric_exit_2(self, tmp_path):
         assert run_in(
             tmp_path, "sweep", "--families", "uniform", "--T-list", "64",
@@ -381,6 +425,25 @@ class TestExitCodes:
             tmp_path, "stats", "--family", "uniform", "--T", "64",
             "--T-list", "64,64", "--trials", "200",
         ) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--family", "frw", "--T", "1024", "--T-list", "1024,2048", "--delta", "0.1"),
+            ("predict", "--predictor", "weighted_majority", "--family", "frw", "--T", "1024"),
+        ],
+        ids=["stats", "predict"],
+    )
+    def test_oversized_trials_exit_2_before_allocating(self, tmp_path, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = run_in(tmp_path, *argv, "--trials", "100000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ outcome can be enumerated by hand and checked against the code.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from fractalwalk import (
     iter_generate_batches,
     simulate_heights,
 )
-from fractalwalk.generators import _bits, _recount_eligible
+from fractalwalk import generators
+from fractalwalk.generators import (
+    _FILL_CHUNK,
+    _base_heights,
+    _bits,
+    _inversion_draw,
+    _inversion_table,
+    _recount_eligible,
+)
 
 ALL_FAMILIES = list(Family)
 MERGE_FAMILIES = [Family.FRW, Family.OPT_FRW, Family.AFRW, Family.AOFRW]
@@ -573,3 +582,112 @@ def test_recount_eligible_matches_per_block_count(trials, merges, n, seed):
                 want[t, m] = np.count_nonzero(second == -dirs[t, m])
     _recount_eligible(A, tainted, dirs, elig, n, merges)
     assert np.array_equal(elig, want)
+
+
+BIT_GENERATORS = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937, "philox": np.random.Philox}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    l=st.integers(min_value=0, max_value=10).map(lambda k: 1 << k) | st.integers(min_value=1, max_value=70),
+    rows=st.integers(min_value=1, max_value=3),
+    cols=st.integers(min_value=1, max_value=3 * _FILL_CHUNK // 2),
+    prior=st.integers(min_value=0, max_value=5),
+    bitgen=st.sampled_from(sorted(BIT_GENERATORS)),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_base_heights_match_numpy_binomial(l, rows, cols, prior, bitgen, seed):
+    """The table-read fill equals numpy's Binomial(l, 1/2) draw for draw.
+
+    Lengths run on both sides of numpy's switch from inversion to BTPE (l = 60
+    / 61), sizes straddle the fill's chunk, and the prior uint32 draws can
+    leave half a word buffered in the generator.
+    """
+    got_rng, want_rng = (np.random.Generator(BIT_GENERATORS[bitgen](seed)) for _ in range(2))
+    for rng in (got_rng, want_rng):
+        rng.integers(0, 1 << 32, size=prior, dtype=np.uint32)
+    got = _base_heights(got_rng, l, (rows, cols))
+    want = 2 * want_rng.binomial(l, 0.5, (rows, cols)) - l
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def _same_state(a, b) -> bool:
+    """Equal generator states; MT19937 keeps its key in an array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+TABLE_LENGTHS = [1, 2, 4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("l", TABLE_LENGTHS)
+def test_inversion_redraw_unreachable_for_served_lengths(l):
+    # The largest uniform next_double can return still stops within the
+    # bound, so no uniform on the grid reaches numpy's redraw branch.
+    assert _inversion_draw(l, (2**53 - 1) / 2**53) is not None
+    cuts, table = _inversion_table(l)
+    assert cuts.shape == (l,) and table.shape == (1 << 16,)
+
+
+def test_table_builder_refuses_a_length_that_can_redraw(monkeypatch):
+    monkeypatch.setattr(generators, "_inversion_tables", {})
+    monkeypatch.setattr(generators, "_inversion_draw", lambda l, u: None)
+    with pytest.raises(AssertionError, match="redraw"):
+        _inversion_table(4)
+
+
+class _Uniforms:
+    """Stands in for a generator whose ``random`` returns chosen doubles."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return out.copy()
+
+
+@pytest.mark.parametrize("l", TABLE_LENGTHS)
+def test_fill_is_exact_at_every_cut(l):
+    # Each cut and its grid neighbours, where the draw changes value: the
+    # table and its fix-up must agree with numpy's loop on both sides.
+    cuts, _ = _inversion_table(l)
+    m = (cuts * 2.0**37).astype(np.int64)
+    grid = np.unique(np.clip(np.concatenate([m - 1, m, m + 1, [0, 2**53 - 1]]), 0, 2**53 - 1))
+    u = grid / 2.0**53
+    want = np.array([2 * _inversion_draw(l, x) - l for x in u])
+    for k in range(1, l + 1):
+        assert _inversion_draw(l, m[k - 1] / 2.0**53) >= k > _inversion_draw(l, (m[k - 1] - 1) / 2.0**53)
+    assert np.array_equal(_base_heights(_Uniforms(u), l, u.size), want)
+
+
+class TestSizeCap:
+    def test_heights_refused_before_allocating(self):
+        spec = GeneratorSpec(Family.AFRW, 1 << 10, delta=0.1, base_len=16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="cap"):
+                simulate_heights(spec, 1 << 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_batch_refused_before_allocating(self):
+        spec = GeneratorSpec(Family.FRW, 1 << 10, delta=0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="cap"):
+                generate_batch(spec, 100_000_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_blocks_not_entries_for_heights(self):
+        # Uniform heights are one binomial draw per trial, whatever the length.
+        spec = GeneratorSpec(Family.UNIFORM, 1 << 20)
+        assert simulate_heights(spec, 300).shape == (300,)

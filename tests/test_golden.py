@@ -102,6 +102,33 @@ CASES = {
             "stats.json": "4ce28d62d841c203ed9cff62225cbf3e682d96834a9b2967400fa48eb27a8519",
         },
     ),
+    # Height-only runs on both sides of the base-height fill: table-read
+    # Binomial(l, 1/2) blocks (l = 16, 1 and 8), and several row blocks per
+    # merge level at T=4096.
+    "stats-afrw-l16": (
+        ["stats", "--family", "afrw", "--T", "256", "--delta", "0.1", "--base-len", "16",
+         "--seed", "31", "--T-list", "256,1024,4096", "--trials", "2000"],
+        {
+            "stats.csv": "a3cf8cc29ef1beea50a6c521bbae4df09096c0032c5282e48e9e3359f1cb841c",
+            "stats.json": "b1d334dacba9f4490b3c2037a664b55b5fae4fa086a3007e314e99ce1ff98b9b",
+        },
+    ),
+    "stats-frw-l1": (
+        ["stats", "--family", "frw", "--T", "256", "--delta", "0.1", "--base-len", "1",
+         "--seed", "32", "--T-list", "256,1024,4096", "--trials", "500"],
+        {
+            "stats.csv": "9160a9c970892eaf0919e5fea552a458b36563648891766216a650cc24a849c3",
+            "stats.json": "dbc5aeb83df0c733b34ba06e533b07307f5674693fbf4b33703429d68320e109",
+        },
+    ),
+    "stats-aofrw-bernoulli": (
+        ["stats", "--family", "aofrw", "--T", "256", "--delta", "0.2", "--base-len", "8",
+         "--flip-mode", "bernoulli", "--seed", "33", "--T-list", "256,1024,4096", "--trials", "1000"],
+        {
+            "stats.csv": "ef2bf6d388cce1257ecfa74d02d0bacdcf5a3306e259449018caf261f8479e7d",
+            "stats.json": "f9ff62b9ec41fa24844c6c1d288d3961b55038af4c09fdf72d2fe6686000d203",
+        },
+    ),
     "sweep": (
         ["sweep", "--families", "uniform,opt_frw,entropy_conditioned", "--deltas", "0.1",
          "--T-list", "64", "--metrics", "deviation,delta_hat,alpha_q", "--trials", "1000",
