@@ -69,9 +69,8 @@ __all__ = [
 EXHAUSTIVE_SCAN_LIMIT = 1 << 14
 DEFAULT_MIN_LEN = 8
 
-# Rows generated per batch by the estimators, bootstrap resamples behind
-# estimate_delta's interval, and the size of alpha_q_estimate's first pass.
-_CHUNK = 2048
+# Bootstrap resamples behind estimate_delta's interval, and the size of
+# alpha_q_estimate's first pass.
 _BOOTSTRAP = 200
 _FIRST_PASS_TRIALS = 1000
 
@@ -349,17 +348,11 @@ def _opposite_magnitude(h: np.ndarray, best_pos: np.ndarray, best_neg: np.ndarra
 
 def _recover_witness(prefix: np.ndarray, lo: int, hi: int, want_positive: bool) -> tuple[int, int, int]:
     """Endpoints and height of the extreme subinterval of the requested sign in [lo, hi)."""
-    seg = prefix[lo : hi + 1]
-    if want_positive:
-        acc = np.minimum.accumulate(seg[:-1])
-        j = int(np.argmax(seg[1:] - acc))
-        v = lo + j + 1
-        u = lo + int(np.argmin(seg[: j + 1]))
-    else:
-        acc = np.maximum.accumulate(seg[:-1])
-        j = int(np.argmin(seg[1:] - acc))
-        v = lo + j + 1
-        u = lo + int(np.argmax(seg[: j + 1]))
+    # A fall of ``prefix`` is a rise of ``-prefix``; first-index ties match either way.
+    seg = prefix[lo : hi + 1] if want_positive else -prefix[lo : hi + 1]
+    j = int(np.argmax(seg[1:] - np.minimum.accumulate(seg[:-1])))
+    u = lo + int(np.argmin(seg[: j + 1]))
+    v = lo + j + 1
     return u, v, int(prefix[v] - prefix[u])
 
 
@@ -731,7 +724,6 @@ def estimate_delta(
     trials: int,
     rng: int | np.random.Generator | None = None,
     windows: list[int] | None = None,
-    min_x: int = DEFAULT_MIN_LEN,
 ) -> UnpredictabilityReport:
     """Estimate the unpredictability constant with the sign-of-prefix family.
 
@@ -752,7 +744,7 @@ def estimate_delta(
     # (window, interval lo, interval len) cells grouped by planted prefix.  A cell
     # bets the sign of its window's height; strict windows are all +1.
     if mode is EstimationMode.STRICT:
-        prefixes = _strict_prefix_lengths(spec, min_x)
+        prefixes = _strict_prefix_lengths(spec, DEFAULT_MIN_LEN)
         if not prefixes:
             warnings.warn(
                 "strict conditioning infeasible: no dyadic prefix is compatible with the "
@@ -760,17 +752,17 @@ def estimate_delta(
                 stacklevel=2,
             )
             mode = EstimationMode.WEAK_AVERAGED
-        groups = [(p, [(p, p, x) for x in _dyadic_range(min_x, p)]) for p in prefixes]
+        groups = [(p, [(p, p, x) for x in _dyadic_range(DEFAULT_MIN_LEN, p)]) for p in prefixes]
     if mode is EstimationMode.WEAK_AVERAGED:
         wins = windows if windows is not None else _dyadic_range(1, T // 2)
         if any(w < 1 for w in wins):
             raise ConfigurationError(f"windows must be positive, got {wins}")
-        xs = _dyadic_range(min_x, T // 2)
+        xs = _dyadic_range(DEFAULT_MIN_LEN, T // 2)
         groups = [(0, [(w, T - x, x) for x in xs for w in wins if w <= T - x])]
     if not any(group for _, group in groups):
         raise ConfigurationError(
             f"no cell to estimate: T={T} has no dyadic interval length in "
-            f"[min_x={min_x}, T/2={T // 2}] with a window that fits before it"
+            f"[{DEFAULT_MIN_LEN}, T/2={T // 2}] with a window that fits before it"
         )
 
     cells, payoffs = [], []
@@ -779,7 +771,7 @@ def estimate_delta(
         at = {c: i for i, c in enumerate(cols)}
         pay = np.empty((len(group), trials), dtype=np.int64)
         done = 0
-        for part in iter_generate_batches(spec, trials, rng, chunk=_CHUNK, planted_prefix=planted):
+        for part in iter_generate_batches(spec, trials, rng, planted_prefix=planted):
             P = _prefix_at(part, cols)
             for ci, (w, p, x) in enumerate(group):
                 bets = _sign_bets(P[:, at[p]] - P[:, at[p - w]], P[:, at[p + x]] - P[:, at[p]])
@@ -865,7 +857,7 @@ def certify_inversion(
     lo, hi = interval.lo, interval.hi
     lower_hits, upper_hits, reached = np.zeros((3, s_iterations), dtype=np.int64)
     n_high = n_no_inv_high = 0
-    for part in iter_generate_batches(spec, trials, rng, chunk=_CHUNK):
+    for part in iter_generate_batches(spec, trials, rng):
         cum = part[:, lo:hi].astype(np.int64)
         np.cumsum(cum, axis=1, out=cum)  # in place: half the memory of a casting cumsum
         # Each row's next stage starts at ``start`` from payoff ``base``; a row

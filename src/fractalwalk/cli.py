@@ -1,10 +1,14 @@
 """Command-line front end: generation, analysis, sweeps, and the acceptance battery.
 
-Every command resolves its configuration, writes its outputs plus a
-``<command>-manifest.json`` echoing the resolved configuration into the output
-directory, and prints a short human summary.  Outputs are deterministic
-functions of the configuration (no timestamps, atomic writes), so re-running a
-command — directly or via ``--from-manifest`` — reproduces the bytes exactly.
+Every command resolves its configuration, builds its outputs as one
+``{name: payload}`` mapping and hands it to :func:`_publish`, the one place
+outputs are written: it writes each of them into the output directory, then a
+``<command>-manifest.json`` that echoes the resolved configuration and lists
+exactly those names.  The command then prints a short human summary.  Outputs
+are deterministic functions of the configuration (no timestamps, atomic
+writes), so re-running a command — directly or via ``--from-manifest`` —
+reproduces the bytes exactly; only ``verify.json`` differs, in the elapsed
+times of its criteria.
 
 Exit codes: 0 success, 1 analysis failure (failed criteria or sweep cells),
 2 configuration error, including an unreadable or malformed ``--input`` file.
@@ -33,7 +37,7 @@ from . import __version__, analysis, fbm, fractal, predictors, verify
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError
 from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seeding import derive_seed
-from .seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
+from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
 from .sequences import Interval
 
 __all__ = ["run", "main", "build_parser"]
@@ -67,27 +71,66 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, payload) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    atomic_write_bytes(path, text.encode("utf-8"))
+def _publish(args: argparse.Namespace, outputs: dict) -> Path:
+    """Write every ``{name: payload}`` output, then the manifest listing exactly those names.
 
-
-def _write_manifest(args: argparse.Namespace, out_dir: Path, outputs: list[str]) -> None:
+    Bytes are written as given; anything else as sorted, indented JSON.  Each
+    write is atomic.  Returns the output directory.
+    """
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k != "from_manifest"}
     manifest = {
         "tool": "fractalwalk",
         "version": __version__,
         "command": args.command,
-        "config": _jsonable(config),
+        "config": config,
         "outputs": sorted(outputs),
     }
-    _write_json(out_dir / f"{args.command}-manifest.json", manifest)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in [*outputs.items(), (f"{args.command}-manifest.json", manifest)]:
+        if not isinstance(payload, bytes):
+            text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+            payload = text.encode("utf-8")
+        atomic_write_bytes(out / name, payload)
     return out
+
+
+def _sequence_file(stem: str, seq, fmt: str) -> tuple[str, bytes]:
+    """File name and bytes of ``seq`` in the ``--format`` chosen."""
+    if fmt == "csv":
+        return f"{stem}.csv", _csv_bytes(seq)
+    return f"{stem}.fwsq", dumps(seq)
+
+
+_METRIC_FIELDS = ["family", "delta", "T", "metric", "value", "stderr", "trials", "seed"]
+
+
+def _metric_row(spec: GeneratorSpec, T: int, trials: int, metric: str, value: float,
+                stderr: float | None = None) -> list:
+    """One row of the long-format metric table that ``stats`` and ``sweep`` write."""
+    return [spec.family.value, spec.delta, T, metric, f"{value:.10g}",
+            "" if stderr is None else f"{stderr:.10g}", trials, spec.seed]
+
+
+def _deviation_rows(spec: GeneratorSpec, report: analysis.DeviationReport) -> list[list]:
+    return [
+        _metric_row(spec, r.total_len, r.trials, metric, value)
+        for r in report.rows
+        for metric, value in (("mean_dev", r.mean_dev), ("median_dev", r.median_dev),
+                              ("rms_dev", r.rms_dev))
+    ]
+
+
+def _csv_table(header: list[str], rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _binomial_stderr(q: float, trials: int) -> float:
+    return math.sqrt(max(q * (1 - q), 1e-12) / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +181,8 @@ def _parse_list(text: str, parse=int, what: str = "integer") -> list:
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     result = generate(spec)
-    out = _out_dir(args)
     stem = f"{spec.family.value}-T{spec.total_len}-seed{spec.seed}"
-    if args.format == "csv":
-        seq_file = f"{stem}.csv"
-        write_csv(result.sequence, out / seq_file)
-    else:
-        seq_file = f"{stem}.fwsq"
-        write_binary(result.sequence, out / seq_file)
+    seq_file, seq_bytes = _sequence_file(stem, result.sequence, args.format)
     summary = {
         "spec": spec,
         "height": int(result.sequence.values.sum()),
@@ -154,8 +191,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "acceptance_rate": result.acceptance_rate,
         "file": seq_file,
     }
-    _write_json(out / f"{stem}.json", summary)
-    _write_manifest(args, out, [seq_file, f"{stem}.json"])
+    out = _publish(args, {seq_file: seq_bytes, f"{stem}.json": summary})
     print(f"wrote {out / seq_file} (height {summary['height']})")
     return 0
 
@@ -164,19 +200,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     T_list = _parse_list(args.T_list)
     report = analysis.deviation_stats(spec, T_list, args.trials)
-    out = _out_dir(args)
-    rows = io.StringIO()
-    writer = csv.writer(rows, lineterminator="\n")
-    writer.writerow(["family", "delta", "T", "metric", "value", "stderr", "trials", "seed"])
-    for r in report.rows:
-        for metric, value in (
-            ("mean_dev", r.mean_dev), ("median_dev", r.median_dev), ("rms_dev", r.rms_dev),
-        ):
-            writer.writerow([spec.family.value, spec.delta, r.total_len, metric,
-                             f"{value:.10g}", "", r.trials, spec.seed])
-    atomic_write_bytes(out / "stats.csv", rows.getvalue().encode())
-    _write_json(out / "stats.json", report)
-    _write_manifest(args, out, ["stats.csv", "stats.json"])
+    _publish(args, {
+        "stats.csv": _csv_table(_METRIC_FIELDS, _deviation_rows(spec, report)),
+        "stats.json": report,
+    })
     if report.fitted_exponent is not None:
         print(f"fitted exponent {report.fitted_exponent:.4f} +- {report.exponent_stderr:.4f}")
     else:
@@ -226,18 +253,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     arr = payoffs.astype(np.float64)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    result = {
-        "spec": spec,
-        "predictor": args.predictor,
-        "trials": args.trials,
-        "mean_payoff": mean,
-        "stderr": stderr,
-        "normalized_by_sqrt_T": mean / math.sqrt(T),
-        "stop_causes": stop_causes,
-    }
-    out = _out_dir(args)
-    _write_json(out / "predict.json", result)
-    _write_manifest(args, out, ["predict.json"])
+    _publish(args, {"predict.json": {
+        "spec": spec, "predictor": args.predictor, "trials": args.trials, "mean_payoff": mean,
+        "stderr": stderr, "normalized_by_sqrt_T": mean / math.sqrt(T), "stop_causes": stop_causes,
+    }})
     print(f"{args.predictor}: mean payoff {mean:.3f} +- {stderr:.3f}")
     return 0
 
@@ -254,9 +273,7 @@ def cmd_inversion(args: argparse.Namespace) -> int:
             raise ConfigurationError("provide --input FILE or a full generator spec")
         seq = generate(_spec_from_args(args)).sequence
     report = analysis.inversion_ratio(seq, min_len=args.min_len, dyadic_only=args.dyadic_only)
-    out = _out_dir(args)
-    _write_json(out / "inversion.json", report)
-    _write_manifest(args, out, ["inversion.json"])
+    _publish(args, {"inversion.json": report})
     wit = ""
     if report.y_interval is not None:
         wit = (f"; X=[{report.x_interval.lo},{report.x_interval.hi}) h={report.x_height}, "
@@ -272,24 +289,18 @@ def cmd_alphaq(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--x must lie in [1, --T], got {x}")
     window = Interval(spec.total_len - x, spec.total_len, spec.total_len)
     q_hat = analysis.alpha_q_estimate(spec, window, args.alpha, args.trials)
-    result = {
+    _publish(args, {"alphaq.json": {
         "spec": spec, "alpha": args.alpha, "x": x, "trials": args.trials,
-        "q_hat": q_hat, "stderr": math.sqrt(max(q_hat * (1 - q_hat), 1e-12) / args.trials),
-    }
-    out = _out_dir(args)
-    _write_json(out / "alphaq.json", result)
-    _write_manifest(args, out, ["alphaq.json"])
+        "q_hat": q_hat, "stderr": _binomial_stderr(q_hat, args.trials),
+    }})
     print(f"q_hat({args.alpha}) = {q_hat:.4f}")
     return 0
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
     theta = fractal.solve_theta(args.alpha)
-    result = {"alpha": args.alpha, "theta": theta,
-              "residual": fractal.theta_residual(args.alpha, theta)}
-    out = _out_dir(args)
-    _write_json(out / "theta.json", result)
-    _write_manifest(args, out, ["theta.json"])
+    _publish(args, {"theta.json": {"alpha": args.alpha, "theta": theta,
+                                   "residual": fractal.theta_residual(args.alpha, theta)}})
     print(f"theta({args.alpha}) = {theta:.12f}")
     return 0
 
@@ -297,18 +308,15 @@ def cmd_theta(args: argparse.Namespace) -> int:
 def cmd_fractal(args: argparse.Namespace) -> int:
     params = fractal.FractalParams(args.alpha, args.height)
     seq = fractal.build_fractal(params)
-    out = _out_dir(args)
     stem = f"fractal-a{args.alpha:g}-h{args.height}"
-    seq_file = f"{stem}.fwsq" if args.format == "binary" else f"{stem}.csv"
-    (write_binary if args.format == "binary" else write_csv)(seq, out / seq_file)
+    seq_file, seq_bytes = _sequence_file(stem, seq, args.format)
     result = {
         "alpha": params.alpha, "target_height": params.target_height, "theta": params.theta,
         "length": int(seq.values.shape[0]), "height": int(seq.values.sum()),
         "measured_exponent": fractal.measured_exponent(params),
         "split_points": fractal.split_points(params), "file": seq_file,
     }
-    _write_json(out / f"{stem}.json", result)
-    _write_manifest(args, out, [seq_file, f"{stem}.json"])
+    _publish(args, {seq_file: seq_bytes, f"{stem}.json": result})
     print(f"length {result['length']}, height {result['height']}, "
           f"exponent {result['measured_exponent']:.4f} (1/theta = {1 / params.theta:.4f})")
     return 0
@@ -316,18 +324,14 @@ def cmd_fractal(args: argparse.Namespace) -> int:
 
 def cmd_fbm(args: argparse.Namespace) -> int:
     params = fbm.FbmParams(args.hurst, args.grid_len, seed=args.seed)
-    out = _out_dir(args)
-    outputs = []
     result = {"params": params}
+    outputs = {}
     if args.sample > 0:
         paths = fbm.fbm_sample_batch(params, args.sample)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"t{t}" for t in range(1, params.grid_len + 1)])
-        for row in paths:
-            writer.writerow([f"{v:.10g}" for v in row])
-        atomic_write_bytes(out / "fbm-paths.csv", buf.getvalue().encode())
-        outputs.append("fbm-paths.csv")
+        outputs["fbm-paths.csv"] = _csv_table(
+            [f"t{t}" for t in range(1, params.grid_len + 1)],
+            ([f"{v:.10g}" for v in row] for row in paths),
+        )
         result["sampled_paths"] = args.sample
     closed = fbm.sign_predictor_closed_form(params.hurst, args.window, args.lag_ratio)
     mc = fbm.fbm_sign_predictor_payoff(params, args.window, args.lag_ratio, args.trials)
@@ -335,9 +339,7 @@ def cmd_fbm(args: argparse.Namespace) -> int:
         "window": args.window, "lag_ratio": args.lag_ratio, "trials": args.trials,
         "sign_predictor_closed_form": closed, "sign_predictor_monte_carlo": mc,
     })
-    _write_json(out / "fbm.json", result)
-    outputs.append("fbm.json")
-    _write_manifest(args, out, outputs)
+    _publish(args, {**outputs, "fbm.json": result})
     print(f"sign predictor: closed form {closed:.4f}, monte carlo {mc:.4f}")
     return 0
 
@@ -350,30 +352,18 @@ def _sweep_cell(payload: dict) -> dict:
     try:
         spec = GeneratorSpec.from_json_dict(payload["spec"])
         trials = payload["trials"]
+        T = spec.total_len
         rows = []
-
-        def add(metric: str, value: float, stderr: float | None) -> None:
-            rows.append({
-                "family": spec.family.value, "delta": spec.delta, "T": spec.total_len,
-                "metric": metric, "value": f"{value:.10g}",
-                "stderr": "" if stderr is None else f"{stderr:.10g}",
-                "trials": trials, "seed": spec.seed,
-            })
-
         if "deviation" in payload["metrics"]:
-            rep = analysis.deviation_stats(spec, [spec.total_len], trials)
-            row = rep.rows[0]
-            add("mean_dev", row.mean_dev, None)
-            add("median_dev", row.median_dev, None)
-            add("rms_dev", row.rms_dev, None)
+            rows += _deviation_rows(spec, analysis.deviation_stats(spec, [T], trials))
         if "delta_hat" in payload["metrics"]:
             rep = analysis.estimate_delta(spec, payload["mode"], trials)
-            add("delta_hat", rep.delta_hat, (rep.ci_high - rep.ci_low) / 2.0)
+            rows.append(_metric_row(spec, T, trials, "delta_hat", rep.delta_hat,
+                                    (rep.ci_high - rep.ci_low) / 2.0))
         if "alpha_q" in payload["metrics"]:
-            x = min(256, spec.total_len // 4)
-            iv = Interval(spec.total_len - x, spec.total_len, spec.total_len)
-            q = analysis.alpha_q_estimate(spec, iv, payload["alpha"], trials)
-            add("alpha_q", q, math.sqrt(max(q * (1 - q), 1e-12) / trials))
+            x = min(256, T // 4)
+            q = analysis.alpha_q_estimate(spec, Interval(T - x, T, T), payload["alpha"], trials)
+            rows.append(_metric_row(spec, T, trials, "alpha_q", q, _binomial_stderr(q, trials)))
         return {"ok": True, "rows": rows}
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "spec": payload["spec"]}
@@ -418,22 +408,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         outcomes = [_sweep_cell(c) for c in cells]
 
-    out = _out_dir(args)
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["family", "delta", "T", "metric", "value", "stderr", "trials", "seed"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    failures = []
+    rows, failures = [], []
     for cell, outcome in zip(cells, outcomes):
         if outcome["ok"]:
-            writer.writerows(outcome["rows"])
+            rows += outcome["rows"]
         else:
             failures.append({"spec": cell["spec"], "error": outcome["error"]})
-    atomic_write_bytes(out / "sweep.csv", buf.getvalue().encode())
-    _write_json(out / "sweep-failures.json", failures)
-    _write_manifest(args, out, ["sweep.csv", "sweep-failures.json"])
+    out = _publish(args, {
+        "sweep.csv": _csv_table(_METRIC_FIELDS, rows),
+        "sweep-failures.json": failures,
+    })
     print(f"{len(cells) - len(failures)}/{len(cells)} cells ok -> {out / 'sweep.csv'}")
     for failure in failures:
         print(f"cell failed: {failure['spec']} -> {failure['error']}", file=sys.stderr)
@@ -443,17 +427,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = str(args.only).replace(",", " ").split() if args.only else None
     results = verify.run_all(quick=args.quick, names=names)
-    out = _out_dir(args)
-    payload = {
-        "quick": args.quick,
-        "all_passed": all(r.passed for r in results),
-        "results": results,
-    }
-    _write_json(out / "verify.json", payload)
-    _write_manifest(args, out, ["verify.json"])
     n_pass = sum(r.passed for r in results)
+    all_passed = all(r.passed for r in results)
+    _publish(args, {"verify.json": {"quick": args.quick, "all_passed": all_passed,
+                                    "results": results}})
     print(f"{n_pass}/{len(results)} criteria passed")
-    return 0 if payload["all_passed"] else 1
+    return 0 if all_passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def _merge_level(
     """Merge each adjacent pair of length-``n`` blocks, given their heights ``H``, in every trial.
 
     Returns the merged heights.  Eligible counts are derived from the
-    heights as if the blocks held pure +-1 entries.  Rows go in blocks of
+    heights as if the blocks held pure +-1 entries, and clamped at 0.  Rows go in blocks of
     about ``_LEVEL_BLOCK`` merges; the plan draws its numbers in row-major
     order, so the blocks read the same stream as one call on all rows would.
     For each block ``rows``, ``recount(rows, dirs, eligible)`` may correct
@@ -313,10 +313,12 @@ def _merge_level(
         h2 = H[rows, 1::2]
         dirs = np.clip(h1, -1, 1)
         live = dirs != 0
-        # n - dirs * h2 is even, so the shift halves it exactly.
+        # n - dirs * h2 is even, so the shift halves it exactly.  It is below 0
+        # where an augmented second half outgrew its length: nothing to flip.
         elig = dirs * h2
         np.subtract(n, elig, out=elig)
         elig >>= 1
+        np.maximum(elig, 0, out=elig)
         elig *= live
         if recount is not None:
             recount(rows, dirs, elig)
@@ -588,8 +590,13 @@ def iter_generate_batches(
     chunk: int = 2048,
     planted_prefix: int = 0,
 ):
-    """Yield ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream."""
+    """Yield ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream.
+
+    A chunk holds at most ``chunk`` rows, and fewer where that many would
+    exceed ``generate_batch``'s cap on matrix entries.
+    """
     rng = make_rng(rng if rng is not None else spec.seed)
+    chunk = min(chunk, _MAX_MATRIX_ENTRIES // spec.total_len)
     left = trials
     while left > 0:
         m = min(chunk, left)

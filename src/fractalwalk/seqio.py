@@ -138,10 +138,13 @@ def read_binary(path: str | Path) -> BitSequence | IntSequence:
     return loads(Path(path).read_bytes())
 
 
-def write_csv(seq: BitSequence | IntSequence, path: str | Path) -> None:
+def _csv_bytes(seq: BitSequence | IntSequence) -> bytes:
     """One entry per row, no header."""
-    body = "\n".join(str(v) for v in seq.values.tolist()) + "\n"
-    atomic_write_bytes(path, body.encode("ascii"))
+    return ("\n".join(str(v) for v in seq.values.tolist()) + "\n").encode("ascii")
+
+
+def write_csv(seq: BitSequence | IntSequence, path: str | Path) -> None:
+    atomic_write_bytes(path, _csv_bytes(seq))
 
 
 def read_csv(path: str | Path) -> BitSequence | IntSequence:

@@ -46,6 +46,7 @@ from fractalwalk import (
     total_variation,
     upper_bound_rms,
 )
+from fractalwalk import generators
 from fractalwalk.analysis import DEFAULT_MIN_LEN, _ols, _prefix_at, inversion_ratio_dp_batch
 
 
@@ -631,7 +632,7 @@ class TestEstimateDelta:
             estimate_delta(spec, "weak_averaged", 1000, windows=[4, -4])
 
     def test_no_cell_rejected_before_any_draw(self):
-        # T // 2 < min_x leaves no interval length: the error comes before the
+        # T // 2 < DEFAULT_MIN_LEN leaves no interval length: the error comes before the
         # generator is touched, not from argmax over an empty cell list.
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=8, seed=5)
         rng = np.random.default_rng(5)
@@ -667,6 +668,17 @@ class TestEstimateDelta:
         a = estimate_delta(spec, "weak_averaged", 1000, windows=[8, 32])
         b = estimate_delta(spec, "weak_averaged", 1000, windows=[8, 32])
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["weak_averaged", "strict"])
+    def test_runs_where_full_chunks_exceed_the_entry_cap(self, monkeypatch, mode):
+        # With the cap at 300 rows of T=128 the batches shrink to 300 rows;
+        # uniform rows read the stream row by row, so the report is unchanged.
+        spec = GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=8)
+        full = estimate_delta(spec, mode, 1000)
+        monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 300 * 128)
+        with pytest.raises(ConfigurationError, match="entries"):
+            generators.generate_batch(spec, 1000)
+        assert estimate_delta(spec, mode, 1000) == full
 
 
 class TestCertifyInversion:

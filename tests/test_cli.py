@@ -42,6 +42,47 @@ def outputs_of(manifest_path) -> list[str]:
     return json.loads(manifest_path.read_text())["outputs"]
 
 
+# A small run of every command, in both formats where it has a --format.
+EVERY_COMMAND = {
+    "generate-binary": ["generate", "--family", "frw", "--T", "64", "--delta", "0.2",
+                        "--base-len", "8"],
+    "generate-csv": ["generate", "--family", "afrw", "--T", "64", "--delta", "0.5",
+                     "--base-len", "1", "--format", "csv"],
+    "stats": ["stats", "--family", "uniform", "--T", "64", "--T-list", "64,128", "--trials", "200"],
+    "predict": ["predict", "--family", "frw", "--T", "64", "--delta", "0.2", "--base-len", "8",
+                "--predictor", "weighted_majority", "--trials", "20"],
+    "inversion": ["inversion", "--family", "uniform", "--T", "256"],
+    "alphaq": ["alphaq", "--family", "uniform", "--T", "256", "--x", "64", "--alpha", "0.2",
+               "--trials", "1000"],
+    "theta": ["theta", "--alpha", "0.3"],
+    "fractal-binary": ["fractal", "--alpha", "0.3", "--height", "50"],
+    "fractal-csv": ["fractal", "--alpha", "0.3", "--height", "50", "--format", "csv"],
+    "fbm": ["fbm", "--hurst", "0.7", "--grid-len", "64", "--trials", "200", "--sample", "2"],
+    "sweep": ["sweep", "--families", "uniform", "--T-list", "64", "--trials", "1000",
+              "--metrics", "deviation,alpha_q", "--parallelism", "1"],
+    "verify": ["verify", "--only", "theta-solver"],
+}
+
+
+def test_every_command_is_covered():
+    assert {argv[0] for argv in EVERY_COMMAND.values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
+def test_directory_holds_exactly_the_manifest_outputs(tmp_path, name):
+    argv = EVERY_COMMAND[name]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_in(a, *argv) == 0
+    manifest = a / f"{argv[0]}-manifest.json"
+    outputs = outputs_of(manifest)
+    assert sorted(p.name for p in a.iterdir()) == sorted([*outputs, manifest.name])
+    if argv[0] == "verify":
+        return  # its results record elapsed times
+    assert replay(manifest, b) == 0
+    for out in outputs:
+        assert (b / out).read_bytes() == (a / out).read_bytes()
+
+
 class TestGenerate:
     ARGS = ("generate", "--family", "frw", "--T", "64", "--delta", "0.2",
             "--base-len", "8", "--seed", "5")
@@ -322,7 +363,7 @@ class TestSweep:
         assert "cell failed" in capsys.readouterr().err
 
     def test_cell_without_estimator_cells_fails_typed(self, tmp_path, capsys):
-        # At T=8 no interval length reaches the default min_x of 8: the cell
+        # At T=8 no interval length reaches DEFAULT_MIN_LEN (8): the cell
         # fails with the package's error, not numpy's, and the exit code is 1.
         code = run_in(
             tmp_path, "sweep", "--families", "uniform", "--T-list", "8",

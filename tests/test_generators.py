@@ -343,6 +343,23 @@ class TestAugmentation:
         assert counters.augment_events <= counters.merges // 500
         assert set(np.unique(np.abs(batch)).tolist()) <= {1, 3}
 
+    def test_heights_path_books_no_negative_flips(self, monkeypatch):
+        # One-bit blocks at delta 0.5: augmented second halves outgrow their
+        # length, where heights alone would give negative eligible counts.
+        spec = GeneratorSpec(family=Family.AFRW, total_len=1024, delta=0.5, base_len=1, seed=9)
+        applied = []
+        plan = generators._plan_level
+
+        def spy(*args):
+            out = plan(*args)
+            applied.append(int(out[1].min()))
+            return out
+
+        monkeypatch.setattr(generators, "_plan_level", spy)
+        _, counters = simulate_heights(spec, 500, with_counters=True)
+        assert min(applied) >= 0
+        assert counters.augment_steps >= counters.augment_events > 0
+
     def test_default_base_length_never_augments(self):
         spec = GeneratorSpec(family=Family.AFRW, total_len=1 << 14, delta=0.1, seed=21)
         _, counters = simulate_heights(spec, 1500, with_counters=True)
@@ -460,6 +477,12 @@ class TestBatchIteration:
         chunks = list(iter_generate_batches(spec, 250, chunk=100))
         assert [c.shape[0] for c in chunks] == [100, 100, 50]
         assert all(c.shape[1] == 32 for c in chunks)
+
+    def test_chunks_stay_under_the_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 100 * 32)
+        spec = spec_for(Family.FRW, total_len=32, seed=50)
+        assert [c.shape[0] for c in iter_generate_batches(spec, 250)] == [100, 100, 50]
+        assert [c.shape[0] for c in iter_generate_batches(spec, 250, chunk=64)] == [64] * 3 + [58]
 
     def test_iteration_is_deterministic(self):
         spec = spec_for(Family.OPT_FRW, total_len=64, seed=51)

@@ -5,6 +5,8 @@ the sha256 of every output its manifest lists with a recorded value.  The
 manifest itself is not hashed because it records ``--output-dir``.  A change
 that moves any of these hashes changes a number the package reports; it must
 either be a bug or a deliberate, documented change of the random stream.
+``fbm`` has no case: its paths go through a BLAS matmul whose last bits can
+differ between machines.
 """
 
 from __future__ import annotations
@@ -79,6 +81,15 @@ CASES = {
             "aofrw-T1024-seed15.json": "5e3a1773c19b495cb22a431060106d6831fb92915a37f86689a1708d96b97e00",
         },
     ),
+    # Odd-integer CSV: the augmented entries are written as +-1, +-3, ...
+    "generate-afrw-csv": (
+        ["generate", "--family", "afrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "18", "--format", "csv"],
+        {
+            "afrw-T256-seed18.csv": "9b5c16f7cdcfd327302dd9547d2caf708d1eec9e4cf18c88c3db1d523beec4ce",
+            "afrw-T256-seed18.json": "15ee3316f4bc49421d8bf5406ee3010f9ed62f03b91f4e51aa7b3ad6cf18b302",
+        },
+    ),
     "generate-frw-bernoulli": (
         ["generate", "--family", "frw", "--T", "1024", "--delta", "0.3", "--base-len", "4",
          "--flip-mode", "bernoulli", "--seed", "16"],
@@ -128,6 +139,21 @@ CASES = {
             "stats.csv": "ef2bf6d388cce1257ecfa74d02d0bacdcf5a3306e259449018caf261f8479e7d",
             "stats.json": "f9ff62b9ec41fa24844c6c1d288d3961b55038af4c09fdf72d2fe6686000d203",
         },
+    ),
+    # Augment-heavy heights: eligible counts derived from heights would go
+    # below 0 here, and clamping them at 0 must leave the heights alone.
+    "stats-afrw-l1": (
+        ["stats", "--family", "afrw", "--T", "256", "--delta", "0.5", "--base-len", "1",
+         "--seed", "34", "--T-list", "256,1024,4096", "--trials", "500"],
+        {
+            "stats.csv": "8637a9e5df799e641f795181151360a56c240eba3df255f433b18bf92534cb64",
+            "stats.json": "1923d777a962c2828ffdda5477de91218a8b3ec6adef2a5d519e931b19930800",
+        },
+    ),
+    "alphaq": (
+        ["alphaq", "--family", "uniform", "--T", "1024", "--x", "256", "--alpha", "0.2",
+         "--trials", "1000"],
+        {"alphaq.json": "cdf3d24762d02dcbba3e4a8c984a5d3c7e3075adfb254e0367d82539261a1a30"},
     ),
     "sweep": (
         ["sweep", "--families", "uniform,opt_frw,entropy_conditioned", "--deltas", "0.1",
