@@ -11,179 +11,30 @@ Start with :class:`GeneratorSpec` / :func:`generate` for sampling,
 ``python -m fractalwalk`` (or the ``fractalwalk`` script) for the CLI.
 """
 
-from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError
-from .seeding import derive_rng, derive_seed, make_rng
-from .sequences import (
-    ALIGNED_SQRT_SUM_FACTOR,
-    BitSequence,
-    IntSequence,
-    Interval,
-    aligned_decompose,
-)
-from .seqio import dumps, loads, read_binary, read_csv, write_binary, write_csv
-from .generators import (
-    Family,
-    FlipMode,
-    FlipRecord,
-    Generated,
-    GeneratorSpec,
-    MergeCounters,
-    default_base_len,
-    entropy_threshold,
-    generate,
-    generate_batch,
-    iter_generate_batches,
-    simulate_heights,
-)
-from .fractal import (
-    ALPHA_MAX,
-    BASE_HEIGHT,
-    FractalParams,
-    build_fractal,
-    fractal_length,
-    measured_exponent,
-    part_heights,
-    solve_theta,
-    split_points,
-    theta_residual,
-)
-from .fbm import (
-    FbmParams,
-    fbm_cov,
-    fbm_cov_matrix,
-    fbm_sample,
-    fbm_sample_batch,
-    fbm_sign_predictor_payoff,
-    sign_predictor_closed_form,
-)
-from .predictors import (
-    PayoffLedger,
-    PredictionPlan,
-    StopCause,
-    StopRule,
-    adaptive_inversion_bettor,
-    block_momentum_payoff,
-    constant_plan,
-    run_plan,
-    sign_of_prefix_plan,
-    weighted_majority_expected_payoff,
-    weighted_majority_guarantee,
-    weighted_majority_rate,
-    weighted_majority_run,
-)
-from .analysis import (
-    CertificationReport,
-    DeviationReport,
-    DeviationRow,
-    EstimationMode,
-    InversionReport,
-    MomentChecks,
-    UnpredictabilityReport,
-    UnpredictabilityRow,
-    afrw_moment_oracle,
-    alpha_q_estimate,
-    certify_inversion,
-    decomposition_height_distribution,
-    deviation_stats,
-    distribution_moment,
-    estimate_delta,
-    exact_height_law,
-    height_moment_checks,
-    ideal_height_distribution,
-    inversion_ratio,
-    inversion_ratio_naive,
-    inversion_ratio_naive_batch,
-    total_variation,
-    upper_bound_rms,
-)
-from .verify import CriterionResult, run_all, run_criterion
+from . import analysis, errors, fbm, fractal, generators, predictors, seeding, seqio, sequences, verify
+from .errors import *
+from .seeding import *
+from .sequences import *
+from .seqio import *
+from .generators import *
+from .fractal import *
+from .fbm import *
+from .predictors import *
+from .analysis import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# The public names are each submodule's own ``__all__``, listed once there.
 __all__ = [
-    "ALIGNED_SQRT_SUM_FACTOR",
-    "ALPHA_MAX",
-    "BASE_HEIGHT",
-    "BitSequence",
-    "CertificationReport",
-    "ConfigurationError",
-    "CriterionResult",
-    "DeviationReport",
-    "DeviationRow",
-    "EstimationMode",
-    "Family",
-    "FbmParams",
-    "FlipMode",
-    "FlipRecord",
-    "FractalParams",
-    "Generated",
-    "GeneratorSpec",
-    "IntSequence",
-    "Interval",
-    "InversionReport",
-    "MergeCounters",
-    "MomentChecks",
-    "PayoffLedger",
-    "PredictionPlan",
-    "SamplingBudgetError",
-    "SequenceFormatError",
-    "StopCause",
-    "StopRule",
-    "UnpredictabilityReport",
-    "UnpredictabilityRow",
-    "adaptive_inversion_bettor",
-    "afrw_moment_oracle",
-    "aligned_decompose",
-    "alpha_q_estimate",
-    "block_momentum_payoff",
-    "build_fractal",
-    "certify_inversion",
-    "constant_plan",
-    "decomposition_height_distribution",
-    "default_base_len",
-    "derive_rng",
-    "derive_seed",
-    "deviation_stats",
-    "distribution_moment",
-    "dumps",
-    "entropy_threshold",
-    "estimate_delta",
-    "exact_height_law",
-    "fbm_cov",
-    "fbm_cov_matrix",
-    "fbm_sample",
-    "fbm_sample_batch",
-    "fbm_sign_predictor_payoff",
-    "fractal_length",
-    "generate",
-    "generate_batch",
-    "height_moment_checks",
-    "ideal_height_distribution",
-    "inversion_ratio",
-    "inversion_ratio_naive",
-    "inversion_ratio_naive_batch",
-    "iter_generate_batches",
-    "loads",
-    "make_rng",
-    "measured_exponent",
-    "part_heights",
-    "read_binary",
-    "read_csv",
-    "run_all",
-    "run_criterion",
-    "run_plan",
-    "sign_of_prefix_plan",
-    "sign_predictor_closed_form",
-    "simulate_heights",
-    "solve_theta",
-    "split_points",
-    "theta_residual",
-    "total_variation",
-    "upper_bound_rms",
-    "weighted_majority_expected_payoff",
-    "weighted_majority_guarantee",
-    "weighted_majority_rate",
-    "weighted_majority_run",
-    "write_binary",
-    "write_csv",
+    *errors.__all__,
+    *seeding.__all__,
+    *sequences.__all__,
+    *seqio.__all__,
+    *generators.__all__,
+    *fractal.__all__,
+    *fbm.__all__,
+    *predictors.__all__,
+    *analysis.__all__,
+    *verify.__all__,
 ]

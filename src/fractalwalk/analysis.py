@@ -36,9 +36,9 @@ from .generators import (
     iter_generate_batches,
     simulate_heights,
 )
-from .predictors import _first_hits, _sign_bets
+from .predictors import _bettor_stages, _sign_bets
 from .seeding import derive_rng, make_rng
-from .sequences import BitSequence, IntSequence, Interval
+from .sequences import BitSequence, IntSequence, Interval, _row_blocks
 
 __all__ = [
     "DeviationRow",
@@ -647,11 +647,13 @@ def alpha_q_estimate(
     threshold = alpha * delta_median
     hits = 0
     for chunk in iter_generate_batches(spec, trials, rng):
-        pref = np.zeros((chunk.shape[0], x + 1), dtype=np.int64)
-        np.cumsum(chunk[:, lo:hi], axis=1, dtype=np.int64, out=pref[:, 1:])
-        h, bp, bn = _segment_extremes(pref)
-        opp = _opposite_magnitude(h, bp, bn)
-        hits += int(np.count_nonzero((h != 0) & (opp >= threshold)))
+        for rows in _row_blocks(len(chunk), x):
+            block = chunk[rows, lo:hi]
+            pref = np.zeros((len(block), x + 1), dtype=np.int64)
+            np.cumsum(block, axis=1, dtype=np.int64, out=pref[:, 1:])
+            h, bp, bn = _segment_extremes(pref)
+            opp = _opposite_magnitude(h, bp, bn)
+            hits += int(np.count_nonzero((h != 0) & (opp >= threshold)))
     return hits / trials
 
 
@@ -841,6 +843,8 @@ def certify_inversion(
     after.  The headline number is the frequency of final height >= theta
     with no stage having hit its lower limit.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
     if s_iterations < 1:
         raise ConfigurationError("s_iterations must be positive")
     if not 1.0 <= alpha * theta / s_iterations < math.inf:
@@ -858,27 +862,17 @@ def certify_inversion(
     lower_hits, upper_hits, reached = np.zeros((3, s_iterations), dtype=np.int64)
     n_high = n_no_inv_high = 0
     for part in iter_generate_batches(spec, trials, rng):
-        cum = part[:, lo:hi].astype(np.int64)
-        np.cumsum(cum, axis=1, out=cum)  # in place: half the memory of a casting cumsum
-        # Each row's next stage starts at ``start`` from payoff ``base``; a row
-        # whose positions run out or whose stage misses both limits gets start == hi - lo.
-        start, base = np.zeros((2, cum.shape[0]), dtype=np.int64)
-        saw_lower = np.zeros(cum.shape[0], dtype=bool)
-        for stage in range(s_iterations):
-            reached[stage] += np.count_nonzero(start < cum.shape[1])
-            t = _first_hits(cum, base - lower, base + upper, start)
-            start[t < 0] = cum.shape[1]
-            hit = np.flatnonzero(t >= 0)
-            value = cum[hit, t[hit]]
-            low = value <= base[hit] - lower
-            lower_hits[stage] += np.count_nonzero(low)
-            upper_hits[stage] += np.count_nonzero(~low)
-            saw_lower[hit[low]] = True
-            base[hit] = value
-            start[hit] = t[hit] + 1
-        high = cum[:, -1] >= theta
+        stops, payoffs, sums = _bettor_stages(part[:, lo:hi], -lower, upper, s_iterations)
+        stopped = stops >= 0
+        low = stopped & (payoffs <= -lower)
+        lower_hits += np.count_nonzero(low, axis=0)
+        upper_hits += np.count_nonzero(stopped & ~low, axis=0)
+        # A stage starts when the one before it stopped short of the last position.
+        reached[0] += len(stops)
+        reached[1:] += np.count_nonzero(stopped[:, :-1] & (stops[:, :-1] < hi - lo - 1), axis=0)
+        high = sums >= theta
         n_high += int(np.count_nonzero(high))
-        n_no_inv_high += int(np.count_nonzero(high & ~saw_lower))
+        n_no_inv_high += int(np.count_nonzero(high & ~low.any(axis=1)))
     p_high = n_high / trials
     p_joint = n_no_inv_high / trials
     return CertificationReport(

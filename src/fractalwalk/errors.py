@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ConfigurationError", "SequenceFormatError", "SamplingBudgetError"]
+
 
 class ConfigurationError(ValueError):
     """A parameter object or CLI flag violates a documented invariant."""

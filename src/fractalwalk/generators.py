@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplingBudgetError
 from .seeding import make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _is_power_of_two
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _is_power_of_two, _row_blocks
 
 __all__ = [
     "Family",
@@ -280,10 +280,6 @@ def _plan_level(
     return requested, applied, augmented
 
 
-# Merges per row block of a level: the step's temporaries then fit in cache.
-_LEVEL_BLOCK = 1 << 15
-
-
 def _merge_level(
     spec: GeneratorSpec,
     n: int,
@@ -296,8 +292,9 @@ def _merge_level(
     """Merge each adjacent pair of length-``n`` blocks, given their heights ``H``, in every trial.
 
     Returns the merged heights.  Eligible counts are derived from the
-    heights as if the blocks held pure +-1 entries, and clamped at 0.  Rows go in blocks of
-    about ``_LEVEL_BLOCK`` merges; the plan draws its numbers in row-major
+    heights as if the blocks held pure +-1 entries, and clamped at 0.  Rows go in
+    the package's one row-block rule, :func:`~fractalwalk.sequences._row_blocks`
+    over the columns of ``H``; the plan draws its numbers in row-major
     order, so the blocks read the same stream as one call on all rows would.
     For each block ``rows``, ``recount(rows, dirs, eligible)`` may correct
     the eligible counts in place before the plan is drawn, and ``visit(rows,
@@ -306,9 +303,7 @@ def _merge_level(
     """
     trials = H.shape[0]
     merged = np.empty((trials, H.shape[1] // 2), dtype=np.int64)
-    step = max(1, _LEVEL_BLOCK // merged.shape[1])
-    for r in range(0, trials, step):
-        rows = slice(r, r + step)
+    for rows in _row_blocks(trials, H.shape[1]):
         h1 = H[rows, 0::2]
         h2 = H[rows, 1::2]
         dirs = np.clip(h1, -1, 1)

@@ -9,7 +9,9 @@ the two constant experts and tracks the best of them to within
 ``sqrt(2 T ln 2)``.
 
 Each betting rule has one batch kernel over ``(trials, T)`` rows, walked in
-blocks of :data:`_ROW_BLOCK` rows; the single-sequence functions are one-row calls.
+the package's one row-block rule (:func:`~fractalwalk.sequences._row_blocks`);
+the single-sequence functions are one-row calls.  Every stop rule, staged or
+not, runs through :func:`_bettor_stages`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .seeding import make_rng
-from .sequences import BitSequence, IntSequence, Interval
+from .sequences import BitSequence, IntSequence, Interval, _row_blocks
 
 __all__ = [
     "StopCause",
@@ -94,27 +96,46 @@ class PayoffLedger:
         assert not (self.stopped_early and self.stop_cause is StopCause.EXHAUSTED)
 
 
-_ROW_BLOCK = 8  # small enough that a block's int64 and float64 temporaries stay in cache
-
-
-def _row_blocks(values: np.ndarray):
-    """Consecutive views of at most :data:`_ROW_BLOCK` rows of ``values``."""
-    return (values[lo : lo + _ROW_BLOCK] for lo in range(0, len(values), _ROW_BLOCK))
-
-
 def _sign_bets(history: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Payoff of betting the sign of ``history`` on ``target``; a zero history bets +1."""
     return np.where(history >= 0, 1, -1) * target
 
 
-def _first_hits(running: np.ndarray, lower, upper, start) -> np.ndarray:
-    """Per row of ``running``, the first column at or after ``start`` holding a value
-    <= ``lower`` or >= ``upper``, else -1; the limits and start are scalars or per row."""
-    lower, upper, start = (np.reshape(v, (-1, 1)) for v in (lower, upper, start))
-    hit = (running <= lower) | (running >= upper)
-    hit &= np.arange(running.shape[1]) >= start
-    first = hit.argmax(axis=1)
-    return np.where(hit[np.arange(running.shape[0]), first], first, -1)
+def _bettor_stages(
+    values: np.ndarray, lower: int, upper: int, stages: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bet +1 on every entry of each row in up to ``stages`` consecutive stages;
+    a stage stops once its own running payoff reaches ``lower`` or ``upper``, and
+    the next stage starts at the entry after.
+
+    Returns ``(stops, payoffs, sums)``: per row and stage the stop column, or -1
+    where the stage ran out of entries or never started; the stage's payoff at
+    its stop (at the row's end when it ran out, 0 when it never started); and
+    each row's int64 sum.
+    """
+    n_rows, cols = values.shape
+    stops = np.full((n_rows, stages), -1, dtype=np.int64)
+    payoffs = np.zeros((n_rows, stages), dtype=np.int64)
+    sums = np.empty(n_rows, dtype=np.int64)
+    col = np.arange(cols)
+    for rows in _row_blocks(n_rows, cols):
+        cum = np.cumsum(values[rows], axis=1, dtype=np.int64)
+        at = np.arange(len(cum))
+        # Each row's stage starts at column ``start`` from running total ``base``.
+        start, base = np.zeros((2, len(cum)), dtype=np.int64)
+        for stage in range(stages):
+            hit = (cum <= (base + lower)[:, None]) | (cum >= (base + upper)[:, None])
+            if stage:  # the first stage starts at column 0
+                hit &= col >= start[:, None]
+            t = hit.argmax(axis=1)
+            found = hit[at, t]
+            end = np.where(found, cum[at, t], cum[:, -1])
+            stops[rows, stage] = np.where(found, t, -1)
+            payoffs[rows, stage] = end - base
+            start = np.where(found, t + 1, cols)
+            base = end
+        sums[rows] = cum[:, -1]
+    return stops, payoffs, sums
 
 
 def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedger:
@@ -123,14 +144,15 @@ def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedg
     if iv.total_len != len(seq.values) or iv.hi > len(seq.values):
         raise IndexError(f"plan interval {iv} does not fit a sequence of length {len(seq.values)}")
     gains = plan.per_position.astype(np.int64) * seq.values[iv.lo : iv.hi]
-    running = np.cumsum(gains)
     rule = plan.stop_rule
-    if rule is not None:
-        t = int(_first_hits(running[None, :], rule.lower_limit, rule.upper_limit, 0)[0])
-        if t >= 0:
-            cause = StopCause.LOWER if running[t] <= rule.lower_limit else StopCause.UPPER
-            return PayoffLedger(int(running[t]), t + 1, True, cause)
-    return PayoffLedger(int(running[-1]), len(iv), False, StopCause.EXHAUSTED)
+    if rule is None:
+        return PayoffLedger(int(gains.sum()), len(iv), False, StopCause.EXHAUSTED)
+    stops, payoffs, _ = _bettor_stages(gains[None, :], rule.lower_limit, rule.upper_limit, 1)
+    t, payoff = int(stops[0, 0]), int(payoffs[0, 0])
+    if t < 0:
+        return PayoffLedger(payoff, len(iv), False, StopCause.EXHAUSTED)
+    cause = StopCause.LOWER if payoff <= rule.lower_limit else StopCause.UPPER
+    return PayoffLedger(payoff, t + 1, True, cause)
 
 
 def constant_plan(value: int, interval: Interval, stop_rule: StopRule | None = None) -> PredictionPlan:
@@ -179,7 +201,8 @@ def _hedges(heights_before: np.ndarray) -> np.ndarray:
 def _weighted_majority_payoffs(values: np.ndarray) -> np.ndarray:
     """Each row's exact expected payoff (see :func:`weighted_majority_expected_payoff`)."""
     # H_{t-1} is the running sum less the current entry.
-    before = ((b, np.cumsum(b, axis=1, dtype=np.int64) - b) for b in _row_blocks(values))
+    blocks = (values[rows] for rows in _row_blocks(*values.shape))
+    before = ((b, np.cumsum(b, axis=1, dtype=np.int64) - b) for b in blocks)
     return np.concatenate([(b * _hedges(h)).sum(axis=1) for b, h in before])
 
 
@@ -209,7 +232,8 @@ def _block_momentum_payoffs(values: np.ndarray, block_len: int) -> np.ndarray:
     T = values.shape[1]
     if block_len < 1 or T % block_len != 0:
         raise ConfigurationError(f"block_len must divide the sequence length, got {block_len} for {T}")
-    heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=np.int64) for b in _row_blocks(values))
+    blocks = (values[rows] for rows in _row_blocks(*values.shape))
+    heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=np.int64) for b in blocks)
     return np.concatenate([_sign_bets(h[:, :-1], h[:, 1:]).sum(axis=1) for h in heights])
 
 
@@ -231,9 +255,7 @@ def _bettor_limits(theta: int, alpha: float) -> tuple[int, int]:
 def _bettor_payoffs(values: np.ndarray, lower: int, upper: int) -> np.ndarray:
     """Per row, the payoff of betting +1 on every entry until the running payoff
     reaches ``lower`` or ``upper``; a payoff strictly between them ran out of entries."""
-    cums = (np.cumsum(b, axis=1, dtype=np.int64) for b in _row_blocks(values))
-    # No hit (-1) reads the final payoff.
-    return np.concatenate([c[np.arange(len(c)), _first_hits(c, lower, upper, 0)] for c in cums])
+    return _bettor_stages(values, lower, upper, 1)[1][:, 0]
 
 
 def adaptive_inversion_bettor(

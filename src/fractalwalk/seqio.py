@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SequenceFormatError
 from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence
 
-__all__ = ["write_binary", "read_binary", "write_csv", "read_csv", "atomic_write_bytes"]
+__all__ = ["write_binary", "read_binary", "write_csv", "read_csv", "dumps", "loads", "atomic_write_bytes"]
 
 MAGIC = b"FWSQ"
 VERSION = 1

@@ -35,6 +35,18 @@ def _is_power_of_two(n: int) -> bool:
     return not isinstance(n, bool) and n > 0 and (n & (n - 1)) == 0
 
 
+# Entries per row block of a (trials, T) reduction: a block's int64 and float64
+# temporaries then stay in cache.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n_rows: int, cols: int):
+    """Consecutive row slices covering ``n_rows`` rows of ``cols`` entries each,
+    with ``max(1, _BLOCK_ENTRIES // cols)`` rows per slice."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Half-open index interval ``[lo, hi)`` inside a sequence of length ``total_len``."""

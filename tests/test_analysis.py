@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from fractalwalk import (
     alpha_q_estimate,
     build_fractal,
     certify_inversion,
-    constant_plan,
     decomposition_height_distribution,
     derive_rng,
     deviation_stats,
@@ -41,13 +41,28 @@ from fractalwalk import (
     inversion_ratio,
     inversion_ratio_naive,
     inversion_ratio_naive_batch,
-    run_plan,
     simulate_heights,
     total_variation,
     upper_bound_rms,
 )
 from fractalwalk import generators
 from fractalwalk.analysis import DEFAULT_MIN_LEN, _ols, _prefix_at, inversion_ratio_dp_batch
+from test_predictors import staged_reference
+
+
+# The memory tests' shape: 2048 trials of length 2^13, one 16 MB int8 chunk.
+BIG = GeneratorSpec(family=Family.UNIFORM, total_len=1 << 13, seed=5)
+BIG_WHOLE = Interval(0, 1 << 13, 1 << 13)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation, in MB, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 class TestDeviationStats:
@@ -575,6 +590,11 @@ class TestAlphaQ:
         b = alpha_q_estimate(self.SPEC, self.WINDOW, 0.4, 1500)
         assert a == b
 
+    def test_prefix_pass_walks_row_blocks(self):
+        # A whole-chunk (2048, x+1) int64 prefix matrix and its running extremes
+        # would take hundreds of MB here.
+        assert traced_peak_mb(lambda: alpha_q_estimate(BIG, BIG_WHOLE, 0.3, 2048)) < 40
+
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
@@ -693,6 +713,19 @@ class TestCertifyInversion:
         with pytest.raises(ConfigurationError, match="degenerate"):
             certify_inversion(self.SPEC, self.WHOLE, theta=4, s_iterations=1, trials=100, alpha=0.2)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, trials):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="trials"):
+            certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=1, trials=trials, rng=rng)
+        assert rng.bit_generator.state == state  # rejected before any draw
+
+    def test_stages_walk_row_blocks(self):
+        # A whole-chunk int64 cumulative matrix alone would take 134 MB here.
+        peak = traced_peak_mb(lambda: certify_inversion(BIG, BIG_WHOLE, 128, 2, 2048))
+        assert peak < 40
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigurationError, match="degenerate"):
@@ -721,8 +754,8 @@ class TestCertifyInversion:
         [(1, WHOLE), (3, WHOLE), (8, WHOLE), (3, Interval(200, 900, 1024))],
     )
     def test_stages_match_chained_run_plan(self, s_iterations, interval):
-        # Per-row oracle: each stage is one run_plan call betting +1 from where
-        # the previous stage stopped, with the per-stage stop rule.
+        # Per-row oracle: the step-by-step staged bettor, each stage betting +1
+        # from where the previous one stopped, with the per-stage limits.
         theta, trials, alpha = 48, 600, 0.5
         report = certify_inversion(self.SPEC, interval, theta, s_iterations, trials, alpha=alpha)
         rule = StopRule(-math.ceil(alpha * theta / s_iterations),
@@ -733,21 +766,19 @@ class TestCertifyInversion:
         lower, upper, reached = [0] * s_iterations, [0] * s_iterations, [0] * s_iterations
         n_high = n_escaped = 0
         for row in batch:
-            seq, start, saw_lower = BitSequence(row), interval.lo, False
-            for stage in range(s_iterations):
-                if start >= interval.hi:
-                    break
-                reached[stage] += 1
-                ledger = run_plan(seq, constant_plan(1, Interval(start, interval.hi, 1024), rule))
-                if ledger.stop_cause is StopCause.EXHAUSTED:
-                    break
-                if ledger.stop_cause is StopCause.LOWER:
+            seg = row[interval.lo : interval.hi]
+            stages = staged_reference(seg, rule.lower_limit, rule.upper_limit, s_iterations)
+            saw_lower = False
+            for stage, (started, stop, payoff) in enumerate(zip(*stages)):
+                reached[stage] += started
+                if stop < 0:
+                    continue
+                if payoff <= rule.lower_limit:
                     lower[stage] += 1
                     saw_lower = True
                 else:
                     upper[stage] += 1
-                start += ledger.steps_used
-            high = seq.height(interval) >= theta
+            high = int(seg.sum()) >= theta
             n_high += high
             n_escaped += high and not saw_lower
         assert report.stage_lower_rate == tuple(v / trials for v in lower)

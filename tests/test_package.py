@@ -1,0 +1,40 @@
+"""Tests for the package's public namespace."""
+
+from __future__ import annotations
+
+import fractalwalk
+
+# The public names before ``__all__`` was built from the submodules' own lists.
+EARLIER_NAMES = """
+    ALIGNED_SQRT_SUM_FACTOR ALPHA_MAX BASE_HEIGHT BitSequence CertificationReport
+    ConfigurationError CriterionResult DeviationReport DeviationRow EstimationMode
+    Family FbmParams FlipMode FlipRecord FractalParams Generated GeneratorSpec
+    IntSequence Interval InversionReport MergeCounters MomentChecks PayoffLedger
+    PredictionPlan SamplingBudgetError SequenceFormatError StopCause StopRule
+    UnpredictabilityReport UnpredictabilityRow adaptive_inversion_bettor
+    afrw_moment_oracle aligned_decompose alpha_q_estimate block_momentum_payoff
+    build_fractal certify_inversion constant_plan decomposition_height_distribution
+    default_base_len derive_rng derive_seed deviation_stats distribution_moment dumps
+    entropy_threshold estimate_delta exact_height_law fbm_cov fbm_cov_matrix fbm_sample
+    fbm_sample_batch fbm_sign_predictor_payoff fractal_length generate generate_batch
+    height_moment_checks ideal_height_distribution inversion_ratio inversion_ratio_naive
+    inversion_ratio_naive_batch iter_generate_batches loads make_rng measured_exponent
+    part_heights read_binary read_csv run_all run_criterion run_plan sign_of_prefix_plan
+    sign_predictor_closed_form simulate_heights solve_theta split_points theta_residual
+    total_variation upper_bound_rms weighted_majority_expected_payoff
+    weighted_majority_guarantee weighted_majority_rate weighted_majority_run
+    write_binary write_csv
+""".split()
+
+
+def test_every_public_name_resolves_once():
+    names = fractalwalk.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(fractalwalk, name) for name in names)
+    assert set(EARLIER_NAMES) <= set(names)
+    assert len(EARLIER_NAMES) == 85
+
+
+def test_submodules_stay_attributes_of_the_package():
+    for name in ("analysis", "fbm", "fractal", "generators", "predictors", "seqio", "verify"):
+        assert getattr(fractalwalk, name).__name__ == f"fractalwalk.{name}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -31,13 +32,13 @@ from fractalwalk import (
     weighted_majority_rate,
     weighted_majority_run,
 )
+from fractalwalk import sequences
 from fractalwalk.analysis import _prefix_at
 from fractalwalk.predictors import (
-    _ROW_BLOCK,
     _bettor_limits,
     _bettor_payoffs,
+    _bettor_stages,
     _block_momentum_payoffs,
-    _first_hits,
     _sign_bets,
     _weighted_majority_payoffs,
 )
@@ -52,6 +53,25 @@ def naive_run(values, preds, lo, rule):
             cause = StopCause.LOWER if payoff <= rule.lower_limit else StopCause.UPPER
             return payoff, i + 1, True, cause
     return payoff, len(preds), False, StopCause.EXHAUSTED
+
+
+def staged_reference(row, lower, upper, stages):
+    """Step-by-step staged +1 bettor, straight from the definition: per stage,
+    whether it started, its stop column (-1 where it ran out or never started)
+    and its payoff."""
+    started, stops, payoffs, t = [], [], [], 0
+    for _ in range(stages):
+        started.append(t < len(row))
+        payoff, stop = 0, -1
+        while t < len(row):
+            payoff += int(row[t])
+            t += 1
+            if payoff <= lower or payoff >= upper:
+                stop = t - 1
+                break
+        stops.append(stop)
+        payoffs.append(payoff)
+    return started, stops, payoffs
 
 
 class TestRunPlan:
@@ -109,32 +129,38 @@ class TestRunPlan:
             assert (ledger.payoff, ledger.steps_used, ledger.stopped_early, ledger.stop_cause) == expected
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_first_hits_matches_row_scan(data):
-    n, L = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 40))
-    running = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n * L, max_size=n * L)))
-    running = running.reshape(n, L).cumsum(axis=1)
-    lower = np.array(data.draw(st.lists(st.integers(-30, 0), min_size=n, max_size=n)))
-    upper = np.array(data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n)))
-    start = np.array(data.draw(st.lists(st.integers(0, L), min_size=n, max_size=n)))
-    want = [
-        next((t for t in range(start[i], L) if not lower[i] < running[i, t] < upper[i]), -1)
-        for i in range(n)
-    ]
-    assert _first_hits(running, lower, upper, start).tolist() == want
-
-
 @st.composite
 def value_rows(draw):
-    """A ``(rows, T)`` batch spanning several row blocks: +-1 bits as int8, or odd
-    integers as int64 (the augmented families' entries)."""
-    rows = draw(st.integers(1, 3 * _ROW_BLOCK))
+    """A ``(rows, T)`` batch of +-1 bits as int8, or odd integers as int64 (the
+    augmented families' entries), and a row-block size in entries that cuts it
+    into at least two row blocks (see :func:`row_blocks_of`)."""
+    rows = draw(st.integers(2, 24))
     T = 1 << draw(st.integers(0, 6))
     odd = draw(st.booleans())
     choices = [-5, -3, -1, 1, 3, 5] if odd else [-1, 1]
     flat = draw(st.lists(st.sampled_from(choices), min_size=rows * T, max_size=rows * T))
-    return np.array(flat, dtype=np.int64 if odd else np.int8).reshape(rows, T)
+    values = np.array(flat, dtype=np.int64 if odd else np.int8).reshape(rows, T)
+    return values, draw(st.integers(1, (rows - 1) * T))
+
+
+@contextlib.contextmanager
+def row_blocks_of(entries):
+    """Shrink the one row-block rule so that the kernels walk several blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_BLOCK_ENTRIES", entries)
+        yield
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_rows(), st.integers(-12, -1), st.integers(1, 12), st.integers(1, 4))
+def test_bettor_stages_match_staged_reference(batch, lower, upper, stages):
+    values, entries = batch
+    with row_blocks_of(entries):
+        stops, payoffs, sums = _bettor_stages(values, lower, upper, stages)
+    want = [staged_reference(row, lower, upper, stages) for row in values]
+    assert stops.tolist() == [w[1] for w in want]
+    assert payoffs.tolist() == [w[2] for w in want]
+    assert sums.tolist() == values.sum(axis=1, dtype=np.int64).tolist()
 
 
 def _wrap(row):
@@ -143,30 +169,35 @@ def _wrap(row):
 
 @settings(max_examples=80, deadline=None)
 @given(value_rows())
-def test_weighted_majority_kernel_matches_row_formula(values):
+def test_weighted_majority_kernel_matches_row_formula(batch):
+    values, entries = batch
     eta = math.sqrt(8.0 * math.log(2.0) / values.shape[1])
     want = []
     for row in values:
         before = np.concatenate([[0], np.cumsum(row, dtype=np.int64)[:-1]]).astype(np.float64)
         want.append(float(np.sum(row * np.tanh(0.5 * eta * before))))
-    assert _weighted_majority_payoffs(values).tolist() == want
+    with row_blocks_of(entries):
+        assert _weighted_majority_payoffs(values).tolist() == want
 
 
 @settings(max_examples=80, deadline=None)
 @given(value_rows(), st.data())
-def test_block_momentum_kernel_matches_row_formula(values, data):
+def test_block_momentum_kernel_matches_row_formula(batch, data):
+    values, entries = batch
     T = values.shape[1]
     block_len = data.draw(st.sampled_from([b for b in (1, 2, 4, 8) if T % b == 0]))
     want = []
     for row in values:
         h = [int(row[i : i + block_len].sum()) for i in range(0, T, block_len)]
         want.append(sum((1 if a >= 0 else -1) * b for a, b in zip(h, h[1:])))
-    assert _block_momentum_payoffs(values, block_len).tolist() == want
+    with row_blocks_of(entries):
+        assert _block_momentum_payoffs(values, block_len).tolist() == want
 
 
 @settings(max_examples=80, deadline=None)
 @given(value_rows(), st.data())
-def test_sign_of_prefix_kernel_matches_run_plan(values, data):
+def test_sign_of_prefix_kernel_matches_run_plan(batch, data):
+    values, _ = batch
     T = values.shape[1]
     assume(T >= 2)
     x = data.draw(st.integers(1, T - 1))
@@ -179,11 +210,13 @@ def test_sign_of_prefix_kernel_matches_run_plan(values, data):
 
 @settings(max_examples=80, deadline=None)
 @given(value_rows(), st.integers(1, 12), st.sampled_from([0.25, 0.5, 1.0]))
-def test_bettor_kernel_matches_run_plan(values, theta, alpha):
+def test_bettor_kernel_matches_run_plan(batch, theta, alpha):
     assume(2 * alpha * theta >= 1)
+    values, entries = batch
     T = values.shape[1]
     lower, upper = _bettor_limits(theta, alpha)
-    payoffs = _bettor_payoffs(values, lower, upper)
+    with row_blocks_of(entries):
+        payoffs = _bettor_payoffs(values, lower, upper)
     ledgers = [adaptive_inversion_bettor(_wrap(r), Interval(0, T, T), theta, alpha) for r in values]
     assert payoffs.tolist() == [led.payoff for led in ledgers]
     # The payoff alone tells how the run ended.
