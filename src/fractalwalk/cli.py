@@ -47,8 +47,6 @@ __all__ = ["run", "main", "build_parser"]
 
 
 def _jsonable(obj):
-    if isinstance(obj, GeneratorSpec):
-        return obj.to_json_dict()
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -152,15 +150,8 @@ def _add_spec_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family,
-        total_len=args.total_len,
-        delta=args.delta,
-        base_len=args.base_len,
-        flip_mode=args.flip_mode,
-        k=args.k,
-        seed=args.seed,
-    )
+    fields = dataclasses.fields(GeneratorSpec)
+    return GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _parse_list(text: str, parse=int, what: str = "integer") -> list:
@@ -374,9 +365,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     families = _parse_list(args.families, Family, "family")
     deltas = _parse_list(args.deltas, float, "number")
     T_list = _parse_list(args.T_list)
-    metrics = str(args.metrics).replace(",", " ").split()
+    metrics = _parse_list(args.metrics, str, "metric")
     known = {"deviation", "delta_hat", "alpha_q"}
-    if not metrics or not set(metrics) <= known:
+    if not set(metrics) <= known:
         raise ConfigurationError(f"metrics must be a subset of {sorted(known)}, got {metrics}")
 
     cells = []
@@ -424,7 +415,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = str(args.only).replace(",", " ").split() if args.only else None
+    names = _parse_list(args.only, str, "criterion name") if args.only is not None else None
     results = verify.run_all(quick=args.quick, names=names)
     n_pass = sum(r.passed for r in results)
     all_passed = all(r.passed for r in results)

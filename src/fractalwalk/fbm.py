@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .generators import _check_entries
 from .predictors import _sign_bets
 from .seeding import make_rng
 
@@ -80,9 +81,11 @@ def _cholesky(hurst: float, grid_len: int) -> np.ndarray:
 def fbm_sample_batch(
     params: FbmParams, trials: int, rng: int | np.random.Generator | None = None
 ) -> np.ndarray:
-    """``trials`` independent paths, one per row, columns = times ``1..grid_len``."""
+    """``trials`` independent paths, one per row, columns = times ``1..grid_len``;
+    a batch above the generators' matrix-entry cap is refused before any draw."""
     if trials <= 0:
         raise ConfigurationError("trials must be positive")
+    _check_entries(trials, params.grid_len)
     rng = make_rng(rng if rng is not None else params.seed)
     chol = _cholesky(params.hurst, params.grid_len)
     z = rng.standard_normal((trials, params.grid_len))

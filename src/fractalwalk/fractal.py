@@ -100,14 +100,18 @@ def part_heights(height: int, alpha: float) -> tuple[int, int]:
 
     ``c`` is ``ceil(alpha*height)`` lifted to the parity of ``height`` so
     that the outer parts can be identical: the total is ``2a - c = height``
-    exactly.  Requires ``height > BASE_HEIGHT``.
+    exactly, with ``0 < c < a < height``.  Requires ``height > BASE_HEIGHT``
+    and ``alpha`` in ``(0, ALPHA_MAX]``.
     """
+    if not (height > BASE_HEIGHT and 0.0 < alpha <= ALPHA_MAX):
+        raise ConfigurationError(
+            f"part_heights needs height > {BASE_HEIGHT} and alpha in (0, {ALPHA_MAX}], "
+            f"got {height} and {alpha}"
+        )
     c = math.ceil(alpha * height)
     if (height + c) % 2:
         c += 1
-    a = (height + c) // 2
-    assert 0 < c < height and a < height
-    return a, c
+    return (height + c) // 2, c
 
 
 def _render(height: int, alpha: float, cache: dict[int, np.ndarray]) -> np.ndarray:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -127,8 +127,10 @@ class GeneratorSpec:
             raise ConfigurationError(f"delta must lie in [0, 1), got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta))
         if self.family is Family.ENTROPY_CONDITIONED:
-            if self.k is None or not (self.k >= 0):
-                raise ConfigurationError("entropy_conditioned requires k >= 0")
+            if self.k is None or not (0 <= self.k < math.inf):
+                raise ConfigurationError(
+                    f"entropy_conditioned requires a finite k >= 0, got k={self.k}"
+                )
             object.__setattr__(self, "k", float(self.k))
             if entropy_threshold(self.k, self.total_len) > self.total_len:
                 raise ConfigurationError(
@@ -150,26 +152,19 @@ class GeneratorSpec:
         return replace(self, total_len=total_len, base_len=base)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "delta": self.delta,
-            "base_len": self.base_len,
-            "total_len": self.total_len,
-            "flip_mode": self.flip_mode.value,
-            "k": self.k,
-            "seed": self.seed,
-        }
+        """The fields by name, enums as their values; :meth:`from_json_dict` inverts it."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorSpec":
-        allowed = {"family", "delta", "base_len", "total_len", "flip_mode", "k", "seed"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown generator spec fields: {sorted(unknown)}")
-        if "family" not in data or "total_len" not in data:
-            raise ConfigurationError("generator spec requires at least family and total_len")
-        kwargs = dict(data)
-        return cls(**kwargs)
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigurationError(f"generator spec lacks required fields: {missing}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -585,18 +580,20 @@ def iter_generate_batches(
     chunk: int = 2048,
     planted_prefix: int = 0,
 ):
-    """Yield ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream.
+    """Iterator over ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream.
 
     A chunk holds at most ``chunk`` rows, and fewer where that many would
-    exceed ``generate_batch``'s cap on matrix entries.
+    exceed ``generate_batch``'s cap on matrix entries.  ``trials`` is checked
+    at the call, before anything is drawn; each chunk is drawn as it is taken.
     """
+    if trials <= 0:
+        raise ConfigurationError("trials must be positive")
     rng = make_rng(rng if rng is not None else spec.seed)
     chunk = min(chunk, _MAX_MATRIX_ENTRIES // spec.total_len)
-    left = trials
-    while left > 0:
-        m = min(chunk, left)
-        yield generate_batch(spec, m, rng, planted_prefix=planted_prefix)
-        left -= m
+    return (
+        generate_batch(spec, min(chunk, trials - start), rng, planted_prefix=planted_prefix)
+        for start in range(0, trials, chunk)
+    )
 
 
 def _family_matrix(

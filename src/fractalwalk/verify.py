@@ -463,7 +463,7 @@ def format_result(index: int, result: CriterionResult) -> str:
     return f"{flag}  {index:2d}. {result.name:<38s} [{result.elapsed:7.1f}s] {result.detail}"
 
 
-def run_all(quick: bool = False, names: list[str] | None = None, echo=print) -> list[CriterionResult]:
+def run_all(quick: bool = False, names: list[str] | None = None) -> list[CriterionResult]:
     if names is not None:
         unknown = set(names) - {n for n, _ in CRITERIA}
         if unknown:
@@ -476,6 +476,5 @@ def run_all(quick: bool = False, names: list[str] | None = None, echo=print) -> 
             continue
         result = run_criterion(name, quick=quick)
         results.append(result)
-        if echo is not None:
-            echo(format_result(i, result))
+        print(format_result(i, result))
     return results

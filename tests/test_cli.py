@@ -7,6 +7,8 @@ bytes, not parsed content.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -16,6 +18,7 @@ import pytest
 
 from fractalwalk import (
     Family,
+    FlipMode,
     GeneratorSpec,
     deviation_stats,
     derive_seed,
@@ -79,6 +82,31 @@ def test_directory_holds_exactly_the_manifest_outputs(tmp_path, name):
     assert replay(manifest, b) == 0
     for out in outputs:
         assert (b / out).read_bytes() == (a / out).read_bytes()
+
+
+SPEC_COMMANDS = ["generate", "stats", "predict", "inversion", "alphaq"]
+
+
+class TestSpecFlags:
+    @pytest.mark.parametrize("command", SPEC_COMMANDS)
+    def test_every_field_has_a_spec_flag(self, command):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert {f.name for f in dataclasses.fields(GeneratorSpec)} <= dests
+
+    def test_non_default_command_line_gives_the_spec(self):
+        argv = ["generate", "--family", "entropy_conditioned", "--T", "64", "--delta", "0.3",
+                "--base-len", "16", "--flip-mode", "bernoulli", "--k", "1.5", "--seed", "7"]
+        want = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, delta=0.3,
+                             base_len=16, flip_mode=FlipMode.BERNOULLI, k=1.5, seed=7)
+        # Every field with a default is set away from it, so a field added to
+        # the dataclass fails here until this command line sets it too.
+        for f in dataclasses.fields(GeneratorSpec):
+            assert getattr(want, f.name) != f.default, f.name
+        spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
+        assert spec == want
+        assert GeneratorSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
+        assert cli._jsonable(spec) == spec.to_json_dict()
 
 
 class TestGenerate:
@@ -413,6 +441,25 @@ class TestSweep:
         for name in ("sweep.csv", "sweep-failures.json"):
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
+    def test_infinite_k_cell_fails_typed(self, tmp_path):
+        code = run_in(
+            tmp_path, "sweep", "--families", "entropy_conditioned", "--T-list", "64",
+            "--trials", "200", "--parallelism", "1", "--k", "inf",
+        )
+        assert code == 1
+        failures = json.loads((tmp_path / "sweep-failures.json").read_text())
+        assert [f["error"] for f in failures] == [
+            "ConfigurationError: entropy_conditioned requires a finite k >= 0, got k=inf"
+        ]
+
+    @pytest.mark.parametrize("metrics", [",", " "], ids=["comma", "blank"])
+    def test_empty_metric_list_exit_2(self, tmp_path, capsys, metrics):
+        assert run_in(
+            tmp_path, "sweep", "--families", "uniform", "--T-list", "64", "--metrics", metrics,
+        ) == 2
+        assert "empty metric list" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_unknown_metric_exit_2(self, tmp_path):
         assert run_in(
             tmp_path, "sweep", "--families", "uniform", "--T-list", "64",
@@ -444,6 +491,14 @@ class TestVerifyCommand:
     def test_unknown_criterion_exit_2(self, tmp_path):
         assert run_in(tmp_path, "verify", "--only", "nope") == 2
 
+    @pytest.mark.parametrize("only", [",", ""], ids=["comma", "empty"])
+    def test_empty_criterion_list_exit_2(self, tmp_path, capsys, only):
+        assert run_in(tmp_path, "verify", "--only", only) == 2
+        captured = capsys.readouterr()
+        assert "empty criterion name list" in captured.err
+        assert "criteria passed" not in captured.out
+        assert not (tmp_path / "verify.json").exists()
+
     def test_quick_deviation_growth_passes(self, tmp_path):
         assert run_in(tmp_path, "verify", "--quick", "--only", "optfrw-deviation-growth") == 0
 
@@ -471,8 +526,10 @@ class TestExitCodes:
         [
             ("stats", "--family", "frw", "--T", "1024", "--T-list", "1024,2048", "--delta", "0.1"),
             ("predict", "--predictor", "weighted_majority", "--family", "frw", "--T", "1024"),
+            ("fbm", "--hurst", "0.6"),
+            ("fbm", "--hurst", "0.6", "--sample", "1000000000"),
         ],
-        ids=["stats", "predict"],
+        ids=["stats", "predict", "fbm", "fbm-sample"],
     )
     def test_oversized_trials_exit_2_before_allocating(self, tmp_path, capsys, argv):
         tracemalloc.start()
@@ -484,6 +541,14 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in capsys.readouterr().err
         assert peak < 1 << 20
+
+    def test_infinite_k_exit_2(self, tmp_path, capsys):
+        assert run_in(
+            tmp_path, "generate", "--family", "entropy_conditioned", "--T", "1024", "--k", "inf",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "finite k" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -17,6 +17,7 @@ from fractalwalk import (
     fbm_sign_predictor_payoff,
     sign_predictor_closed_form,
 )
+from fractalwalk import generators
 
 
 class TestCovariance:
@@ -67,6 +68,22 @@ class TestSampling:
     def test_trials_positive(self):
         with pytest.raises(ConfigurationError, match="trials"):
             fbm_sample_batch(FbmParams(hurst=0.5, grid_len=8), 0)
+
+    def test_batch_above_entry_cap_refused_before_drawing(self):
+        # 2^40 paths x 256 times: far above the generators' cap of 2^28
+        # entries, and too large for numpy to even try to allocate.
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="cap"):
+            fbm_sample_batch(FbmParams(hurst=0.6, grid_len=256), 1 << 40, rng)
+        assert rng.bit_generator.state == state
+
+    def test_entry_cap_is_the_generators_cap(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 100 * 64)
+        params = FbmParams(hurst=0.6, grid_len=64)
+        assert fbm_sample_batch(params, 100).shape == (100, 64)
+        with pytest.raises(ConfigurationError, match="cap"):
+            fbm_sample_batch(params, 101)
 
     def test_brownian_increments_independent(self):
         # At H = 1/2 the increments are i.i.d. standard normals.

@@ -85,6 +85,15 @@ class TestPartHeights:
     def test_hand_cases(self, height, alpha, expected):
         assert part_heights(height, alpha) == expected
 
+    @pytest.mark.parametrize(
+        "height, alpha",
+        [(3, 0.5), (BASE_HEIGHT, 0.3), (100, 0.0), (100, -0.2), (100, 0.6), (100, float("nan"))],
+    )
+    def test_domain_rejected(self, height, alpha):
+        # A raise, not an assert, so the check also holds under python -O.
+        with pytest.raises(ConfigurationError, match="part_heights"):
+            part_heights(height, alpha)
+
     @settings(max_examples=200, deadline=None)
     @given(
         height=st.integers(min_value=BASE_HEIGHT + 1, max_value=3000),

@@ -7,6 +7,8 @@ outcome can be enumerated by hand and checked against the code.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -76,8 +78,10 @@ class TestSpecValidation:
             GeneratorSpec.from_json_dict({"family": "uniform", "total_len": 8, "bogus": 1})
 
     def test_json_requires_family_and_length(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="total_len"):
             GeneratorSpec.from_json_dict({"family": "uniform"})
+        with pytest.raises(ConfigurationError, match="family"):
+            GeneratorSpec.from_json_dict({"total_len": 8})
 
     @pytest.mark.parametrize("delta", [-0.1, 1.0, 2.0, float("nan")])
     def test_delta_range(self, delta):
@@ -102,10 +106,23 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="k"):
             GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=16)
 
-    @pytest.mark.parametrize("k", [-1.0, float("nan")])
+    @pytest.mark.parametrize("k", [-1.0, float("nan"), float("inf")])
     def test_entropy_k_rejected(self, k):
         with pytest.raises(ConfigurationError, match="k"):
             GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=16, k=k)
+
+    def test_infinite_k_rejected_from_json(self):
+        # json.loads reads 1e400 as inf; the threshold would overflow in math.ceil.
+        data = json.loads('{"family": "entropy_conditioned", "total_len": 1024, "k": 1e400}')
+        with pytest.raises(ConfigurationError, match="finite k"):
+            GeneratorSpec.from_json_dict(data)
+
+    def test_json_keys_are_the_dataclass_fields(self):
+        spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, k=1.5,
+                             flip_mode=FlipMode.BERNOULLI)
+        data = spec.to_json_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(GeneratorSpec)]
+        assert type(data["family"]) is str and type(data["flip_mode"]) is str
 
     def test_entropy_k_zero_allowed(self):
         spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=16, k=0.0)
@@ -483,6 +500,15 @@ class TestBatchIteration:
         spec = spec_for(Family.FRW, total_len=32, seed=50)
         assert [c.shape[0] for c in iter_generate_batches(spec, 250)] == [100, 100, 50]
         assert [c.shape[0] for c in iter_generate_batches(spec, 250, chunk=64)] == [64] * 3 + [58]
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, trials):
+        spec = spec_for(Family.FRW, total_len=32, seed=50)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="trials"):
+            iter_generate_batches(spec, trials, rng)
+        assert rng.bit_generator.state == state
 
     def test_iteration_is_deterministic(self):
         spec = spec_for(Family.OPT_FRW, total_len=64, seed=51)
