@@ -33,7 +33,8 @@ from .generators import (
     FlipMode,
     GeneratorSpec,
     _MERGE_FAMILIES,
-    iter_generate_batches,
+    _map_batches,
+    iter_generate_batches,  # callers still import it from here
     simulate_heights,
 )
 from .predictors import _bettor_stages, _sign_bets
@@ -342,10 +343,6 @@ def _segment_extremes(pref2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return h, np.maximum(best_pos, 0), np.minimum(best_neg, 0)
 
 
-def _opposite_magnitude(h: np.ndarray, best_pos: np.ndarray, best_neg: np.ndarray) -> np.ndarray:
-    return np.where(h > 0, -best_neg, best_pos)
-
-
 def _recover_witness(prefix: np.ndarray, lo: int, hi: int, want_positive: bool) -> tuple[int, int, int]:
     """Endpoints and height of the extreme subinterval of the requested sign in [lo, hi)."""
     # A fall of ``prefix`` is a rise of ``-prefix``; first-index ties match either way.
@@ -630,11 +627,8 @@ def alpha_q_estimate(
     lo, hi = interval.lo, interval.hi
     x = len(interval)
 
-    first = np.concatenate(
-        [
-            np.abs(chunk[:, lo:hi].sum(axis=1, dtype=np.int64))
-            for chunk in iter_generate_batches(spec, _FIRST_PASS_TRIALS, rng)
-        ]
+    (first,) = _map_batches(
+        spec, _FIRST_PASS_TRIALS, rng, lambda chunk: (np.abs(chunk[:, lo:hi].sum(axis=1, dtype=np.int64)),)
     )
     delta_median = float(np.median(first))
     floor = floor_coeff * spec.delta * math.sqrt(x)
@@ -645,16 +639,19 @@ def alpha_q_estimate(
         )
 
     threshold = alpha * delta_median
-    hits = 0
-    for chunk in iter_generate_batches(spec, trials, rng):
+
+    def window_hits(chunk: np.ndarray) -> tuple[np.ndarray]:
+        hit = np.empty(len(chunk), dtype=bool)
         for rows in _row_blocks(len(chunk), x):
             block = chunk[rows, lo:hi]
             pref = np.zeros((len(block), x + 1), dtype=np.int64)
             np.cumsum(block, axis=1, dtype=np.int64, out=pref[:, 1:])
             h, bp, bn = _segment_extremes(pref)
-            opp = _opposite_magnitude(h, bp, bn)
-            hits += int(np.count_nonzero((h != 0) & (opp >= threshold)))
-    return hits / trials
+            hit[rows] = (h != 0) & (np.where(h > 0, -bn, bp) >= threshold)
+        return (hit,)
+
+    (hits,) = _map_batches(spec, trials, rng, window_hits)
+    return int(np.count_nonzero(hits)) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -771,27 +768,11 @@ def estimate_delta(
     for planted, group in groups:
         cols = sorted({c for w, p, x in group for c in (p - w, p, p + x)})
         at = {c: i for i, c in enumerate(cols)}
-        pay = np.empty((len(group), trials), dtype=np.int64)
-        done = 0
-        for part in iter_generate_batches(spec, trials, rng, planted_prefix=planted):
-            P = _prefix_at(part, cols)
-            for ci, (w, p, x) in enumerate(group):
-                bets = _sign_bets(P[:, at[p]] - P[:, at[p - w]], P[:, at[p + x]] - P[:, at[p]])
-                pay[ci, done : done + part.shape[0]] = bets
-            done += part.shape[0]
+        (P,) = _map_batches(spec, trials, rng, lambda part: (_prefix_at(part, cols),), planted)
         cells += group
-        payoffs.extend(pay)
-    return _assemble_report(spec, mode, cells, payoffs, trials, rng)
+        payoffs += [_sign_bets(P[:, at[p]] - P[:, at[p - w]], P[:, at[p + x]] - P[:, at[p]])
+                    for w, p, x in group]
 
-
-def _assemble_report(
-    spec: GeneratorSpec,
-    mode: EstimationMode,
-    cells: list[tuple[int, int, int]],
-    payoffs: list[np.ndarray],
-    trials: int,
-    rng: np.random.Generator,
-) -> UnpredictabilityReport:
     means = [float(pay.mean()) for pay in payoffs]
     rows = [UnpredictabilityRow(w, p, x, m, m / math.sqrt(x), trials)
             for (w, p, x), m in zip(cells, means)]
@@ -843,8 +824,6 @@ def certify_inversion(
     after.  The headline number is the frequency of final height >= theta
     with no stage having hit its lower limit.
     """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be positive, got {trials}")
     if s_iterations < 1:
         raise ConfigurationError("s_iterations must be positive")
     if not 1.0 <= alpha * theta / s_iterations < math.inf:
@@ -859,20 +838,19 @@ def certify_inversion(
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "certify", theta, s_iterations))
 
     lo, hi = interval.lo, interval.hi
-    lower_hits, upper_hits, reached = np.zeros((3, s_iterations), dtype=np.int64)
-    n_high = n_no_inv_high = 0
-    for part in iter_generate_batches(spec, trials, rng):
-        stops, payoffs, sums = _bettor_stages(part[:, lo:hi], -lower, upper, s_iterations)
-        stopped = stops >= 0
-        low = stopped & (payoffs <= -lower)
-        lower_hits += np.count_nonzero(low, axis=0)
-        upper_hits += np.count_nonzero(stopped & ~low, axis=0)
-        # A stage starts when the one before it stopped short of the last position.
-        reached[0] += len(stops)
-        reached[1:] += np.count_nonzero(stopped[:, :-1] & (stops[:, :-1] < hi - lo - 1), axis=0)
-        high = sums >= theta
-        n_high += int(np.count_nonzero(high))
-        n_no_inv_high += int(np.count_nonzero(high & ~low.any(axis=1)))
+    stops, payoffs, sums = _map_batches(
+        spec, trials, rng, lambda part: _bettor_stages(part[:, lo:hi], -lower, upper, s_iterations)
+    )
+    stopped = stops >= 0
+    low = stopped & (payoffs <= -lower)
+    lower_hits = np.count_nonzero(low, axis=0)
+    upper_hits = np.count_nonzero(stopped & ~low, axis=0)
+    # A stage starts when the one before it stopped short of the last position.
+    started = np.count_nonzero(stopped[:, :-1] & (stops[:, :-1] < hi - lo - 1), axis=0)
+    reached = np.concatenate([[trials], started])
+    high = sums >= theta
+    n_high = int(np.count_nonzero(high))
+    n_no_inv_high = int(np.count_nonzero(high & ~low.any(axis=1)))
     p_high = n_high / trials
     p_joint = n_no_inv_high / trials
     return CertificationReport(

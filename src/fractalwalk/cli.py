@@ -10,7 +10,8 @@ writes, no wall times), so re-running a command — directly or via
 ``--from-manifest`` — reproduces the bytes exactly.
 
 Exit codes: 0 success, 1 analysis failure (failed criteria or sweep cells),
-2 configuration error, including an unreadable or malformed ``--input`` file.
+2 configuration error, including a NaN or infinite number flag and an
+unreadable or malformed ``--input`` file.
 ``FRACTALWALK_OUTPUT_DIR`` sets the default output directory; no other environment
 variables are read.
 """
@@ -152,6 +153,14 @@ def _add_spec_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
     fields = dataclasses.fields(GeneratorSpec)
     return GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields})
+
+
+def _finite_float(text, what: str = "a number") -> float:
+    """``float(text)``, refusing NaN and infinities, which JSON cannot record."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {text}")
+    return value
 
 
 def _parse_list(text: str, parse=int, what: str = "integer") -> list:
@@ -363,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
         raise ConfigurationError(f"--parallelism must be at least 1, got {args.parallelism}")
     families = _parse_list(args.families, Family, "family")
-    deltas = _parse_list(args.deltas, float, "number")
+    deltas = _parse_list(args.deltas, _finite_float, "finite number")
     T_list = _parse_list(args.T_list)
     metrics = _parse_list(args.metrics, str, "metric")
     known = {"deviation", "delta_hat", "alpha_q"}
@@ -608,6 +617,9 @@ def run(argv: list[str] | None = None) -> int:
             args = _namespace_from_manifest(argv)
         else:
             args = build_parser().parse_args(argv)
+        for key, value in vars(args).items():
+            if isinstance(value, float):
+                _finite_float(value, "--" + key.replace("_", "-"))
         return _COMMANDS[args.command](args)
     except (ConfigurationError, SequenceFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ class FbmParams:
 
 
 def fbm_cov(t: float, s: float, hurst: float) -> float:
-    """Covariance of fractional Brownian motion at times ``t`` and ``s``."""
+    """Covariance of fractional Brownian motion at times ``t`` and ``s``, which may be broadcasting arrays."""
     h2 = 2.0 * hurst
     return 0.5 * (abs(t) ** h2 + abs(s) ** h2 - abs(t - s) ** h2)
 
@@ -63,8 +63,7 @@ def fbm_cov(t: float, s: float, hurst: float) -> float:
 def fbm_cov_matrix(hurst: float, grid_len: int) -> np.ndarray:
     """Covariance matrix on the unit grid ``1..grid_len``."""
     t = np.arange(1, grid_len + 1, dtype=np.float64)
-    h2 = 2.0 * hurst
-    return 0.5 * (t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2)
+    return fbm_cov(t[:, None], t[None, :], hurst)
 
 
 @functools.lru_cache(maxsize=8)
@@ -83,8 +82,6 @@ def fbm_sample_batch(
 ) -> np.ndarray:
     """``trials`` independent paths, one per row, columns = times ``1..grid_len``;
     a batch above the generators' matrix-entry cap is refused before any draw."""
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
     _check_entries(trials, params.grid_len)
     rng = make_rng(rng if rng is not None else params.seed)
     chol = _cholesky(params.hurst, params.grid_len)

@@ -111,8 +111,11 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "flip_mode", FlipMode(self.flip_mode))
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+            object.__setattr__(self, "flip_mode", FlipMode(self.flip_mode))
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
         if not isinstance(self.total_len, int) or not _is_power_of_two(self.total_len):
             raise ConfigurationError(f"total_len must be a power of two, got {self.total_len}")
         if self.total_len > MAX_TOTAL_LEN:
@@ -433,7 +436,9 @@ def _base_heights(rng: np.random.Generator, l: int, shape) -> np.ndarray:
 
 
 def _check_entries(trials: int, cols: int) -> None:
-    """Refuse a ``(trials, cols)`` matrix above the entry cap before anything is drawn."""
+    """Refuse a ``(trials, cols)`` matrix with no rows or above the entry cap before anything is drawn."""
+    if trials < 1:
+        raise ConfigurationError("trials must be positive")
     if trials * cols > _MAX_MATRIX_ENTRIES:
         raise ConfigurationError(
             f"{trials} trials x {cols} = {trials * cols} entries exceed the cap of "
@@ -461,8 +466,6 @@ def simulate_heights(
     levels then draw in row-major order.  A call that needs more than
     ``2**28`` base-block heights is refused before anything is drawn.
     """
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
     T = spec.total_len
     _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
     rng = make_rng(rng if rng is not None else spec.seed)
@@ -555,8 +558,6 @@ def generate_batch(
     counts should chunk via :func:`iter_generate_batches`.  A matrix of more
     than ``2**28`` entries is refused before anything is drawn.
     """
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
     T = spec.total_len
     if not (0 <= planted_prefix < T):
         raise ConfigurationError(f"planted_prefix must lie in [0, {T}), got {planted_prefix}")
@@ -594,6 +595,15 @@ def iter_generate_batches(
         generate_batch(spec, min(chunk, trials - start), rng, planted_prefix=planted_prefix)
         for start in range(0, trials, chunk)
     )
+
+
+def _map_batches(
+    spec: GeneratorSpec, trials: int, rng: int | np.random.Generator | None, fn, planted_prefix: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Each array of the tuple ``fn(chunk)`` returns, joined row-wise over every
+    :func:`iter_generate_batches` chunk; the chunks, and so the stream, do not depend on ``fn``."""
+    chunks = iter_generate_batches(spec, trials, rng, planted_prefix=planted_prefix)
+    return tuple(map(np.concatenate, zip(*map(fn, chunks))))
 
 
 def _family_matrix(

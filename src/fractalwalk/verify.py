@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, fbm, fractal, predictors
 from .errors import ConfigurationError
-from .generators import Family, GeneratorSpec, iter_generate_batches, simulate_heights
+from .generators import Family, GeneratorSpec, _map_batches, simulate_heights
 from .seeding import derive_rng, derive_seed
 from .sequences import MAX_TOTAL_LEN, BitSequence, Interval
 
@@ -233,8 +233,9 @@ def check_frw_per_bit_payoff(quick: bool = False) -> tuple[bool, str]:
     y = []
     for T in T_list:
         spec = _spec(Family.FRW, T, "frw-per-bit", delta=delta, base_len=1)
-        parts = iter_generate_batches(spec, trials, derive_rng(spec.seed, "wm"))
-        y.append(sum(float(predictors._weighted_majority_payoffs(p).sum()) for p in parts) / trials)
+        (pay,) = _map_batches(spec, trials, derive_rng(spec.seed, "wm"),
+                              lambda p: (predictors._weighted_majority_payoffs(p),))
+        y.append(float(pay.sum()) / trials)
     f = np.array([delta * T for T in T_list])
     y = np.array(y)
     c = float((f @ y) / (f @ f))

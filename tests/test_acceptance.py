@@ -54,7 +54,7 @@ def test_quick_mode_never_asks_for_more_trials(monkeypatch):
         return asked[-1][1]
 
     monkeypatch.setattr(verify, "_scale", record)
-    for name in ("analysis", "fbm", "fractal", "predictors", "simulate_heights", "iter_generate_batches"):
+    for name in ("analysis", "fbm", "fractal", "predictors", "simulate_heights", "_map_batches"):
         monkeypatch.setattr(verify, name, _HaltOnUse())
     for _name, check in verify.CRITERIA:
         with contextlib.suppress(_Halt):

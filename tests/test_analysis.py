@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -817,3 +818,36 @@ class TestCertifyInversion:
         a = certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=4, trials=400)
         b = certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=4, trials=400)
         assert a == b
+
+
+# sha256 of each estimator's report repr with generate_batch capped at 300 rows
+# of T=256, so its 1000 trials span four chunks.  A change that moves one of
+# them changes a number the estimator reports.
+_FRW = GeneratorSpec(family=Family.FRW, total_len=256, delta=0.2, base_len=8, seed=11)
+_OPT = GeneratorSpec(family=Family.OPT_FRW, total_len=256, delta=0.2, seed=12)
+_AFRW = GeneratorSpec(family=Family.AFRW, total_len=256, delta=0.3, base_len=4, seed=13)
+_CHUNKED_REPORTS = {
+    "estimate_delta-strict": (
+        lambda: estimate_delta(_FRW, "strict", 1000),
+        "d633de7039ac9b542bc5d9ce34cf157af9096f32f977276f94dcb78e6bcc7d84",
+    ),
+    "estimate_delta-weak": (
+        lambda: estimate_delta(_FRW, "weak_averaged", 1000),
+        "a8aaf41caa0b8839af6613eb15eb80cdd508f8da15476b1eca26b7cb31f9f869",
+    ),
+    "alpha_q_estimate": (
+        lambda: alpha_q_estimate(_OPT, Interval(192, 256, 256), 0.3, 1000),
+        "3a2c5391cb932f1c570806c914e5d2d4458699147d52d710a9d04c12c6193096",
+    ),
+    "certify_inversion": (
+        lambda: certify_inversion(_AFRW, Interval(0, 256, 256), 24, 3, 1000, alpha=0.5),
+        "3b13e634ca80d2fd6b9a43b0392616f632333e691e9c1489ac31e6f611b4ab67",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED_REPORTS))
+def test_chunked_reports_are_pinned(monkeypatch, name):
+    estimate, digest = _CHUNKED_REPORTS[name]
+    monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 300 * 256)
+    assert hashlib.sha256(repr(estimate()).encode()).hexdigest() == digest

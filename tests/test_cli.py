@@ -41,8 +41,17 @@ def replay(manifest_path, dest) -> int:
     return run(["--from-manifest", str(manifest_path), "--output-dir", str(dest)])
 
 
+def strict_json(path):
+    """``path`` parsed as standard JSON: ``NaN`` and ``Infinity`` tokens are refused."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def outputs_of(manifest_path) -> list[str]:
-    return json.loads(manifest_path.read_text())["outputs"]
+    return strict_json(manifest_path)["outputs"]
 
 
 # A small run of every command, in both formats where it has a --format.
@@ -79,6 +88,9 @@ def test_directory_holds_exactly_the_manifest_outputs(tmp_path, name):
     manifest = a / f"{argv[0]}-manifest.json"
     outputs = outputs_of(manifest)
     assert sorted(p.name for p in a.iterdir()) == sorted([*outputs, manifest.name])
+    for out in outputs:
+        if out.endswith(".json"):
+            strict_json(a / out)
     assert replay(manifest, b) == 0
     for out in outputs:
         assert (b / out).read_bytes() == (a / out).read_bytes()
@@ -441,16 +453,14 @@ class TestSweep:
         for name in ("sweep.csv", "sweep-failures.json"):
             assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
-    def test_infinite_k_cell_fails_typed(self, tmp_path):
-        code = run_in(
-            tmp_path, "sweep", "--families", "entropy_conditioned", "--T-list", "64",
-            "--trials", "200", "--parallelism", "1", "--k", "inf",
-        )
-        assert code == 1
-        failures = json.loads((tmp_path / "sweep-failures.json").read_text())
-        assert [f["error"] for f in failures] == [
-            "ConfigurationError: entropy_conditioned requires a finite k >= 0, got k=inf"
-        ]
+    def test_infinite_k_cell_fails_typed(self):
+        spec = {"family": "entropy_conditioned", "total_len": 64, "delta": 0.0, "k": float("inf"), "seed": 1}
+        outcome = cli._sweep_cell({"spec": spec, "trials": 200, "metrics": ["deviation"],
+                                   "mode": "weak_averaged", "alpha": 0.2})
+        assert outcome == {
+            "ok": False, "spec": spec,
+            "error": "ConfigurationError: entropy_conditioned requires a finite k >= 0, got k=inf",
+        }
 
     @pytest.mark.parametrize("metrics", [",", " "], ids=["comma", "blank"])
     def test_empty_metric_list_exit_2(self, tmp_path, capsys, metrics):
@@ -547,7 +557,29 @@ class TestExitCodes:
             tmp_path, "generate", "--family", "entropy_conditioned", "--T", "1024", "--k", "inf",
         ) == 2
         err = capsys.readouterr().err
-        assert "finite k" in err and "Traceback" not in err
+        assert "--k must be finite, got inf" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--families", "uniform", "--T-list", "64", "--alpha", "nan"),
+            ("sweep", "--families", "entropy_conditioned", "--T-list", "64", "--k", "inf"),
+            ("sweep", "--families", "uniform", "--T-list", "64", "--deltas", "0.1,nan"),
+            ("predict", "--predictor", "weighted_majority", "--family", "frw", "--T", "256",
+             "--alpha", "nan"),
+            ("generate", "--family", "frw", "--T", "64", "--delta=-inf"),
+            ("fbm", "--hurst", "nan"),
+            ("theta", "--alpha", "inf"),
+            ("fractal", "--alpha", "nan", "--height", "50"),
+        ],
+        ids=["sweep-alpha", "sweep-k", "sweep-deltas", "predict-alpha", "generate-delta",
+             "fbm-hurst", "theta-alpha", "fractal-alpha"],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, argv):
+        assert run_in(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     def test_argparse_rejects_unknown_family(self, tmp_path):
@@ -588,6 +620,17 @@ class TestManifestReplay:
         path.write_text(json.dumps({"command": "theta", "config": {}}))
         assert run(["--from-manifest", str(path)]) == 2
         assert "configuration error:" in capsys.readouterr().err
+
+    def test_non_finite_config_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a"
+        assert run_in(a, "theta", "--alpha", "0.25") == 0
+        manifest = json.loads((a / "theta-manifest.json").read_text())
+        manifest["config"]["alpha"] = float("nan")
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(manifest))
+        assert run(["--from-manifest", str(forged), "--output-dir", str(tmp_path / "b")]) == 2
+        assert "--alpha must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a"

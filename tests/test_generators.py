@@ -73,6 +73,12 @@ class TestSpecValidation:
         assert spec.family is Family.FRW
         assert spec.flip_mode is FlipMode.BERNOULLI
 
+    @pytest.mark.parametrize("field", ["family", "flip_mode"])
+    def test_unknown_enum_value_typed(self, field):
+        data = {"family": "uniform", "total_len": 8, field: "bogus"}
+        with pytest.raises(ConfigurationError, match="'bogus' is not a valid"):
+            GeneratorSpec.from_json_dict(data)
+
     def test_unknown_json_field_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
             GeneratorSpec.from_json_dict({"family": "uniform", "total_len": 8, "bogus": 1})
@@ -509,6 +515,14 @@ class TestBatchIteration:
         with pytest.raises(ConfigurationError, match="trials"):
             iter_generate_batches(spec, trials, rng)
         assert rng.bit_generator.state == state
+
+    def test_map_batches_joins_each_output_in_row_order(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 100 * 32)
+        spec = spec_for(Family.FRW, total_len=32, seed=53)
+        rows, sums = generators._map_batches(spec, 250, 4, lambda c: (c, c.sum(axis=1)))
+        want = np.concatenate(list(iter_generate_batches(spec, 250, 4)))
+        assert np.array_equal(rows, want) and rows.dtype == want.dtype
+        assert np.array_equal(sums, want.sum(axis=1))
 
     def test_iteration_is_deterministic(self):
         spec = spec_for(Family.OPT_FRW, total_len=64, seed=51)
