@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _enum, _integer, _power_of_two, _real
 from .generators import (
     Family,
     FlipMode,
@@ -39,7 +39,7 @@ from .generators import (
 )
 from .predictors import _bettor_stages, _sign_bets
 from .seeding import derive_rng, make_rng
-from .sequences import BitSequence, IntSequence, Interval, _row_blocks
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks
 
 __all__ = [
     "DeviationRow",
@@ -70,10 +70,12 @@ __all__ = [
 EXHAUSTIVE_SCAN_LIMIT = 1 << 14
 DEFAULT_MIN_LEN = 8
 
-# Bootstrap resamples behind estimate_delta's interval, and the size of
-# alpha_q_estimate's first pass.
+# Bootstrap resamples behind estimate_delta's interval, the size of alpha_q_estimate's first
+# pass, and the fewest trials deviation_stats (stable quantiles) and the two estimators take.
 _BOOTSTRAP = 200
 _FIRST_PASS_TRIALS = 1000
+_MIN_DEVIATION_TRIALS = 100
+_MIN_ESTIMATOR_TRIALS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +111,7 @@ def deviation_stats(
     ``log(T)``.  Lengths get independent derived seeds unless an explicit
     generator is supplied, so extending ``T_list`` never perturbs other rows.
     """
-    if trials < 100:
-        raise ConfigurationError(f"need at least 100 trials for stable quantiles, got {trials}")
+    trials = _integer(trials, "trials", _MIN_DEVIATION_TRIALS)
     if not T_list:
         raise ConfigurationError("T_list must not be empty")
     if len(set(T_list)) != len(T_list):
@@ -155,7 +156,8 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def afrw_moment_oracle(delta: float, l: int, depth_i: int) -> float:
     """Exact second moment ``(1 + (1+delta)^2)^i * l`` of the augmented walk's height."""
-    return (1.0 + (1.0 + delta) ** 2) ** depth_i * l
+    delta = _real(delta, "delta", 0, 1, "[)")
+    return (1.0 + (1.0 + delta) ** 2) ** _integer(depth_i, "depth_i", 0) * _integer(l, "l")
 
 
 # Largest law exact_height_law convolves; a level costs the square of its size.
@@ -221,9 +223,8 @@ def exact_height_law(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 def upper_bound_rms(delta: float, T: int) -> float:
     """RMS deviation ceiling ``sqrt(T) * (1 + delta/2 * log2 T)`` implied by
     delta-unpredictability; any distribution beating it is a contradiction witness."""
-    if T < 1 or (T & (T - 1)):
-        raise ConfigurationError(f"T must be a power of two, got {T}")
-    return math.sqrt(T) * (1.0 + 0.5 * delta * math.log2(T))
+    T = _power_of_two(T, "T", MAX_TOTAL_LEN)
+    return math.sqrt(T) * (1.0 + 0.5 * _real(delta, "delta", 0) * math.log2(T))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +233,10 @@ def upper_bound_rms(delta: float, T: int) -> float:
 
 def ideal_height_distribution(delta: Fraction | float, depth: int) -> dict[Fraction, Fraction]:
     """Exact law of the idealized recursion ``h' = (1+delta) h1 + h2`` after
-    ``depth`` doublings from a single +-1 bit; rational arithmetic throughout."""
-    if depth < 0:
-        raise ConfigurationError("depth must be non-negative")
+    ``depth`` doublings from a single +-1 bit; rational arithmetic throughout.
+    Capped at depth 5: a doubling pairs all values (7576 at depth 5 for delta 1/4)."""
+    depth = _integer(depth, "depth", 0, 5)
+    _real(delta, "delta", 0, 1, "[)")
     r = 1 + Fraction(delta)
     dist: dict[Fraction, Fraction] = {Fraction(1): Fraction(1, 2), Fraction(-1): Fraction(1, 2)}
     for _ in range(depth):
@@ -251,9 +253,9 @@ def ideal_height_distribution(delta: Fraction | float, depth: int) -> dict[Fract
 def decomposition_height_distribution(delta: Fraction | float, depth: int) -> dict[Fraction, Fraction]:
     """Same law via the closed-form expansion: block ``j`` of the ``2^depth``
     base bits enters with coefficient ``(1+delta)^(depth - popcount(j))``,
-    enumerated over all sign assignments."""
-    if depth < 0:
-        raise ConfigurationError("depth must be non-negative")
+    enumerated over all sign assignments, of which depth 4 has 2^16."""
+    depth = _integer(depth, "depth", 0, 4)
+    _real(delta, "delta", 0, 1, "[)")
     r = 1 + Fraction(delta)
     n = 1 << depth
     scale = r.denominator**depth
@@ -270,6 +272,7 @@ def decomposition_height_distribution(delta: Fraction | float, depth: int) -> di
 
 def distribution_moment(dist: dict[Fraction, Fraction], order: int) -> Fraction:
     """Exact raw moment of a rational distribution."""
+    order = _integer(order, "order", 0)
     return sum((v**order * p for v, p in dist.items()), start=Fraction(0))
 
 
@@ -301,6 +304,7 @@ class MomentChecks:
 def height_moment_checks(heights: np.ndarray) -> MomentChecks:
     """Sample-moment diagnostics; the Cauchy-Schwarz floor holds for *any*
     empirical distribution, so a violation means an arithmetic bug, not noise."""
+    _integer(np.size(heights), "number of heights")
     a = np.abs(heights).astype(np.float64)
     mean_abs = float(a.mean())
     m2 = float(np.mean(a**2))
@@ -509,8 +513,7 @@ def inversion_ratio(
     capped at 2^14); ``dyadic_only`` restricts X to aligned intervals, which
     scales to the fractal builder's output sizes.
     """
-    if min_len < 1:
-        raise ConfigurationError("min_len must be positive")
+    min_len = _integer(min_len, "min_len")
     prefix = seq.prefix
     T = prefix.shape[0] - 1
     if T < min_len:
@@ -544,6 +547,7 @@ def inversion_ratio_naive_batch(values: np.ndarray, min_len: int) -> np.ndarray:
 
     Deliberately O(T^4) per sequence; exists to pin :func:`inversion_ratio`.
     """
+    min_len = _integer(min_len, "min_len")
     B, T = values.shape
     prefix = np.zeros((B, T + 1), dtype=np.int64)
     np.cumsum(values, axis=1, dtype=np.int64, out=prefix[:, 1:])
@@ -617,12 +621,11 @@ def alpha_q_estimate(
     subinterval of sign opposite to ``h(X)`` with ``|h(Y)| >= alpha * Delta``.
     Windows with zero height count as failures.
     """
-    if trials < 1000:
-        raise ConfigurationError(f"need at least 1000 trials, got {trials}")
+    trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
+    alpha = _real(alpha, "alpha", 0)
+    floor_coeff = _real(floor_coeff, "floor_coeff", 0)
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
-    if not 0 <= alpha < math.inf:
-        raise ConfigurationError(f"alpha must be finite and non-negative, got {alpha}")
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi))
     lo, hi = interval.lo, interval.hi
     x = len(interval)
@@ -734,9 +737,8 @@ def estimate_delta(
     end.  Either way ``delta_hat`` is the largest interval-normalized mean
     payoff over the family, with a bootstrap interval for the winning cell.
     """
-    mode = EstimationMode(mode)
-    if trials < 1000:
-        raise ConfigurationError(f"need at least 1000 trials per cell, got {trials}")
+    mode = _enum(EstimationMode, mode, "mode")
+    trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
     T = spec.total_len
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "estimate_delta", mode.value))
 
@@ -753,9 +755,7 @@ def estimate_delta(
             mode = EstimationMode.WEAK_AVERAGED
         groups = [(p, [(p, p, x) for x in _dyadic_range(DEFAULT_MIN_LEN, p)]) for p in prefixes]
     if mode is EstimationMode.WEAK_AVERAGED:
-        wins = windows if windows is not None else _dyadic_range(1, T // 2)
-        if any(w < 1 for w in wins):
-            raise ConfigurationError(f"windows must be positive, got {wins}")
+        wins = [_integer(w, "windows item") for w in windows] if windows is not None else _dyadic_range(1, T // 2)
         xs = _dyadic_range(DEFAULT_MIN_LEN, T // 2)
         groups = [(0, [(w, T - x, x) for x in xs for w in wins if w <= T - x])]
     if not any(group for _, group in groups):
@@ -824,11 +824,11 @@ def certify_inversion(
     after.  The headline number is the frequency of final height >= theta
     with no stage having hit its lower limit.
     """
-    if s_iterations < 1:
-        raise ConfigurationError("s_iterations must be positive")
-    if not 1.0 <= alpha * theta / s_iterations < math.inf:
+    theta, s_iterations = _integer(theta, "theta"), _integer(s_iterations, "s_iterations")
+    trials, alpha = _integer(trials, "trials"), _real(alpha, "alpha", 0)
+    if alpha * theta / s_iterations < 1.0:
         raise ConfigurationError(
-            f"per-stage limits degenerate: need a finite alpha*theta/s >= 1, got "
+            f"per-stage limits degenerate: need alpha*theta/s >= 1, got "
             f"alpha={alpha}, theta={theta}, s={s_iterations}"
         )
     if interval.total_len != spec.total_len:

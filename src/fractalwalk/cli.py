@@ -10,8 +10,8 @@ writes, no wall times), so re-running a command — directly or via
 ``--from-manifest`` — reproduces the bytes exactly.
 
 Exit codes: 0 success, 1 analysis failure (failed criteria or sweep cells),
-2 configuration error, including a NaN or infinite number flag and an
-unreadable or malformed ``--input`` file.
+2 configuration error: an argument the library refuses, a NaN or infinite number, an unreadable
+or malformed ``--input`` file, or a ``sweep`` input that no cell could take.
 ``FRACTALWALK_OUTPUT_DIR`` sets the default output directory; no other environment
 variables are read.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import enum
 import io
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, fbm, fractal, predictors, verify
-from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError
+from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
 from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seeding import derive_seed
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
@@ -155,14 +156,6 @@ def _spec_from_args(args: argparse.Namespace) -> GeneratorSpec:
     return GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields})
 
 
-def _finite_float(text, what: str = "a number") -> float:
-    """``float(text)``, refusing NaN and infinities, which JSON cannot record."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{what} must be finite, got {text}")
-    return value
-
-
 def _parse_list(text: str, parse=int, what: str = "integer") -> list:
     try:
         values = [parse(v) for v in str(text).replace(",", " ").split()]
@@ -186,8 +179,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "spec": spec,
         "height": int(result.sequence.values.sum()),
         "length": int(result.sequence.values.shape[0]),
-        "flip_records": len(result.records),
-        "acceptance_rate": result.acceptance_rate,
+        "flip_records": result.counters.merges,
+        "acceptance_rate": result.counters.acceptance_rate,
         "file": seq_file,
     }
     out = _publish(args, {seq_file: seq_bytes, f"{stem}.json": summary})
@@ -214,16 +207,12 @@ def _check_predictor_flags(args: argparse.Namespace, T: int) -> None:
     if args.predictor == "sign_of_prefix":
         if args.window is None or args.x is None:
             raise ConfigurationError("sign_of_prefix requires --window and --x")
-        if args.window < 1 or args.x < 1 or args.window + args.x > T:
-            raise ConfigurationError(
-                f"sign_of_prefix needs --window >= 1 and --x >= 1 with --window + --x <= {T}, "
-                f"got {args.window} and {args.x}"
-            )
+        window = _integer(args.window, "--window", 1, T - 1)
+        _integer(args.x, "--x", 1, T - window)
     elif args.predictor == "block_momentum":
         if args.block_len is None:
             raise ConfigurationError("block_momentum requires --block-len")
-        if args.block_len < 1 or T % args.block_len:
-            raise ConfigurationError(f"--block-len must divide {T}, got {args.block_len}")
+        predictors._check_block_len(args.block_len, T, "--block-len")
     elif args.predictor == "adaptive_bettor":
         if args.theta is None:
             raise ConfigurationError("adaptive_bettor requires --theta")
@@ -283,9 +272,7 @@ def cmd_inversion(args: argparse.Namespace) -> int:
 
 def cmd_alphaq(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    x = args.x
-    if not 1 <= x <= spec.total_len:
-        raise ConfigurationError(f"--x must lie in [1, --T], got {x}")
+    x = _integer(args.x, "--x", 1, spec.total_len)
     window = Interval(spec.total_len - x, spec.total_len, spec.total_len)
     q_hat = analysis.alpha_q_estimate(spec, window, args.alpha, args.trials)
     _publish(args, {"alphaq.json": {
@@ -325,7 +312,7 @@ def cmd_fbm(args: argparse.Namespace) -> int:
     params = fbm.FbmParams(args.hurst, args.grid_len, seed=args.seed)
     result = {"params": params}
     outputs = {}
-    if args.sample > 0:
+    if _integer(args.sample, "--sample", 0):
         paths = fbm.fbm_sample_batch(params, args.sample)
         outputs["fbm-paths.csv"] = _csv_table(
             [f"t{t}" for t in range(1, params.grid_len + 1)],
@@ -347,7 +334,9 @@ def cmd_fbm(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One (family, delta, T) cell; returns rows or an error record (never raises)."""
+    """One (family, delta, T) cell; returns rows or an error record (never raises).  The heap
+    it freed then goes back to the OS: glibc would keep it, and a sweep's peak memory swung by
+    12 MB with incidental allocation sizes, such as the length of ``--output-dir``."""
     try:
         spec = GeneratorSpec.from_json_dict(payload["spec"])
         trials = payload["trials"]
@@ -366,18 +355,25 @@ def _sweep_cell(payload: dict) -> dict:
         return {"ok": True, "rows": rows}
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "spec": payload["spec"]}
+    finally:
+        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+        if hasattr(libc, "malloc_trim"):  # glibc
+            libc.malloc_trim(0)
+
+
+_SWEEP_MIN_TRIALS = {"deviation": analysis._MIN_DEVIATION_TRIALS,
+                     "delta_hat": analysis._MIN_ESTIMATOR_TRIALS, "alpha_q": analysis._MIN_ESTIMATOR_TRIALS}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.parallelism < 1:
-        raise ConfigurationError(f"--parallelism must be at least 1, got {args.parallelism}")
-    families = _parse_list(args.families, Family, "family")
-    deltas = _parse_list(args.deltas, _finite_float, "finite number")
+    _integer(args.parallelism, "--parallelism")
+    families = [_enum(Family, f, "--families item") for f in _parse_list(args.families, str, "family")]
+    deltas = [_real(d, "--deltas item", 0, 1, "[)") for d in _parse_list(args.deltas, float, "number")]
     T_list = _parse_list(args.T_list)
     metrics = _parse_list(args.metrics, str, "metric")
-    known = {"deviation", "delta_hat", "alpha_q"}
-    if not set(metrics) <= known:
-        raise ConfigurationError(f"metrics must be a subset of {sorted(known)}, got {metrics}")
+    if not set(metrics) <= set(_SWEEP_MIN_TRIALS):
+        raise ConfigurationError(f"metrics must be a subset of {sorted(_SWEEP_MIN_TRIALS)}, got {metrics}")
+    _integer(args.trials, "--trials", max(_SWEEP_MIN_TRIALS[m] for m in metrics))
 
     cells = []
     for family in families:
@@ -619,7 +615,7 @@ def run(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         for key, value in vars(args).items():
             if isinstance(value, float):
-                _finite_float(value, "--" + key.replace("_", "-"))
+                _real(value, "--" + key.replace("_", "-"))
         return _COMMANDS[args.command](args)
     except (ConfigurationError, SequenceFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer, _real
 from .generators import _check_entries
 from .predictors import _sign_bets
-from .seeding import make_rng
+from .seeding import _SEED_MAX, make_rng
 
 __all__ = [
     "MAX_GRID_LEN",
@@ -44,25 +44,20 @@ class FbmParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.hurst < 1.0):
-            raise ConfigurationError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if not (1 <= self.grid_len <= MAX_GRID_LEN):
-            raise ConfigurationError(
-                f"grid_len must lie in [1, {MAX_GRID_LEN}] for dense factorization, got {self.grid_len}"
-            )
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 1 << 64):
-            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "hurst", _real(self.hurst, "hurst", 0, 1, "()"))
+        object.__setattr__(self, "grid_len", _integer(self.grid_len, "grid_len", 1, MAX_GRID_LEN))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, _SEED_MAX))
 
 
 def fbm_cov(t: float, s: float, hurst: float) -> float:
     """Covariance of fractional Brownian motion at times ``t`` and ``s``, which may be broadcasting arrays."""
-    h2 = 2.0 * hurst
+    h2 = 2.0 * _real(hurst, "hurst", 0, 1, "()")
     return 0.5 * (abs(t) ** h2 + abs(s) ** h2 - abs(t - s) ** h2)
 
 
 def fbm_cov_matrix(hurst: float, grid_len: int) -> np.ndarray:
     """Covariance matrix on the unit grid ``1..grid_len``."""
-    t = np.arange(1, grid_len + 1, dtype=np.float64)
+    t = np.arange(1, _integer(grid_len, "grid_len", 1, MAX_GRID_LEN) + 1, dtype=np.float64)
     return fbm_cov(t[:, None], t[None, :], hurst)
 
 
@@ -101,10 +96,8 @@ def sign_predictor_closed_form(hurst: float, window: int, lag_ratio: float) -> f
     regression coefficient; multiplying by the half-normal mean of the height
     yields ``((1+1/s)^{2H} - 1 - s^{-2H})/2 * sqrt(2/pi) * (s*x)^H``.
     """
-    if window < 1 or not 0 < lag_ratio < math.inf:
-        raise ConfigurationError(f"window and lag_ratio must be positive, got {window} and {lag_ratio}")
-    h2 = 2.0 * hurst
-    s = float(lag_ratio)
+    h2 = 2.0 * _real(hurst, "hurst", 0, 1, "()")
+    window, s = _integer(window, "window"), _real(lag_ratio, "lag_ratio", 0, None, "(]")
     coeff = 0.5 * ((1.0 + 1.0 / s) ** h2 - 1.0 - s**-h2)
     return coeff * math.sqrt(2.0 / math.pi) * (s * window) ** hurst
 
@@ -121,8 +114,7 @@ def fbm_sign_predictor_payoff(
     Requires the grid to reach ``(lag_ratio + 1) * window``.  Zero observed
     height (probability zero for Gaussians) would count as a +1 bet.
     """
-    if window < 1 or lag_ratio < 1:
-        raise ConfigurationError("window and lag_ratio must be positive")
+    window, lag_ratio = _integer(window, "window"), _integer(lag_ratio, "lag_ratio")
     t_mid = lag_ratio * window
     t_end = (lag_ratio + 1) * window
     if t_end > params.grid_len:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer, _real
 from .sequences import MAX_TOTAL_LEN, BitSequence
 
 __all__ = [
@@ -46,7 +46,7 @@ def _exponent_equation(alpha: float, x: float) -> float:
 
 def theta_residual(alpha: float, theta: float) -> float:
     """Value of ``2*((1+alpha)/2)**(1/theta) + alpha**(1/theta) - 1``."""
-    return _exponent_equation(alpha, 1.0 / theta)
+    return _exponent_equation(_real(alpha, "alpha", 0, ALPHA_MAX), 1.0 / _real(theta, "theta", 0, None, "(]"))
 
 
 def solve_theta(alpha: float) -> float:
@@ -56,8 +56,7 @@ def solve_theta(alpha: float) -> float:
     decreasing in ``1/theta``; we bisect on ``x = 1/theta`` over [1, 64],
     which brackets the root for every ``alpha <= 1/2``.
     """
-    if not (0.0 <= alpha <= ALPHA_MAX):
-        raise ConfigurationError(f"alpha must lie in [0, {ALPHA_MAX}], got {alpha}")
+    alpha = _real(alpha, "alpha", 0, ALPHA_MAX)
     if alpha == 0.0:
         return 1.0
     lo, hi = 1.0, 64.0
@@ -83,10 +82,8 @@ class FractalParams:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= ALPHA_MAX):
-            raise ConfigurationError(f"alpha must lie in (0, {ALPHA_MAX}], got {self.alpha}")
-        if not isinstance(self.target_height, int) or self.target_height < 1:
-            raise ConfigurationError(f"target_height must be a positive integer, got {self.target_height}")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0, ALPHA_MAX, "(]"))
+        object.__setattr__(self, "target_height", _integer(self.target_height, "target_height"))
         if self.theta is None:
             object.__setattr__(self, "theta", solve_theta(self.alpha))
         elif abs(theta_residual(self.alpha, self.theta)) >= _THETA_TOL:
@@ -103,11 +100,11 @@ def part_heights(height: int, alpha: float) -> tuple[int, int]:
     exactly, with ``0 < c < a < height``.  Requires ``height > BASE_HEIGHT``
     and ``alpha`` in ``(0, ALPHA_MAX]``.
     """
-    if not (height > BASE_HEIGHT and 0.0 < alpha <= ALPHA_MAX):
-        raise ConfigurationError(
-            f"part_heights needs height > {BASE_HEIGHT} and alpha in (0, {ALPHA_MAX}], "
-            f"got {height} and {alpha}"
-        )
+    return _parts(_integer(height, "height", BASE_HEIGHT + 1), _real(alpha, "alpha", 0, ALPHA_MAX, "(]"))
+
+
+def _parts(height: int, alpha: float) -> tuple[int, int]:
+    """:func:`part_heights` on arguments already checked, as the builder's recursion has them."""
     c = math.ceil(alpha * height)
     if (height + c) % 2:
         c += 1
@@ -121,7 +118,7 @@ def _render(height: int, alpha: float, cache: dict[int, np.ndarray]) -> np.ndarr
     if height <= BASE_HEIGHT:
         arr = np.ones(height, dtype=np.int8)
     else:
-        a, c = part_heights(height, alpha)
+        a, c = _parts(height, alpha)
         s1 = _render(a, alpha, cache)
         s2 = _render(c, alpha, cache)
         arr = np.concatenate([s1, -s2, s1])
@@ -153,7 +150,7 @@ def fractal_length(params: FractalParams) -> int:
             return h
         got = memo.get(h)
         if got is None:
-            a, c = part_heights(h, params.alpha)
+            a, c = _parts(h, params.alpha)
             got = memo[h] = 2 * length(a) + length(c)
         return got
 
@@ -166,7 +163,7 @@ def split_points(params: FractalParams) -> tuple[int, int] | None:
     h = params.target_height
     if h <= BASE_HEIGHT:
         return None
-    a, c = part_heights(h, params.alpha)
+    a, c = _parts(h, params.alpha)
     la = fractal_length(FractalParams(params.alpha, a, params.theta))
     lc = fractal_length(FractalParams(params.alpha, c, params.theta))
     return la, la + lc
@@ -174,6 +171,5 @@ def split_points(params: FractalParams) -> tuple[int, int] | None:
 
 def measured_exponent(params: FractalParams) -> float:
     """``log L / log h`` for the built length; approaches ``1/theta`` for large heights."""
-    if params.target_height < 2:
-        raise ConfigurationError("exponent needs target_height >= 2")
+    _integer(params.target_height, "measured_exponent's target_height", 2)
     return math.log(fractal_length(params)) / math.log(params.target_height)

@@ -18,7 +18,7 @@ budget.  ``exact_count`` mode realizes fractional budgets as floor plus a
 Bernoulli remainder; ``bernoulli`` mode flips each eligible bit independently
 with the corresponding per-bit probability.
 
-Entry points: :func:`generate` (one instrumented sequence),
+Entry points: :func:`generate` (one sequence and its event counts),
 :func:`generate_batch` (a trials x length matrix for Monte Carlo work), and
 :func:`simulate_heights` (final heights only, much faster when positions are
 not needed).
@@ -32,15 +32,14 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SamplingBudgetError
-from .seeding import make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _is_power_of_two, _row_blocks
+from .errors import ConfigurationError, SamplingBudgetError, _enum, _integer, _power_of_two, _real
+from .seeding import _SEED_MAX, make_rng
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _row_blocks
 
 __all__ = [
     "Family",
     "FlipMode",
     "GeneratorSpec",
-    "FlipRecord",
     "MergeCounters",
     "Generated",
     "default_base_len",
@@ -82,6 +81,8 @@ def default_base_len(family: Family, total_len: int) -> int:
     use ``total_len ** (3/4)`` rounded up to a power of two.  The remaining
     families have no merge structure, so the base block is the whole sequence.
     """
+    family = _enum(Family, family, "family")
+    total_len = _power_of_two(total_len, "total_len", MAX_TOTAL_LEN)
     if family in (Family.FRW, Family.AFRW):
         want = 100 * max(1, int(math.log2(total_len)))
         return min(total_len, 1 << math.ceil(math.log2(want)))
@@ -92,7 +93,7 @@ def default_base_len(family: Family, total_len: int) -> int:
 
 def entropy_threshold(k: float, total_len: int) -> int:
     """Height threshold ``ceil(k * sqrt(total_len))`` lifted to the parity of ``total_len``."""
-    thr = math.ceil(k * math.sqrt(total_len))
+    thr = math.ceil(_real(k, "k", 0) * math.sqrt(_integer(total_len, "total_len")))
     if (thr & 1) != (total_len & 1):
         thr += 1
     return thr
@@ -111,38 +112,21 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "family", Family(self.family))
-            object.__setattr__(self, "flip_mode", FlipMode(self.flip_mode))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from None
-        if not isinstance(self.total_len, int) or not _is_power_of_two(self.total_len):
-            raise ConfigurationError(f"total_len must be a power of two, got {self.total_len}")
-        if self.total_len > MAX_TOTAL_LEN:
-            raise ConfigurationError(f"total_len {self.total_len} exceeds {MAX_TOTAL_LEN}")
-        if self.base_len is None:
-            object.__setattr__(self, "base_len", default_base_len(self.family, self.total_len))
-        if not _is_power_of_two(self.base_len) or self.base_len > self.total_len:
-            raise ConfigurationError(
-                f"base_len must be a power of two dividing total_len, got {self.base_len}"
-            )
-        if not (0.0 <= float(self.delta) < 1.0):
-            raise ConfigurationError(f"delta must lie in [0, 1), got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
-        if self.family is Family.ENTROPY_CONDITIONED:
-            if self.k is None or not (0 <= self.k < math.inf):
-                raise ConfigurationError(
-                    f"entropy_conditioned requires a finite k >= 0, got k={self.k}"
-                )
-            object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "family", _enum(Family, self.family, "family"))
+        object.__setattr__(self, "flip_mode", _enum(FlipMode, self.flip_mode, "flip_mode"))
+        object.__setattr__(self, "total_len", _power_of_two(self.total_len, "total_len", MAX_TOTAL_LEN))
+        base = default_base_len(self.family, self.total_len) if self.base_len is None else self.base_len
+        object.__setattr__(self, "base_len", _power_of_two(base, "base_len", self.total_len))
+        object.__setattr__(self, "delta", _real(self.delta, "delta", 0, 1, "[)"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, _SEED_MAX))
+        if (self.k is None) == (self.family is Family.ENTROPY_CONDITIONED):
+            raise ConfigurationError(f"k is for entropy_conditioned only, and required there; got k={self.k}")
+        if self.k is not None:
+            object.__setattr__(self, "k", _real(self.k, "k", 0))
             if entropy_threshold(self.k, self.total_len) > self.total_len:
                 raise ConfigurationError(
                     f"k={self.k} demands heights above the sequence length; no sequence qualifies"
                 )
-        elif self.k is not None:
-            raise ConfigurationError(f"k is only meaningful for entropy_conditioned, got k={self.k}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not (0 <= self.seed < 1 << 64):
-            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     @property
     def levels(self) -> int:
@@ -168,21 +152,6 @@ class GeneratorSpec:
         if missing:
             raise ConfigurationError(f"generator spec lacks required fields: {missing}")
         return cls(**data)
-
-
-@dataclass(frozen=True)
-class FlipRecord:
-    """Instrumentation for one merge: budget and what was actually applied.
-
-    ``requested`` is signed (positive means flips toward +1) and is measured
-    in flip steps, each worth a height change of 2.  ``applied`` counts bit
-    flips, ``augmented`` counts +-2 additions used once flippable bits ran out.
-    """
-
-    level: int
-    requested: float
-    applied: int
-    augmented: int
 
 
 @dataclass
@@ -214,8 +183,7 @@ class MergeCounters:
 @dataclass(frozen=True)
 class Generated:
     sequence: BitSequence | IntSequence
-    records: tuple[FlipRecord, ...] = ()
-    acceptance_rate: float | None = None
+    counters: MergeCounters
 
 
 def _plan_level(
@@ -435,15 +403,15 @@ def _base_heights(rng: np.random.Generator, l: int, shape) -> np.ndarray:
 # Height-only simulation
 
 
-def _check_entries(trials: int, cols: int) -> None:
-    """Refuse a ``(trials, cols)`` matrix with no rows or above the entry cap before anything is drawn."""
-    if trials < 1:
-        raise ConfigurationError("trials must be positive")
+def _check_entries(trials: int, cols: int) -> int:
+    """``trials`` as an int, refused before any draw if below 1 or past the entry cap at ``cols`` columns."""
+    trials = _integer(trials, "trials")
     if trials * cols > _MAX_MATRIX_ENTRIES:
         raise ConfigurationError(
             f"{trials} trials x {cols} = {trials * cols} entries exceed the cap of "
             f"{_MAX_MATRIX_ENTRIES}; use fewer trials"
         )
+    return trials
 
 
 def simulate_heights(
@@ -467,7 +435,7 @@ def simulate_heights(
     ``2**28`` base-block heights is refused before anything is drawn.
     """
     T = spec.total_len
-    _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
+    trials = _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
 
@@ -559,16 +527,15 @@ def generate_batch(
     than ``2**28`` entries is refused before anything is drawn.
     """
     T = spec.total_len
-    if not (0 <= planted_prefix < T):
-        raise ConfigurationError(f"planted_prefix must lie in [0, {T}), got {planted_prefix}")
+    planted_prefix = _integer(planted_prefix, "planted_prefix", 0, T - 1)
     if spec.family in _MERGE_FAMILIES and planted_prefix % spec.base_len != 0:
         raise ConfigurationError(
             f"planted_prefix must cover whole base blocks of {spec.base_len}"
         )
-    _check_entries(trials, T)
+    trials = _check_entries(trials, T)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
-    A = _family_matrix(spec, trials, rng, planted_prefix, counters, None)
+    A = _family_matrix(spec, trials, rng, planted_prefix, counters)
     if with_counters:
         return A, counters
     return A
@@ -584,13 +551,12 @@ def iter_generate_batches(
     """Iterator over ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream.
 
     A chunk holds at most ``chunk`` rows, and fewer where that many would
-    exceed ``generate_batch``'s cap on matrix entries.  ``trials`` is checked
-    at the call, before anything is drawn; each chunk is drawn as it is taken.
+    exceed ``generate_batch``'s cap on matrix entries.  ``trials`` and ``chunk``
+    are checked at the call, before any draw; each chunk is drawn as it is taken.
     """
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
+    trials = _integer(trials, "trials")
+    chunk = min(_integer(chunk, "chunk"), _MAX_MATRIX_ENTRIES // spec.total_len)
     rng = make_rng(rng if rng is not None else spec.seed)
-    chunk = min(chunk, _MAX_MATRIX_ENTRIES // spec.total_len)
     return (
         generate_batch(spec, min(chunk, trials - start), rng, planted_prefix=planted_prefix)
         for start in range(0, trials, chunk)
@@ -612,15 +578,13 @@ def _family_matrix(
     rng: np.random.Generator,
     planted_prefix: int,
     counters: MergeCounters,
-    records: list[FlipRecord] | None,
 ) -> np.ndarray:
-    """The ``(trials, T)`` matrix of ``spec``'s family; ``records`` collects the
-    merges of the first row when given."""
+    """The ``(trials, T)`` matrix of ``spec``'s family."""
     if spec.family is Family.UNIFORM:
         return _uniform_matrix(spec.total_len, trials, rng, planted_prefix)
     if spec.family is Family.ENTROPY_CONDITIONED:
         return _entropy_matrix(spec, trials, rng, planted_prefix, counters)
-    return _merge_family_matrix(spec, trials, rng, planted_prefix, counters, records)
+    return _merge_family_matrix(spec, trials, rng, planted_prefix, counters)
 
 
 def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -678,7 +642,6 @@ def _merge_family_matrix(
     rng: np.random.Generator,
     planted_prefix: int,
     counters: MergeCounters,
-    records: list[FlipRecord] | None,
 ) -> np.ndarray:
     T = spec.total_len
     l = spec.base_len
@@ -700,12 +663,7 @@ def _merge_family_matrix(
     def visit(rows: slice, dirs, requested, applied, augmented) -> None:
         t, m = np.nonzero(applied + augmented)
         moves.append((t + rows.start, m, dirs[t, m], applied[t, m], augmented[t, m]))
-        if records is not None and rows.start == 0:
-            signed = (dirs * requested)[0]
-            for j in range(dirs.shape[1]):
-                records.append(FlipRecord(level, float(signed[j]), int(applied[0, j]), int(augmented[0, j])))
 
-    level = 0
     n = l
     while n < T:
         moves.clear()
@@ -723,7 +681,6 @@ def _merge_family_matrix(
             tainted[rows] = True
 
         n *= 2
-        level += 1
 
     assert np.array_equal(H[:, 0], A.sum(axis=1, dtype=np.int64))
     return A
@@ -781,12 +738,10 @@ def _place_flips(
 def generate(
     spec: GeneratorSpec, rng: int | np.random.Generator | None = None
 ) -> Generated:
-    """One sequence drawn from ``spec`` with per-merge flip records.
+    """One sequence drawn from ``spec``, the one-row :func:`generate_batch`, with its event counts.
 
     Deterministic in ``(spec, spec.seed)`` when ``rng`` is omitted.
     """
-    rng = make_rng(rng if rng is not None else spec.seed)
-    counters, records = MergeCounters(), []
-    A = _family_matrix(spec, 1, rng, 0, counters, records)
+    A, counters = generate_batch(spec, 1, rng, with_counters=True)
     seq = IntSequence(A[0]) if spec.family in _AUGMENTED else BitSequence(A[0])
-    return Generated(seq, tuple(records), counters.acceptance_rate)
+    return Generated(seq, counters)

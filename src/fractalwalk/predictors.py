@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntervalError, _integer, _real
 from .seeding import make_rng
 from .sequences import BitSequence, IntSequence, Interval, _row_blocks
 
@@ -57,10 +57,8 @@ class StopRule:
     upper_limit: int
 
     def __post_init__(self) -> None:
-        if not (self.lower_limit < 0 < self.upper_limit):
-            raise ConfigurationError(
-                f"stop rule needs lower_limit < 0 < upper_limit, got ({self.lower_limit}, {self.upper_limit})"
-            )
+        _integer(self.lower_limit, "stop rule lower_limit", None, -1)
+        _integer(self.upper_limit, "stop rule upper_limit")
 
 
 @dataclass(frozen=True)
@@ -141,8 +139,8 @@ def _bettor_stages(
 def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedger:
     """Execute a plan: running payoff halts at the first stop-rule hit."""
     iv = plan.interval
-    if iv.total_len != len(seq.values) or iv.hi > len(seq.values):
-        raise IndexError(f"plan interval {iv} does not fit a sequence of length {len(seq.values)}")
+    if iv.total_len != len(seq.values):
+        raise IntervalError(f"plan interval {iv} does not fit a sequence of length {len(seq.values)}")
     gains = plan.per_position.astype(np.int64) * seq.values[iv.lo : iv.hi]
     rule = plan.stop_rule
     if rule is None:
@@ -168,8 +166,7 @@ def sign_of_prefix_plan(history: BitSequence, window: int, target: Interval) -> 
     sign-symmetric distributions, and a deterministic one keeps runs replayable.
     Only history strictly before ``target.lo`` is consulted.
     """
-    if window < 1:
-        raise ConfigurationError(f"window must be positive, got {window}")
+    window = _integer(window, "window")
     if target.lo < window:
         raise ConfigurationError(f"target needs {window} bits of history, has {target.lo}")
     h = history.height(Interval(target.lo - window, target.lo, history.prefix.shape[0] - 1))
@@ -182,14 +179,12 @@ def sign_of_prefix_plan(history: BitSequence, window: int, target: Interval) -> 
 
 def weighted_majority_rate(total_len: int) -> float:
     """Learning rate ``sqrt(8 ln 2 / T)``, tuned for a two-expert horizon of ``T``."""
-    if total_len < 1:
-        raise ConfigurationError("total_len must be positive")
-    return math.sqrt(8.0 * math.log(2.0) / total_len)
+    return math.sqrt(8.0 * math.log(2.0) / _integer(total_len, "total_len"))
 
 
 def weighted_majority_guarantee(total_len: int) -> float:
     """The scheme's additive payoff slack: ``sqrt(2 T ln 2)``."""
-    return math.sqrt(2.0 * total_len * math.log(2.0))
+    return math.sqrt(2.0 * _integer(total_len, "total_len") * math.log(2.0))
 
 
 def _hedges(heights_before: np.ndarray) -> np.ndarray:
@@ -227,11 +222,17 @@ def weighted_majority_expected_payoff(seq: BitSequence) -> float:
     return float(_weighted_majority_payoffs(seq.values[None, :])[0])
 
 
+def _check_block_len(block_len: int, T: int, name: str = "block_len") -> int:
+    """``block_len`` as a positive int that divides the sequence length ``T``."""
+    n = _integer(block_len, name, 1, T)
+    if T % n:
+        raise ConfigurationError(f"{name} must divide the sequence length {T}, got {block_len}")
+    return n
+
+
 def _block_momentum_payoffs(values: np.ndarray, block_len: int) -> np.ndarray:
     """Each row's :func:`block_momentum_payoff`."""
-    T = values.shape[1]
-    if block_len < 1 or T % block_len != 0:
-        raise ConfigurationError(f"block_len must divide the sequence length, got {block_len} for {T}")
+    block_len = _check_block_len(block_len, values.shape[1])
     blocks = (values[rows] for rows in _row_blocks(*values.shape))
     heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=np.int64) for b in blocks)
     return np.concatenate([_sign_bets(h[:, :-1], h[:, 1:]).sum(axis=1) for h in heights])
@@ -247,8 +248,9 @@ def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
 
 def _bettor_limits(theta: int, alpha: float) -> tuple[int, int]:
     """The inversion bettor's stop limits ``(-ceil(alpha*theta), ceil(2*alpha*theta))``."""
-    if not 1.0 <= 2.0 * alpha * theta < math.inf:
-        raise ConfigurationError(f"limits degenerate: need finite 2*alpha*theta >= 1, got {alpha=}, {theta=}")
+    theta, alpha = _integer(theta, "theta"), _real(alpha, "alpha", 0)
+    if 2.0 * alpha * theta < 1.0:
+        raise ConfigurationError(f"limits degenerate: need 2*alpha*theta >= 1, got {alpha=}, {theta=}")
     return -math.ceil(alpha * theta), math.ceil(2.0 * alpha * theta)
 
 

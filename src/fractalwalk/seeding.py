@@ -12,14 +12,18 @@ import hashlib
 
 import numpy as np
 
+from .errors import _integer
+
 __all__ = ["make_rng", "derive_seed", "derive_rng"]
+
+_SEED_MAX = (1 << 64) - 1
 
 
 def make_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
-    """Return a Generator, passing through one that is already constructed."""
+    """A Generator: ``seed_or_rng`` itself, one seeded by an unsigned 64-bit integer, or fresh for ``None``."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+    return np.random.default_rng(None if seed_or_rng is None else _integer(seed_or_rng, "seed", 0, _SEED_MAX))
 
 
 def derive_seed(master_seed: int, *coordinates: object) -> int:
@@ -29,7 +33,7 @@ def derive_seed(master_seed: int, *coordinates: object) -> int:
     stay distinct.  The digest is independent of the order in which other
     cells are enumerated.
     """
-    key = "|".join([str(int(master_seed))] + [repr(c) for c in coordinates])
+    key = "|".join([str(_integer(master_seed, "master_seed", 0, _SEED_MAX))] + [repr(c) for c in coordinates])
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntervalError, _integer, _power_of_two
 
 __all__ = [
     "Interval",
@@ -29,10 +29,6 @@ ALIGNED_SQRT_SUM_FACTOR = float(np.sqrt(2.0) / (np.sqrt(2.0) - 1.0))
 # Overflow guard: prefix sums are int64 and augmented entries stay polynomial
 # in the sequence length, so lengths up to 2**24 are safe by a wide margin.
 MAX_TOTAL_LEN = 1 << 24
-
-
-def _is_power_of_two(n: int) -> bool:
-    return not isinstance(n, bool) and n > 0 and (n & (n - 1)) == 0
 
 
 # Entries per row block of a (trials, T) reduction: a block's int64 and float64
@@ -56,10 +52,11 @@ class Interval:
     total_len: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi <= self.total_len):
-            raise IndexError(
-                f"interval [{self.lo}, {self.hi}) out of range for length {self.total_len}"
-            )
+        try:
+            hi = _integer(self.hi, "hi", 1, _integer(self.total_len, "total_len"))
+            _integer(self.lo, "lo", 0, hi - 1)
+        except ConfigurationError as exc:
+            raise IntervalError(f"interval [{self.lo}, {self.hi}) of length {self.total_len}: {exc}") from None
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -67,7 +64,7 @@ class Interval:
     def is_aligned(self) -> bool:
         """True when the length is a power of two and ``lo`` is a multiple of it."""
         size = len(self)
-        return _is_power_of_two(size) and self.lo % size == 0
+        return not size & (size - 1) and self.lo % size == 0
 
     def whole(self) -> bool:
         return self.lo == 0 and self.hi == self.total_len
@@ -103,7 +100,7 @@ class _PrefixSummed:
         if interval is None:
             return int(self.prefix[-1])
         if interval.total_len != len(self):
-            raise IndexError(
+            raise IntervalError(
                 f"interval declared for length {interval.total_len}, sequence has {len(self)}"
             )
         return int(self.prefix[interval.hi] - self.prefix[interval.lo])
@@ -121,16 +118,20 @@ class _PrefixSummed:
         return f"{type(self).__name__}(len={n}, height={self.height()})"
 
 
+def _entries(values, dtype) -> np.ndarray:
+    """A fresh 1-d ``dtype`` copy of ``values``, of 1 to ``MAX_TOTAL_LEN`` entries."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ConfigurationError(f"a sequence must be a 1-d array, got shape {arr.shape}")
+    _integer(len(arr), "sequence length", 1, MAX_TOTAL_LEN)
+    return arr.astype(dtype, copy=True)
+
+
 class BitSequence(_PrefixSummed):
     """Immutable sequence of +1/-1 entries with O(1) interval heights."""
 
     def __init__(self, bits: np.ndarray | list[int]) -> None:
-        arr = np.asarray(bits)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ConfigurationError("bit sequence must be a non-empty 1-d array")
-        if len(arr) > MAX_TOTAL_LEN:
-            raise ConfigurationError(f"sequence length {len(arr)} exceeds {MAX_TOTAL_LEN}")
-        arr = arr.astype(np.int8, copy=True)
+        arr = _entries(bits, np.int8)
         if not np.all(np.abs(arr) == 1):
             raise ConfigurationError("bit sequence entries must be +1 or -1")
         self._init_storage(arr)
@@ -144,12 +145,7 @@ class IntSequence(_PrefixSummed):
     """Immutable sequence of odd integers (augmented walk output)."""
 
     def __init__(self, entries: np.ndarray | list[int]) -> None:
-        arr = np.asarray(entries)
-        if arr.ndim != 1 or len(arr) == 0:
-            raise ConfigurationError("integer sequence must be a non-empty 1-d array")
-        if len(arr) > MAX_TOTAL_LEN:
-            raise ConfigurationError(f"sequence length {len(arr)} exceeds {MAX_TOTAL_LEN}")
-        arr = arr.astype(np.int64, copy=True)
+        arr = _entries(entries, np.int64)
         if not np.all(arr & 1):
             raise ConfigurationError("integer sequence entries must be odd")
         # Polynomial-in-length bound on augmented entries; rules out overflow
@@ -187,12 +183,7 @@ def aligned_decompose(interval: Interval) -> list[Interval]:
     Returns:
         List of aligned ``Interval`` parts in increasing position order.
     """
-    if not _is_power_of_two(interval.total_len):
-        raise ConfigurationError(
-            f"aligned decomposition requires a power-of-two ambient length, got {interval.total_len}"
-        )
-
-    total = interval.total_len
+    total = _power_of_two(interval.total_len, "aligned decomposition's total_len", MAX_TOTAL_LEN)
     parts: list[Interval] = []
 
     def extract(lo: int, hi: int) -> None:

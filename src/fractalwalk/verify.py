@@ -448,12 +448,16 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 )
 
 
+def _check_named(name: str):
+    """The check of the criterion ``name``, refused unless it is one of :data:`CRITERIA`'s names."""
+    checks = dict(CRITERIA)
+    if name not in checks:
+        raise ConfigurationError(f"unknown criterion {name!r}; known: {list(checks)}")
+    return checks[name]
+
+
 def run_criterion(name: str, quick: bool = False) -> CriterionResult:
-    fn = dict(CRITERIA).get(name)
-    if fn is None:
-        raise ConfigurationError(
-            f"unknown criterion {name!r}; known: {[n for n, _ in CRITERIA]}"
-        )
+    fn = _check_named(name)
     start = time.perf_counter()
     passed, detail = fn(quick=quick)
     return CriterionResult(name, bool(passed), detail, time.perf_counter() - start)
@@ -465,12 +469,8 @@ def format_result(index: int, result: CriterionResult) -> str:
 
 
 def run_all(quick: bool = False, names: list[str] | None = None) -> list[CriterionResult]:
-    if names is not None:
-        unknown = set(names) - {n for n, _ in CRITERIA}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown criteria {sorted(unknown)}; known: {[n for n, _ in CRITERIA]}"
-            )
+    for name in names or ():
+        _check_named(name)
     results = []
     for i, (name, _fn) in enumerate(CRITERIA, start=1):
         if names is not None and name not in names:

@@ -729,7 +729,7 @@ class TestCertifyInversion:
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(ConfigurationError, match="degenerate"):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
             certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=1, trials=100, alpha=alpha)
 
     def test_interval_ambient_checked(self):

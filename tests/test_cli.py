@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -421,6 +422,24 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (("--metrics", "deviation", "--trials", "99"), "--trials"),
+            (("--metrics", "deviation,delta_hat", "--trials", "999"), "--trials"),
+            (("--metrics", "alpha_q", "--trials", "999"), "--trials"),
+            (("--trials", "0"), "--trials"),
+            (("--deltas", "1.5"), "--deltas"),
+            (("--deltas", "0.1,-0.1"), "--deltas"),
+        ],
+    )
+    def test_input_no_cell_takes_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, flags, flag):
+        ran = []
+        monkeypatch.setattr(cli, "_sweep_cell", ran.append)
+        assert run_in(tmp_path, "sweep", "--families", "frw", "--T-list", "64", "--parallelism", "1", *flags) == 2
+        assert flag in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
         "parallelism, cpus, workers",
         [(64, 8, 4), (3, 8, 3), (64, 2, 2), (64, 1, None), (1, 8, None)],
     )
@@ -459,8 +478,19 @@ class TestSweep:
                                    "mode": "weak_averaged", "alpha": 0.2})
         assert outcome == {
             "ok": False, "spec": spec,
-            "error": "ConfigurationError: entropy_conditioned requires a finite k >= 0, got k=inf",
+            "error": "ConfigurationError: k must be finite and >= 0, got inf",
         }
+
+    def test_each_cell_hands_freed_memory_back(self, monkeypatch):
+        # glibc keeps a freed heap, and a sweep's peak memory swung by 12 MB with
+        # incidental allocation sizes such as the length of --output-dir.
+        trims = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(malloc_trim=trims.append))
+        monkeypatch.setattr(cli.sys, "platform", "linux")
+        for k in (1.0, float("inf")):  # a cell that succeeds, and one that fails
+            spec = {"family": "entropy_conditioned", "total_len": 64, "delta": 0.0, "k": k, "seed": 1}
+            cli._sweep_cell({"spec": spec, "trials": 200, "metrics": ["deviation"]})
+        assert trims == [0, 0]
 
     @pytest.mark.parametrize("metrics", [",", " "], ids=["comma", "blank"])
     def test_empty_metric_list_exit_2(self, tmp_path, capsys, metrics):

@@ -148,7 +148,7 @@ class TestSignPredictor:
 
     @pytest.mark.parametrize("window, lag_ratio", [(16, 0), (16, -1), (16, math.nan), (0, 1)])
     def test_closed_form_needs_positive_window_and_lag(self, window, lag_ratio):
-        with pytest.raises(ConfigurationError, match="window and lag_ratio"):
+        with pytest.raises(ConfigurationError, match="window|lag_ratio"):
             sign_predictor_closed_form(0.6, window, lag_ratio)
 
     def test_grid_too_short(self):

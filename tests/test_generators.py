@@ -55,6 +55,26 @@ def spec_for(family: Family, total_len: int = 64, **kw) -> GeneratorSpec:
     return GeneratorSpec(family=family, total_len=total_len, **kw)
 
 
+def generate_with_plan(spec: GeneratorSpec):
+    """``generate(spec)`` and the plan of each of its merges, level by level in
+    position order, read through ``_merge_level``'s ``visit``: ``(requested,
+    applied, augmented)`` with ``requested`` signed by the first half's height."""
+    plan = []
+    merge_level = generators._merge_level
+
+    def spy(spec, n, H, rng, counters, recount=None, visit=None):
+        def both(rows, dirs, requested, applied, augmented):
+            plan.extend(zip((dirs * requested)[0].tolist(), applied[0].tolist(), augmented[0].tolist()))
+            visit(rows, dirs, requested, applied, augmented)
+
+        return merge_level(spec, n, H, rng, counters, recount, both)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_merge_level", spy)
+        out = generate(spec)
+    return out, plan
+
+
 class TestSpecValidation:
     def test_json_round_trip(self):
         spec = GeneratorSpec(
@@ -76,7 +96,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field", ["family", "flip_mode"])
     def test_unknown_enum_value_typed(self, field):
         data = {"family": "uniform", "total_len": 8, field: "bogus"}
-        with pytest.raises(ConfigurationError, match="'bogus' is not a valid"):
+        with pytest.raises(ConfigurationError, match="must be one of .*; got 'bogus'"):
             GeneratorSpec.from_json_dict(data)
 
     def test_unknown_json_field_rejected(self):
@@ -120,7 +140,7 @@ class TestSpecValidation:
     def test_infinite_k_rejected_from_json(self):
         # json.loads reads 1e400 as inf; the threshold would overflow in math.ceil.
         data = json.loads('{"family": "entropy_conditioned", "total_len": 1024, "k": 1e400}')
-        with pytest.raises(ConfigurationError, match="finite k"):
+        with pytest.raises(ConfigurationError, match="k must be finite"):
             GeneratorSpec.from_json_dict(data)
 
     def test_json_keys_are_the_dataclass_fields(self):
@@ -244,25 +264,25 @@ class TestMergeHandTrace:
 
     def test_budget_recorded_exactly(self):
         # The signed budget equals delta * h(first block), and the first block
-        # is never touched by the merge, so the record can be checked against
+        # is never touched by the merge, so the plan can be checked against
         # the emitted bits.
         for seed in range(40):
-            out = generate(GeneratorSpec(
+            out, plan = generate_with_plan(GeneratorSpec(
                 family=Family.FRW, total_len=4, delta=0.5, base_len=2, seed=seed
             ))
-            (record,) = out.records
+            ((requested, applied, augmented),) = plan
             first_block = int(out.sequence.bits[:2].sum())
-            assert record.requested == pytest.approx(0.5 * first_block)
-            assert record.augmented == 0
+            assert requested == pytest.approx(0.5 * first_block)
+            assert augmented == 0
             if first_block == 0:
-                assert record.applied == 0
+                assert applied == 0
             else:
-                assert 0 <= record.applied <= 1
+                assert 0 <= applied <= 1
 
     def test_record_count_matches_merge_count(self):
         spec = GeneratorSpec(family=Family.FRW, total_len=16, delta=0.1, base_len=2, seed=3)
-        out = generate(spec)
-        assert len(out.records) == 16 // 2 - 1
+        out, plan = generate_with_plan(spec)
+        assert len(plan) == out.counters.merges == 16 // 2 - 1
 
 
 class TestSqrtBudgetHandTrace:
@@ -273,28 +293,28 @@ class TestSqrtBudgetHandTrace:
             spec = GeneratorSpec(
                 family=Family.OPT_FRW, total_len=8, delta=0.5, base_len=4, seed=seed
             )
-            out = generate(spec)
-            (record,) = out.records
+            out, plan = generate_with_plan(spec)
+            ((requested, applied, _),) = plan
             first_half = int(out.sequence.bits[:4].sum())
             if first_half == 0:
-                assert record.requested == 0.0
-                assert record.applied == 0
+                assert requested == 0.0
+                assert applied == 0
             else:
-                assert record.requested == pytest.approx(math.copysign(1.0, first_half))
-                assert 0 <= record.applied <= 1
+                assert requested == pytest.approx(math.copysign(1.0, first_half))
+                assert 0 <= applied <= 1
 
     def test_top_record_sign_tracks_first_half(self):
         spec = GeneratorSpec(
             family=Family.OPT_FRW, total_len=64, delta=0.3, base_len=8, seed=11
         )
-        out = generate(spec)
-        top = out.records[-1]
+        out, plan = generate_with_plan(spec)
+        requested = plan[-1][0]
         first_half = int(out.sequence.bits[:32].sum())
         if first_half == 0:
-            assert top.requested == 0.0
+            assert requested == 0.0
         else:
-            assert math.copysign(1.0, top.requested) == math.copysign(1.0, first_half)
-            assert abs(top.requested) == pytest.approx(0.3 * math.sqrt(32))
+            assert math.copysign(1.0, requested) == math.copysign(1.0, first_half)
+            assert abs(requested) == pytest.approx(0.3 * math.sqrt(32))
 
 
 class TestFamilyEquivalences:
@@ -401,7 +421,7 @@ class TestEntropyConditioned:
     def test_acceptance_rate_reported(self):
         spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=8, k=1.0, seed=6)
         out = generate(spec)
-        assert out.acceptance_rate is not None
+        assert out.counters.acceptance_rate is not None
         # P(|height| >= 4) = 74/256; a batch sees it within wide bounds.
         _, counters = generate_batch(spec, 2000, with_counters=True)
         assert 0.15 < counters.acceptance_rate < 0.45
@@ -545,9 +565,9 @@ class TestFrontEnds:
         assert len(out.sequence) == 32
 
     def test_merge_families_report_records(self):
-        out = generate(spec_for(Family.FRW, total_len=64, seed=61))
-        assert len(out.records) == 64 // 8 - 1
-        assert all(r.augmented == 0 for r in out.records)
+        out, plan = generate_with_plan(spec_for(Family.FRW, total_len=64, seed=61))
+        assert len(plan) == out.counters.merges == 64 // 8 - 1
+        assert all(augmented == 0 for _, _, augmented in plan)
 
 
 class TestUniformNull:
@@ -571,9 +591,9 @@ def test_top_merge_record_tracks_first_half(family, delta, seed):
     planned, so the emitted bits let us recompute the signed budget exactly.
     """
     spec = GeneratorSpec(family=family, total_len=16, delta=delta, base_len=4, seed=seed)
-    out = generate(spec)
-    top = out.records[-1]
-    assert len(out.records) == 3
+    out, plan = generate_with_plan(spec)
+    requested, applied, augmented = plan[-1]
+    assert len(plan) == 3
     first_half = int(np.asarray(out.sequence.values)[:8].sum())
     if family is Family.FRW:
         expected = delta * first_half
@@ -582,9 +602,9 @@ def test_top_merge_record_tracks_first_half(family, delta, seed):
     else:
         scale = math.sqrt(8) * (1.0 if family is Family.OPT_FRW else 0.5)
         expected = 0.0 if first_half == 0 else math.copysign(delta * scale, first_half)
-    assert top.requested == pytest.approx(expected)
+    assert requested == pytest.approx(expected)
     if first_half == 0:
-        assert top.applied == 0 and top.augmented == 0
+        assert applied == 0 and augmented == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -210,18 +210,29 @@ def test_sign_of_prefix_kernel_matches_run_plan(batch, data):
 
 @settings(max_examples=80, deadline=None)
 @given(value_rows(), st.integers(1, 12), st.sampled_from([0.25, 0.5, 1.0]))
-def test_bettor_kernel_matches_run_plan(batch, theta, alpha):
+def test_bettor_kernel_matches_staged_reference(batch, theta, alpha):
     assume(2 * alpha * theta >= 1)
     values, entries = batch
-    T = values.shape[1]
     lower, upper = _bettor_limits(theta, alpha)
     with row_blocks_of(entries):
         payoffs = _bettor_payoffs(values, lower, upper)
-    ledgers = [adaptive_inversion_bettor(_wrap(r), Interval(0, T, T), theta, alpha) for r in values]
-    assert payoffs.tolist() == [led.payoff for led in ledgers]
+    want = [staged_reference(row, lower, upper, 1) for row in values]
+    assert payoffs.tolist() == [payoff for _, _, (payoff,) in want]
     # The payoff alone tells how the run ended.
     causes = np.where(payoffs <= lower, "LOWER", np.where(payoffs >= upper, "UPPER", "EXHAUSTED"))
-    assert causes.tolist() == [led.stop_cause.name for led in ledgers]
+    assert causes.tolist() == [
+        "EXHAUSTED" if stop < 0 else "LOWER" if payoff <= lower else "UPPER" for _, (stop,), (payoff,) in want
+    ]
+
+
+def test_inversion_bettor_is_a_one_row_kernel_call():
+    theta, alpha = 4, 0.5
+    lower, upper = _bettor_limits(theta, alpha)  # -2, +4
+    for row, cause in [([-1, 1, -1, -1, 1, 1], "LOWER"), ([1, 1, -1, 1, 1, 1], "UPPER"), ([1, -1, 1, -1], "EXHAUSTED")]:
+        seq = BitSequence(row)
+        ledger = adaptive_inversion_bettor(seq, seq.interval(), theta, alpha)
+        assert ledger.payoff == _bettor_payoffs(seq.values[None, :], lower, upper)[0]
+        assert ledger.stop_cause.name == cause
 
 
 class TestPlanValidation:
@@ -363,7 +374,7 @@ class TestAdaptiveInversionBettor:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         seq = BitSequence(np.ones(8, dtype=np.int8))
-        with pytest.raises(ConfigurationError, match="limits"):
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
             adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=4, alpha=alpha)
 
     def test_gamblers_ruin_on_uniform(self):
