@@ -39,7 +39,7 @@ from .generators import (
 )
 from .predictors import _bettor_stages, _sign_bets
 from .seeding import derive_rng, make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
 
 __all__ = [
     "DeviationRow",
@@ -630,9 +630,10 @@ def alpha_q_estimate(
     lo, hi = interval.lo, interval.hi
     x = len(interval)
 
-    (first,) = _map_batches(
-        spec, _FIRST_PASS_TRIALS, rng, lambda chunk: (np.abs(chunk[:, lo:hi].sum(axis=1, dtype=np.int64)),)
-    )
+    def window_heights(chunk: np.ndarray) -> tuple[np.ndarray]:
+        return (np.abs(chunk[:, lo:hi].sum(axis=1, dtype=_sum_dtype(chunk, x))),)
+
+    (first,) = _map_batches(spec, _FIRST_PASS_TRIALS, rng, window_heights)
     delta_median = float(np.median(first))
     floor = floor_coeff * spec.delta * math.sqrt(x)
     if delta_median < floor:
@@ -645,10 +646,12 @@ def alpha_q_estimate(
 
     def window_hits(chunk: np.ndarray) -> tuple[np.ndarray]:
         hit = np.empty(len(chunk), dtype=bool)
+        # _segment_extremes subtracts two prefixes, so its values reach 2x.
+        dtype = _sum_dtype(chunk, 2 * x)
         for rows in _row_blocks(len(chunk), x):
             block = chunk[rows, lo:hi]
-            pref = np.zeros((len(block), x + 1), dtype=np.int64)
-            np.cumsum(block, axis=1, dtype=np.int64, out=pref[:, 1:])
+            pref = np.zeros((len(block), x + 1), dtype=dtype)
+            np.cumsum(block, axis=1, dtype=dtype, out=pref[:, 1:])
             h, bp, bn = _segment_extremes(pref)
             hit[rows] = (h != 0) & (np.where(h > 0, -bn, bp) >= threshold)
         return (hit,)
@@ -693,11 +696,12 @@ class UnpredictabilityReport:
 
 def _prefix_at(mat: np.ndarray, cols: list[int]) -> np.ndarray:
     """Each row's int64 prefix sum at the sorted, distinct columns ``cols``, built
-    as running sums of the slices between them."""
+    as running int64 sums of the slices between them, each slice summed in
+    :func:`~fractalwalk.sequences._sum_dtype`."""
     out = np.empty((mat.shape[0], len(cols)), dtype=np.int64)
     prev, acc = 0, np.zeros(mat.shape[0], dtype=np.int64)
     for i, c in enumerate(cols):
-        acc += mat[:, prev:c].sum(axis=1, dtype=np.int64)
+        acc += mat[:, prev:c].sum(axis=1, dtype=_sum_dtype(mat, c - prev))
         out[:, i] = acc
         prev = c
     return out

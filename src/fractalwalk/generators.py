@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SamplingBudgetError, _enum, _integer, _power_of_two, _real
 from .seeding import _SEED_MAX, make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _row_blocks
+from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _row_blocks, _sum_dtype
 
 __all__ = [
     "Family",
@@ -414,6 +414,17 @@ def _check_entries(trials: int, cols: int) -> int:
     return trials
 
 
+def _check_planted(spec: GeneratorSpec, planted_prefix: int) -> int:
+    """``planted_prefix`` as an int below ``spec.total_len``; in the merge families
+    it must cover whole base blocks."""
+    planted_prefix = _integer(planted_prefix, "planted_prefix", 0, spec.total_len - 1)
+    if spec.family in _MERGE_FAMILIES and planted_prefix % spec.base_len != 0:
+        raise ConfigurationError(
+            f"planted_prefix must cover whole base blocks of {spec.base_len}"
+        )
+    return planted_prefix
+
+
 def simulate_heights(
     spec: GeneratorSpec,
     trials: int,
@@ -527,11 +538,7 @@ def generate_batch(
     than ``2**28`` entries is refused before anything is drawn.
     """
     T = spec.total_len
-    planted_prefix = _integer(planted_prefix, "planted_prefix", 0, T - 1)
-    if spec.family in _MERGE_FAMILIES and planted_prefix % spec.base_len != 0:
-        raise ConfigurationError(
-            f"planted_prefix must cover whole base blocks of {spec.base_len}"
-        )
+    planted_prefix = _check_planted(spec, planted_prefix)
     trials = _check_entries(trials, T)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
@@ -551,10 +558,12 @@ def iter_generate_batches(
     """Iterator over ``generate_batch`` chunks summing to ``trials`` rows, sharing one stream.
 
     A chunk holds at most ``chunk`` rows, and fewer where that many would
-    exceed ``generate_batch``'s cap on matrix entries.  ``trials`` and ``chunk``
-    are checked at the call, before any draw; each chunk is drawn as it is taken.
+    exceed ``generate_batch``'s cap on matrix entries.  ``trials``, ``chunk`` and
+    ``planted_prefix`` are checked at the call, before any draw; each chunk is
+    drawn as it is taken.
     """
     trials = _integer(trials, "trials")
+    planted_prefix = _check_planted(spec, planted_prefix)
     chunk = min(_integer(chunk, "chunk"), _MAX_MATRIX_ENTRIES // spec.total_len)
     rng = make_rng(rng if rng is not None else spec.seed)
     return (
@@ -587,6 +596,10 @@ def _family_matrix(
     return _merge_family_matrix(spec, trials, rng, planted_prefix, counters)
 
 
+# Bytes mapped per pass of :func:`_bits`: its three in-place passes then run in cache.
+_MAP_CHUNK = 1 << 18
+
+
 def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """``(rows, cols)`` int8 matrix of uniform +-1 entries.
 
@@ -596,13 +609,35 @@ def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     ``next_uint32`` stream, low byte first, and drops the unused bytes of the
     last word.  Here the same words are drawn at once and each byte ``b`` is
     mapped in place to ``(~b >> 7) | 1``: +1 when its top bit is set, else -1.
+
+    PCG64's ``next_uint32`` returns the low, then the high half of one
+    ``next_uint64`` and buffers the high half in ``has_uint32``/``uinteger``.
+    So its words are read as raw 64-bit outputs.  A buffered half is the high
+    half of the last output: the generator steps back one output (mod 2**128)
+    and the redrawn output's low half is skipped.  The buffer is then left as
+    numpy leaves it.  Any other bit generator draws the words themselves.
     """
     size = rows * cols
-    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
-    b = words.astype("<u4", copy=False).view(np.int8)[:size]
-    np.invert(b, out=b)
-    np.right_shift(b, 7, out=b)
-    np.bitwise_or(b, 1, out=b)
+    words = -(-size // 4)
+    bg = rng.bit_generator
+    if type(bg) is np.random.PCG64:
+        skip = bg.state["has_uint32"]
+        if skip:
+            bg.advance(-1)
+        raw = bg.random_raw(-(-(words + skip) // 2))
+        state = bg.state
+        state["has_uint32"] = (words + skip) & 1
+        state["uinteger"] = int(raw[-1] >> 32)
+        bg.state = state
+        b = raw.astype("<u8", copy=False).view(np.int8)[4 * skip : 4 * skip + size]
+    else:
+        raw = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
+        b = raw.astype("<u4", copy=False).view(np.int8)[:size]
+    for lo in range(0, size, _MAP_CHUNK):
+        c = b[lo : lo + _MAP_CHUNK]
+        np.invert(c, out=c)
+        np.right_shift(c, 7, out=c)
+        np.bitwise_or(c, 1, out=c)
     return b.reshape(rows, cols)
 
 
@@ -627,7 +662,7 @@ def _entropy_matrix(
 
     def draw(m: int) -> tuple[np.ndarray, np.ndarray]:
         block = _bits(rng, m, free)
-        return block, p + block.sum(axis=1, dtype=np.int64)
+        return block, p + block.sum(axis=1, dtype=_sum_dtype(block, free)).astype(np.int64)
 
     out = np.empty((trials, spec.total_len), dtype=np.int8)
     if p:
@@ -649,7 +684,10 @@ def _merge_family_matrix(
     A = _bits(rng, trials, T).astype(dtype, copy=False)
     if planted_prefix:
         A[:, :planted_prefix] = 1
-    H = A.reshape(trials, T // l, l).sum(axis=2, dtype=np.int64)
+    # Block heights accumulate in the narrowest exact dtype; a one-entry block
+    # is its entry, so l = 1 casts A once.
+    blocks = A.reshape(trials, T // l, l)
+    H = (blocks[:, :, 0] if l == 1 else blocks.sum(axis=2, dtype=_sum_dtype(A, l))).astype(np.int64)
     tainted = np.zeros(trials, dtype=bool)  # trials holding non +-1 entries
 
     def recount(rows: slice, dirs: np.ndarray, elig: np.ndarray) -> None:
@@ -682,7 +720,7 @@ def _merge_family_matrix(
 
         n *= 2
 
-    assert np.array_equal(H[:, 0], A.sum(axis=1, dtype=np.int64))
+    assert np.array_equal(H[:, 0], A.sum(axis=1, dtype=_sum_dtype(A, T)))
     return A
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntervalError, _integer, _real
 from .seeding import make_rng
-from .sequences import BitSequence, IntSequence, Interval, _row_blocks
+from .sequences import BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
 
 __all__ = [
     "StopCause",
@@ -116,8 +116,9 @@ def _bettor_stages(
     payoffs = np.zeros((n_rows, stages), dtype=np.int64)
     sums = np.empty(n_rows, dtype=np.int64)
     col = np.arange(cols)
+    dtype = _sum_dtype(values, cols)
     for rows in _row_blocks(n_rows, cols):
-        cum = np.cumsum(values[rows], axis=1, dtype=np.int64)
+        cum = np.cumsum(values[rows], axis=1, dtype=dtype)
         at = np.arange(len(cum))
         # Each row's stage starts at column ``start`` from running total ``base``.
         start, base = np.zeros((2, len(cum)), dtype=np.int64)
@@ -127,7 +128,8 @@ def _bettor_stages(
                 hit &= col >= start[:, None]
             t = hit.argmax(axis=1)
             found = hit[at, t]
-            end = np.where(found, cum[at, t], cum[:, -1])
+            # int64, like ``base``: a narrow ``cum`` must not wrap in ``base + lower``.
+            end = np.where(found, cum[at, t], cum[:, -1]).astype(np.int64)
             stops[rows, stage] = np.where(found, t, -1)
             payoffs[rows, stage] = end - base
             start = np.where(found, t + 1, cols)
@@ -154,8 +156,8 @@ def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedg
 
 
 def constant_plan(value: int, interval: Interval, stop_rule: StopRule | None = None) -> PredictionPlan:
-    if value not in (-1, 1):
-        raise ConfigurationError(f"constant prediction must be +1 or -1, got {value}")
+    if _integer(value, "constant prediction", -1, 1) == 0:
+        raise ConfigurationError("constant prediction must be +1 or -1, got 0")
     return PredictionPlan(interval, np.full(len(interval), value, dtype=np.int8), stop_rule)
 
 
@@ -197,7 +199,8 @@ def _weighted_majority_payoffs(values: np.ndarray) -> np.ndarray:
     """Each row's exact expected payoff (see :func:`weighted_majority_expected_payoff`)."""
     # H_{t-1} is the running sum less the current entry.
     blocks = (values[rows] for rows in _row_blocks(*values.shape))
-    before = ((b, np.cumsum(b, axis=1, dtype=np.int64) - b) for b in blocks)
+    dtype = _sum_dtype(values, values.shape[1])
+    before = ((b, np.cumsum(b, axis=1, dtype=dtype) - b) for b in blocks)
     return np.concatenate([(b * _hedges(h)).sum(axis=1) for b, h in before])
 
 
@@ -234,7 +237,8 @@ def _block_momentum_payoffs(values: np.ndarray, block_len: int) -> np.ndarray:
     """Each row's :func:`block_momentum_payoff`."""
     block_len = _check_block_len(block_len, values.shape[1])
     blocks = (values[rows] for rows in _row_blocks(*values.shape))
-    heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=np.int64) for b in blocks)
+    dtype = _sum_dtype(values, block_len)
+    heights = (b.reshape(len(b), -1, block_len).sum(axis=2, dtype=dtype) for b in blocks)
     return np.concatenate([_sign_bets(h[:, :-1], h[:, 1:]).sum(axis=1) for h in heights])
 
 

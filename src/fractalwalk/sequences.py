@@ -36,6 +36,18 @@ MAX_TOTAL_LEN = 1 << 24
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _sum_dtype(values: np.ndarray, n: int) -> type:
+    """The narrowest exact accumulator for sums of up to ``n`` entries of ``values``.
+
+    The package's int8 rows hold only +-1, so such a sum stays within ``[-n, n]``:
+    int16 below 2**15 entries, int32 up to ``MAX_TOTAL_LEN``.  Every other dtype,
+    the augmented families' int64 included, keeps int64.
+    """
+    if values.dtype != np.int8:
+        return np.int64
+    return np.int16 if n < 1 << 15 else np.int32
+
+
 def _row_blocks(n_rows: int, cols: int):
     """Consecutive row slices covering ``n_rows`` rows of ``cols`` entries each,
     with ``max(1, _BLOCK_ENTRIES // cols)`` rows per slice."""

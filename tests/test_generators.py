@@ -620,28 +620,31 @@ def test_plain_families_stay_binary(family, delta, seed):
     assert np.all(np.abs(batch) == 1)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(min_value=1, max_value=9),
     cols=st.integers(min_value=1, max_value=41),
-    prior=st.integers(min_value=0, max_value=4),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_bits_match_bounded_int8_draws(rows, cols, prior, seed):
+def test_bits_match_bounded_int8_draws(rows, cols, seed):
     """The word-level fill reads exactly the bits numpy's bounded int8 draw reads.
 
-    The odd number of prior uint32 draws leaves half of a 64-bit word buffered
-    in the generator, and most ``rows * cols`` are not multiples of 4, so the
-    unused bytes of the last word must be dropped as numpy drops them.
+    Every count of 0 to 9 prior uint32 draws is tried, so a PCG64 generator
+    starts with and without half of a 64-bit output buffered; MT19937 takes
+    the generic word draw.  Most ``rows * cols`` are not multiples of 4, so the
+    unused bytes of the last word must be dropped as numpy drops them, and
+    the generator must be left in numpy's state, buffer included.
     """
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for rng in (got_rng, want_rng):
-        rng.integers(0, 1 << 32, size=2 * prior + 1, dtype=np.uint32)
-    got = _bits(got_rng, rows, cols)
-    want = 2 * want_rng.integers(0, 2, (rows, cols), dtype=np.int8) - 1
-    assert got.dtype == np.int8 and got.shape == (rows, cols)
-    assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for bitgen in (np.random.PCG64, np.random.MT19937):
+        for prior in range(10):
+            got_rng, want_rng = (np.random.Generator(bitgen(seed)) for _ in range(2))
+            for rng in (got_rng, want_rng):
+                rng.integers(0, 1 << 32, size=prior, dtype=np.uint32)
+            got = _bits(got_rng, rows, cols)
+            want = 2 * want_rng.integers(0, 2, (rows, cols), dtype=np.int8) - 1
+            assert got.dtype == np.int8 and got.shape == (rows, cols)
+            assert np.array_equal(got, want)
+            assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 @settings(max_examples=40, deadline=None)

@@ -242,6 +242,14 @@ CASES = {
          "--dyadic-only"],
         {"inversion.json": "843bcb338d7343920eb7da6eb42222b25979829721f448f711db154a4237c65d"},
     ),
+    # Battery-size batches, up to T = 2**14: fills that start with half a PCG64
+    # output buffered, and int8 reductions in int16.  The battery never reaches
+    # int32 sums; tests/test_sequences.py covers that switch.
+    "verify-quick": (
+        ["verify", "--quick", "--only",
+         "uniform-null,optfrw-unpredictability,entropy-predictable,frw-per-bit-payoff,alpha-q-inversion"],
+        {"verify.json": "f74807d87e8ae64c5308e740e6c4f7b1a4311b748e7677c571e2644f71444a6e"},
+    ),
 }
 
 # ``inversion --input`` on the file written by the ``generate-afrw`` case.  Its

@@ -70,7 +70,8 @@ BAD_INPUTS = {
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=3)],
     "iter_generate_batches": [lambda t: fw.iter_generate_batches(SPEC, 10, chunk=-3),
                               lambda t: fw.iter_generate_batches(SPEC, 10, chunk=0),
-                              lambda t: fw.iter_generate_batches(SPEC, 1.5)],
+                              lambda t: fw.iter_generate_batches(SPEC, 1.5),
+                              lambda t: fw.iter_generate_batches(SPEC, 10, planted_prefix=3)],
     "simulate_heights": [lambda t: fw.simulate_heights(SPEC, 1.5),
                          lambda t: fw.simulate_heights(SPEC, 1 << 40)],
     "FractalParams": [lambda t: fw.FractalParams(0.7, 10),
@@ -101,7 +102,7 @@ BAD_INPUTS = {
     "StopRule": [lambda t: fw.StopRule(0, 5), lambda t: fw.StopRule(-1, 0.5)],
     "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0]))],
     "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError)],
-    "constant_plan": [lambda t: fw.constant_plan(0, WHOLE)],
+    "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE)],
     "sign_of_prefix_plan": [lambda t: fw.sign_of_prefix_plan(SEQ, 0, fw.Interval(4, 8, 8)),
                             lambda t: fw.sign_of_prefix_plan(SEQ, 5, fw.Interval(4, 8, 8))],
     "weighted_majority_rate": [lambda t: fw.weighted_majority_rate(0)],

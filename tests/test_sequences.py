@@ -8,10 +8,15 @@ from fractalwalk import (
     ALIGNED_SQRT_SUM_FACTOR,
     BitSequence,
     ConfigurationError,
+    GeneratorSpec,
     IntSequence,
     Interval,
     aligned_decompose,
+    generate_batch,
 )
+from fractalwalk import generators, predictors
+from fractalwalk.analysis import _prefix_at, _segment_extremes
+from fractalwalk.sequences import _sum_dtype
 
 
 class TestInterval:
@@ -123,3 +128,67 @@ class TestAlignedDecompose:
         assert len(parts) <= 2 * log_total
         sqrt_sum = sum(math.sqrt(len(p)) for p in parts)
         assert sqrt_sum <= ALIGNED_SQRT_SUM_FACTOR * math.sqrt(hi - lo) + 1e-9
+
+
+def _worst_rows(n: int) -> np.ndarray:
+    """int8 rows of ``n`` entries whose sums and prefix differences are largest:
+    all +1, all -1, and each sign for the first half then the other."""
+    half = np.arange(n) < n // 2
+    return np.array([np.ones(n), -np.ones(n), np.where(half, 1, -1), np.where(half, -1, 1)], dtype=np.int8)
+
+
+class TestNarrowSums:
+    """Every int8 reduction narrowed by ``_sum_dtype`` equals its int64 form on
+    worst-case rows at the int16/int32 boundary; the same code on int64 rows is
+    the oracle, since ``_sum_dtype`` keeps int64 there."""
+
+    def test_dtype_rule(self):
+        rows = np.ones((1, 4), dtype=np.int8)
+        assert _sum_dtype(rows, (1 << 15) - 1) == np.int16
+        assert _sum_dtype(rows, 1 << 15) == np.int32
+        assert _sum_dtype(rows, 1 << 24) == np.int32
+        assert _sum_dtype(rows.astype(np.int64), 1) == np.int64
+
+    @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15, (1 << 15) + 1])
+    def test_prefix_slices_and_bettor_sums(self, n):
+        rows = _worst_rows(n)
+        wide = rows.astype(np.int64)
+        for cols in ([n], [1, n], [n // 2, n - 1, n]):
+            assert np.array_equal(_prefix_at(rows, cols), _prefix_at(wide, cols))
+        for got, want in zip(predictors._bettor_stages(rows, -n - 1, n + 1, 2),
+                             predictors._bettor_stages(wide, -n - 1, n + 1, 2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(predictors._weighted_majority_payoffs(rows),
+                              predictors._weighted_majority_payoffs(wide))
+
+    @pytest.mark.parametrize("x", [16383, 16384, 1 << 15])
+    def test_segment_extremes(self, x):
+        # alpha_q_estimate's window prefixes: _segment_extremes subtracts two of them.
+        rows = _worst_rows(x)
+        pref = np.zeros((len(rows), x + 1), dtype=_sum_dtype(rows, 2 * x))
+        np.cumsum(rows, axis=1, dtype=pref.dtype, out=pref[:, 1:])
+        wide = np.zeros((len(rows), x + 1), dtype=np.int64)
+        np.cumsum(rows, axis=1, out=wide[:, 1:])
+        for got, want in zip(_segment_extremes(pref), _segment_extremes(wide)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("base_len", [1 << 14, 1 << 15])
+    def test_block_heights_row_check_and_block_bets(self, monkeypatch, base_len):
+        T = 1 << 16
+        rows = _worst_rows(T)
+        seen = []
+        merge_level = generators._merge_level
+
+        def spy(spec, n, H, *args, **kw):
+            seen.append(H.copy())
+            return merge_level(spec, n, H, *args, **kw)
+
+        monkeypatch.setattr(generators, "_bits", lambda rng, n_rows, cols: rows.copy())
+        monkeypatch.setattr(generators, "_merge_level", spy)
+        spec = GeneratorSpec("opt_frw", T, delta=0.5, base_len=base_len, seed=3)
+        out = generate_batch(spec, len(rows))  # runs the row-sum check at T = 2**16
+        wide = rows.astype(np.int64).reshape(len(rows), -1, base_len).sum(axis=2)
+        assert seen[0].dtype == np.int64 and np.array_equal(seen[0], wide)
+        assert np.array_equal(out[:2], rows[:2])  # nothing to flip in a constant row
+        assert np.array_equal(predictors._block_momentum_payoffs(rows, base_len),
+                              predictors._block_momentum_payoffs(rows.astype(np.int64), base_len))
