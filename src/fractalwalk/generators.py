@@ -612,24 +612,30 @@ def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
     PCG64's ``next_uint32`` returns the low, then the high half of one
     ``next_uint64`` and buffers the high half in ``has_uint32``/``uinteger``.
-    So its words are read as raw 64-bit outputs.  A buffered half is the high
-    half of the last output: the generator steps back one output (mod 2**128)
-    and the redrawn output's low half is skipped.  The buffer is then left as
-    numpy leaves it.  Any other bit generator draws the words themselves.
+    So its words are read as raw 64-bit outputs.  A buffered half comes first:
+    the generator steps back one output (mod 2**128), the redrawn output's
+    low half is skipped and its high half is overwritten with the buffered
+    word: a 64-bit draw such as ``rng.random()`` moves the generator on
+    without touching the buffer, so the redrawn output need not be the one
+    the word came from.  The buffer is then left as numpy leaves it.  Any
+    other bit generator draws the words themselves.
     """
     size = rows * cols
     words = -(-size // 4)
     bg = rng.bit_generator
-    if type(bg) is np.random.PCG64:
-        skip = bg.state["has_uint32"]
+    if type(bg) is np.random.PCG64 and size:
+        state = bg.state
+        skip = state["has_uint32"]
         if skip:
             bg.advance(-1)
-        raw = bg.random_raw(-(-(words + skip) // 2))
+        raw = bg.random_raw(-(-(words + skip) // 2)).astype("<u8", copy=False)
+        if skip:
+            raw.view("<u4")[1] = state["uinteger"]
         state = bg.state
         state["has_uint32"] = (words + skip) & 1
         state["uinteger"] = int(raw[-1] >> 32)
         bg.state = state
-        b = raw.astype("<u8", copy=False).view(np.int8)[4 * skip : 4 * skip + size]
+        b = raw.view(np.int8)[4 * skip : 4 * skip + size]
     else:
         raw = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
         b = raw.astype("<u4", copy=False).view(np.int8)[:size]

@@ -8,13 +8,14 @@ outcome can be enumerated by hand and checked against the code.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalwalk import (
@@ -622,29 +623,52 @@ def test_plain_families_stay_binary(family, delta, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rows=st.integers(min_value=1, max_value=9),
+    rows=st.integers(min_value=0, max_value=9),
     cols=st.integers(min_value=1, max_value=41),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
+@example(rows=1, cols=3, seed=5)
+@example(rows=0, cols=5, seed=5)
 def test_bits_match_bounded_int8_draws(rows, cols, seed):
     """The word-level fill reads exactly the bits numpy's bounded int8 draw reads.
 
     Every count of 0 to 9 prior uint32 draws is tried, so a PCG64 generator
-    starts with and without half of a 64-bit output buffered; MT19937 takes
-    the generic word draw.  Most ``rows * cols`` are not multiples of 4, so the
-    unused bytes of the last word must be dropped as numpy drops them, and
-    the generator must be left in numpy's state, buffer included.
+    starts with and without half of a 64-bit output buffered, and each count
+    is tried again with a 64-bit ``rng.random()`` draw after it, which leaves
+    the buffer alone while the generator moves on; MT19937 takes the generic
+    word draw.  Most ``rows * cols`` are not multiples of 4, so the unused
+    bytes of the last word must be dropped as numpy drops them, and the
+    generator must be left in numpy's state, buffer included.
     """
     for bitgen in (np.random.PCG64, np.random.MT19937):
-        for prior in range(10):
+        for prior, wide in itertools.product(range(10), (False, True)):
             got_rng, want_rng = (np.random.Generator(bitgen(seed)) for _ in range(2))
             for rng in (got_rng, want_rng):
                 rng.integers(0, 1 << 32, size=prior, dtype=np.uint32)
+                if wide:
+                    rng.random()
             got = _bits(got_rng, rows, cols)
             want = 2 * want_rng.integers(0, 2, (rows, cols), dtype=np.int8) - 1
             assert got.dtype == np.int8 and got.shape == (rows, cols)
             assert np.array_equal(got, want)
             assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("family", [Family.FRW, Family.OPT_FRW, Family.AFRW])
+def test_one_row_chunks_draw_the_reference_bits(family, monkeypatch):
+    """One-row chunks with a small delta often end a chunk on a 64-bit uniform
+    after a buffered uint32 flip draw, so the next fill starts in that state;
+    the stream must still be the one the plain bounded int8 draw gives."""
+    spec = GeneratorSpec(family=family, total_len=256, delta=0.01, base_len=4, seed=3)
+
+    def rows():
+        return np.concatenate(list(iter_generate_batches(spec, 40, np.random.default_rng(7), chunk=1)))
+
+    got = rows()
+    monkeypatch.setattr(
+        generators, "_bits", lambda rng, r, c: 2 * rng.integers(0, 2, (r, c), dtype=np.int8) - 1
+    )
+    assert np.array_equal(got, rows())
 
 
 @settings(max_examples=40, deadline=None)
