@@ -347,6 +347,47 @@ def _segment_extremes(pref2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return h, np.maximum(best_pos, 0), np.minimum(best_neg, 0)
 
 
+# Below this many rows a vector step per column costs more in call overhead
+# than it saves: on (n, 256) and (n, 4096) int8 windows the column sweep
+# overtook one prefix pass per row block between 256 and 512 rows.
+_SWEEP_MIN_ROWS = 512
+
+
+def _opposite_falls(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``window``: its height ``h`` and the size of its largest
+    subinterval of sign opposite to ``h``, 0 where there is none or ``h == 0``.
+
+    Each row is multiplied by ``sign(h)``, so the opposite excursion is always
+    the largest drop below a running maximum of the prefix sums (Bentley
+    1984).  From ``_SWEEP_MIN_ROWS`` rows on, a column sweep takes one vector
+    step per column over all rows, carrying each row's drop ``d = max(d - v,
+    0)``; columns are copied out in transposed tiles of
+    :func:`~fractalwalk.sequences._row_blocks` columns, so memory is one tile
+    plus a few vectors.  Fewer rows take one prefix pass per row block.
+    Values are kept in ``_sum_dtype(window, 2x)`` for rows of length ``x``,
+    wide enough for any difference of two prefix sums.
+    """
+    n, x = window.shape
+    dtype = _sum_dtype(window, 2 * x)
+    h = window.sum(axis=1, dtype=dtype)
+    sign = np.sign(h)[:, None]
+    if n < _SWEEP_MIN_ROWS:
+        fall = np.empty(n, dtype=dtype)
+        for rows in _row_blocks(n, x):
+            pref = np.cumsum(np.multiply(window[rows], sign[rows], dtype=dtype), axis=1)
+            top = np.maximum(np.maximum.accumulate(pref, axis=1), 0)  # 0: the empty prefix
+            fall[rows] = (top - pref).max(axis=1)
+        return h, fall
+    d, fall, zero = np.zeros((3, n), dtype=dtype)
+    for cols in _row_blocks(x, n):
+        tile = np.multiply(window[:, cols], sign, dtype=dtype).T.copy()  # contiguous columns
+        for v in tile:
+            np.subtract(d, v, out=d)
+            np.maximum(d, zero, out=d)
+            np.maximum(fall, d, out=fall)
+    return h, fall
+
+
 def _recover_witness(prefix: np.ndarray, lo: int, hi: int, want_positive: bool) -> tuple[int, int, int]:
     """Endpoints and height of the extreme subinterval of the requested sign in [lo, hi)."""
     # A fall of ``prefix`` is a rise of ``-prefix``; first-index ties match either way.
@@ -619,7 +660,10 @@ def alpha_q_estimate(
     A first, independent pass estimates the window's median deviation Delta;
     the second pass reports the fraction of fresh samples whose window holds a
     subinterval of sign opposite to ``h(X)`` with ``|h(Y)| >= alpha * Delta``.
-    Windows with zero height count as failures.
+    Windows with zero height count as failures.  The second pass scans each
+    chunk's windows by a column sweep (:func:`_opposite_falls`; a chunk of
+    fewer than ``_SWEEP_MIN_ROWS`` rows takes prefix passes per row block), in
+    memory of O(rows + one tile) rather than a prefix matrix of the window.
     """
     trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
     alpha = _real(alpha, "alpha", 0)
@@ -645,16 +689,8 @@ def alpha_q_estimate(
     threshold = alpha * delta_median
 
     def window_hits(chunk: np.ndarray) -> tuple[np.ndarray]:
-        hit = np.empty(len(chunk), dtype=bool)
-        # _segment_extremes subtracts two prefixes, so its values reach 2x.
-        dtype = _sum_dtype(chunk, 2 * x)
-        for rows in _row_blocks(len(chunk), x):
-            block = chunk[rows, lo:hi]
-            pref = np.zeros((len(block), x + 1), dtype=dtype)
-            np.cumsum(block, axis=1, dtype=dtype, out=pref[:, 1:])
-            h, bp, bn = _segment_extremes(pref)
-            hit[rows] = (h != 0) & (np.where(h > 0, -bn, bp) >= threshold)
-        return (hit,)
+        h, fall = _opposite_falls(chunk[:, lo:hi])
+        return ((h != 0) & (fall >= threshold),)
 
     (hits,) = _map_batches(spec, trials, rng, window_hits)
     return int(np.count_nonzero(hits)) / trials

@@ -760,19 +760,24 @@ def _place_flips(
 
     Uses proposal sampling: each active merge proposes one position per round
     and keeps it when it still holds the opposite-sign value, which realizes
-    a uniform without-replacement choice among the eligible positions.
+    a uniform without-replacement choice among the eligible positions.  The
+    active merges keep their order, and their flat start positions, directions
+    and remaining counts are compacted only in rounds where some merge finishes.
     """
-    remaining = counts.astype(np.int64)
-    act = np.flatnonzero(remaining > 0)
-    while act.size:
-        off = rng.integers(0, n, size=act.size)
-        rows = trial_idx[act]
-        cols = base_pos[act] + off
-        want = -dirs[act]
-        hit = A[rows, cols] == want
-        A[rows[hit], cols[hit]] = dirs[act][hit]
-        remaining[act[hit]] -= 1
-        act = act[remaining[act] > 0]
+    flat = A.reshape(-1, copy=False)
+    act = counts > 0
+    remaining = counts[act].astype(np.int64)
+    start = trial_idx[act] * A.shape[1] + base_pos[act]
+    to = dirs[act]
+    want = -to
+    while remaining.size:
+        cells = start + rng.integers(0, n, size=remaining.size)
+        hit = flat[cells] == want
+        flat[cells[hit]] = to[hit]
+        remaining -= hit
+        if np.count_nonzero(remaining) < remaining.size:
+            keep = remaining > 0
+            remaining, start, to, want = remaining[keep], start[keep], to[keep], want[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +47,15 @@ from fractalwalk import (
     total_variation,
     upper_bound_rms,
 )
-from fractalwalk import generators
-from fractalwalk.analysis import DEFAULT_MIN_LEN, _ols, _prefix_at, inversion_ratio_dp_batch
+from fractalwalk import analysis, generators, sequences
+from fractalwalk.analysis import (
+    DEFAULT_MIN_LEN,
+    _ols,
+    _opposite_falls,
+    _prefix_at,
+    _segment_extremes,
+    inversion_ratio_dp_batch,
+)
 from test_predictors import staged_reference
 
 
@@ -591,10 +599,62 @@ class TestAlphaQ:
         b = alpha_q_estimate(self.SPEC, self.WINDOW, 0.4, 1500)
         assert a == b
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_matches_the_prefix_rule_on_the_same_rows(self, alpha):
+        # The estimator's own stream, replayed: the first pass, then a
+        # 2048-row chunk (column sweep) and a 52-row one (prefix passes).  The
+        # threshold is a multiple of the median height, an integer here, so
+        # windows whose opposite excursion equals it change the count.
+        lo, hi = self.WINDOW.lo, self.WINDOW.hi
+        rng = derive_rng(self.SPEC.seed, "alpha_q", lo, hi)
+        first = generators.iter_generate_batches(self.SPEC, analysis._FIRST_PASS_TRIALS, rng)
+        threshold = alpha * float(np.median(np.abs(np.concatenate([c[:, lo:hi].sum(axis=1) for c in first]))))
+        assert threshold == int(threshold)
+        rows = np.concatenate([c[:, lo:hi] for c in generators.iter_generate_batches(self.SPEC, 2100, rng)])
+        want = np.count_nonzero(_segment_hits(rows, threshold)) / 2100
+        assert alpha_q_estimate(self.SPEC, self.WINDOW, alpha, 2100) == want
+
     def test_prefix_pass_walks_row_blocks(self):
         # A whole-chunk (2048, x+1) int64 prefix matrix and its running extremes
-        # would take hundreds of MB here.
+        # would take hundreds of MB here; the column sweep holds one tile.
         assert traced_peak_mb(lambda: alpha_q_estimate(BIG, BIG_WHOLE, 0.3, 2048)) < 40
+
+
+def _segment_hits(rows: np.ndarray, threshold: float) -> np.ndarray:
+    """The former hit rule of ``alpha_q_estimate``: int64 prefix rows and
+    their running extremes, through ``_segment_extremes``."""
+    pref = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=pref[:, 1:])
+    h, rise, drop = _segment_extremes(pref)
+    return (h != 0) & (np.where(h > 0, -drop, rise) >= threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_opposite_falls_match_segment_extremes(data):
+    n = data.draw(st.integers(1, 6), label="rows")
+    x = data.draw(st.integers(1, 48), label="x")
+    if data.draw(st.booleans(), label="int8"):
+        entries, dtype = st.sampled_from([-1, 1]), np.int8
+    else:
+        entries, dtype = st.integers(-9, 8).map(lambda v: 2 * v + 1), np.int64
+    rows = np.array(data.draw(st.lists(entries, min_size=n * x, max_size=n * x)), dtype=dtype).reshape(n, x)
+    # A row whose last half mirrors its first, negated, has height 0 at even x.
+    mirror = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows[mirror, x - x // 2 :] = -rows[mirror, : x // 2][:, ::-1]
+    # Both paths: the column sweep at any row count, and prefix passes below
+    # _SWEEP_MIN_ROWS.  Small blocks make tiles of a few columns or row
+    # blocks of one row, so each path crosses block edges.
+    sweep_min_rows = data.draw(st.sampled_from([1, analysis._SWEEP_MIN_ROWS]), label="sweep_min_rows")
+    block = data.draw(st.one_of(st.none(), st.integers(1, 64)), label="block")
+    with mock.patch.object(sequences, "_BLOCK_ENTRIES", block or sequences._BLOCK_ENTRIES), \
+            mock.patch.object(analysis, "_SWEEP_MIN_ROWS", sweep_min_rows):
+        h, fall = _opposite_falls(rows)
+    assert h.dtype == fall.dtype == (np.int16 if dtype is np.int8 else np.int64)
+    assert np.array_equal(h, rows.sum(axis=1))
+    # Thresholds at every fall, hit exactly, and just above and below it.
+    for threshold in {0.0, *fall.tolist(), *(fall + 0.5).tolist(), *(fall - 0.5).tolist()}:
+        assert np.array_equal((h != 0) & (fall >= threshold), _segment_hits(rows, threshold))
 
 
 @settings(max_examples=80, deadline=None)

@@ -155,6 +155,12 @@ CASES = {
          "--trials", "1000"],
         {"alphaq.json": "cdf3d24762d02dcbba3e4a8c984a5d3c7e3075adfb254e0367d82539261a1a30"},
     ),
+    # int64 entries, a 2048-row chunk swept in many tiles and a one-row last chunk.
+    "alphaq-afrw-chunks": (
+        ["alphaq", "--family", "afrw", "--T", "4096", "--x", "4096", "--delta", "0.1", "--alpha", "0.2",
+         "--trials", "2049"],
+        {"alphaq.json": "74fe1e02b67422780b4a98c93cdb31596a824357f227a6f2aab627e5b86f0a57"},
+    ),
     "sweep": (
         ["sweep", "--families", "uniform,opt_frw,entropy_conditioned", "--deltas", "0.1",
          "--T-list", "64", "--metrics", "deviation,delta_hat,alpha_q", "--trials", "1000",

@@ -14,8 +14,8 @@ from fractalwalk import (
     aligned_decompose,
     generate_batch,
 )
-from fractalwalk import generators, predictors
-from fractalwalk.analysis import _prefix_at, _segment_extremes
+from fractalwalk import analysis, generators, predictors
+from fractalwalk.analysis import _opposite_falls, _prefix_at, _segment_extremes
 from fractalwalk.sequences import _sum_dtype
 
 
@@ -163,7 +163,7 @@ class TestNarrowSums:
 
     @pytest.mark.parametrize("x", [16383, 16384, 1 << 15])
     def test_segment_extremes(self, x):
-        # alpha_q_estimate's window prefixes: _segment_extremes subtracts two of them.
+        # _segment_extremes subtracts two prefixes, so narrow prefix rows need 2x.
         rows = _worst_rows(x)
         pref = np.zeros((len(rows), x + 1), dtype=_sum_dtype(rows, 2 * x))
         np.cumsum(rows, axis=1, dtype=pref.dtype, out=pref[:, 1:])
@@ -171,6 +171,18 @@ class TestNarrowSums:
         np.cumsum(rows, axis=1, out=wide[:, 1:])
         for got, want in zip(_segment_extremes(pref), _segment_extremes(wide)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sweep_min_rows", [1, 5])
+    @pytest.mark.parametrize("x", [16383, 16384, 1 << 15])
+    def test_opposite_falls(self, monkeypatch, x, sweep_min_rows):
+        # alpha_q_estimate's window scan keeps its values in _sum_dtype(rows, 2x),
+        # by column sweep (1) or by prefix passes on these four rows (5).
+        monkeypatch.setattr(analysis, "_SWEEP_MIN_ROWS", sweep_min_rows)
+        rows = _worst_rows(x)
+        got, want = _opposite_falls(rows), _opposite_falls(rows.astype(np.int64))
+        assert got[0].dtype == _sum_dtype(rows, 2 * x)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("base_len", [1 << 14, 1 << 15])
     def test_block_heights_row_check_and_block_bets(self, monkeypatch, base_len):
