@@ -348,9 +348,11 @@ def _segment_extremes(pref2d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 # Below this many rows a vector step per column costs more in call overhead
-# than it saves: on (n, 256) and (n, 4096) int8 windows the column sweep
-# overtook one prefix pass per row block between 256 and 512 rows.
-_SWEEP_MIN_ROWS = 512
+# than it saves.  Timing both paths on the same windows, the column sweep
+# overtook one prefix pass per row block between 128 and 192 rows for x = 256
+# and 1024, and between 256 and 384 rows for x = 4096 to 65536 (int8 and
+# int64 rows); from 384 rows on it was faster at every width measured.
+_SWEEP_MIN_ROWS = 384
 
 
 def _opposite_falls(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

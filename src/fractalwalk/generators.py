@@ -764,7 +764,7 @@ def _place_flips(
     active merges keep their order, and their flat start positions, directions
     and remaining counts are compacted only in rounds where some merge finishes.
     """
-    flat = A.reshape(-1, copy=False)
+    flat = A.ravel()  # a view: A is C-contiguous, and the row-sum assert catches a copy
     act = counts > 0
     remaining = counts[act].astype(np.int64)
     start = trial_idx[act] * A.shape[1] + base_pos[act]
