@@ -419,35 +419,51 @@ def _live_pair_count(prefix: np.ndarray, min_len: int) -> int:
     return n * (n + 1) // 2 - int(np.maximum(back - first, 0).sum())
 
 
-# The exhaustive sweep builds each start's first summary, of up to
-# _FIRST_POINTS points, in one pass: on short sequences the steps it replaces
-# would cost more numpy calls than the whole rest of the scan.  It checks
+# Up to _ONE_PASS_ENTRIES entries in its (points, starts, 2) block, the
+# exhaustive scan covers every length in one pass, and no sweep step runs.
+# Both paths were timed on the same sequences, alternating in one process.
+# On random +-1 rows the sweep, which prunes most starts, caught up between
+# 15k and 18k entries at min_len 1 and 4; at min_len 8 and 16 the one pass
+# won up to 20k entries, and on sorted rows, where nothing is pruned, at
+# every size.  Past about 22k entries its cost per entry nearly doubled
+# (T = 108, min_len <= 8: 0.46-0.53 ms, against 0.21-0.32 ms swept).
+# Longer sequences are swept, building each start's first summary, of up to
+# _FIRST_POINTS points, in one pass: on short sweeps the steps it replaces
+# would cost more numpy calls than the rest of the sweep.  The sweep checks
 # pruning every _PRUNE_EVERY steps, a fraction of a step's cost.
+_ONE_PASS_ENTRIES = 20 << 10
 _FIRST_POINTS = 16
 _PRUNE_EVERY = 8
 
 
-def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int]]:
+def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int] | None, int]:
     """Smallest ratio over the intervals of length ``>= min_len`` that have a
-    nonzero height, and its first minimiser ``(lo, hi)``; there must be one.
+    nonzero height, its first minimiser ``(lo, hi)``, and the number of such
+    intervals; with none, ``(inf, None, 0)``.
 
-    The sweep runs over the length ``k`` for all starts at once.  Each start
-    carries the max-subarray summary of its points ``P[lo .. lo+k-1]``: the
-    minimum of ``P`` and of ``-P``, and the largest rise and drop (Bentley
-    1984), so one step appends one point.  The first summaries, of up to
-    ``_FIRST_POINTS`` points, come from one pass over sliding windows.  The
-    ratio is ``opp / |h|`` in float64, and ``h == 0`` yields ``nan`` or ``inf``,
-    which ``fmin`` never keeps below a live ratio.  ``best[lo]`` is the
-    smallest ratio of start ``lo`` so far.
+    Each start carries the max-subarray summary of its points ``P[lo ..
+    lo+k-1]``: the minimum of ``P`` and of ``-P``, and the largest rise and
+    drop (Bentley 1984), so one more point updates it in O(1).  The ratio is
+    ``opp / |h|`` in float64, and ``h == 0`` yields ``nan`` or ``inf``, which
+    ``fmin`` never keeps below a live ratio.
 
-    Every few steps a start is dropped once ``min(rise, drop) / hmax`` exceeds
-    the best ratio so far, ``hmax`` being the largest ``|P[hi] - P[lo]|`` still
+    A block of at most ``_ONE_PASS_ENTRIES`` entries is summarised at every
+    length at once, from sliding windows over ``P``: ``fmin`` reduces each
+    start's ratios over increasing lengths, as the sweep does, and the first
+    minimiser and the live count come from the same block.
+
+    Longer sequences are swept over the length ``k`` for all starts at once,
+    one point per step, from first summaries of up to ``_FIRST_POINTS``
+    points; ``best[lo]`` is the smallest ratio of start ``lo`` so far.  Every
+    few steps a start is dropped once ``min(rise, drop) / hmax`` exceeds the
+    best ratio so far, ``hmax`` being the largest ``|P[hi] - P[lo]|`` still
     ahead of it: no longer interval of that start can then reach that ratio,
     because rounding is monotone.  So a dropped start's entry may lie above
     its own minimum, but an entry equal to the overall minimum is exact, and
     the first such entry is the first minimising start.  Starts are swept as
     dense slices until pruning has removed at least half of them, and as a
-    compacted index set after that.
+    compacted index set after that.  The live count comes from
+    :func:`_live_pair_count`.
     """
     T = prefix.shape[0] - 1
     # Columns P and -P, padded with P[T]: a compacted start may step past T,
@@ -456,6 +472,26 @@ def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int
     q[: T + 1, 0] = prefix
     q[T + 1 :, 0] = prefix[-1]
     np.negative(q[:, 0], out=q[:, 1])
+    n = T - min_len + 1
+    if 2 * (T + 1) * n <= _ONE_PASS_ENTRIES:
+        # Every start's points at every length k = 0..T; past T they repeat P[T].
+        win = np.ndarray((T + 1, n, 2), q.dtype, q, strides=(q.strides[0], *q.strides))
+        gain = np.maximum.accumulate(win - np.minimum.accumulate(win, axis=0), axis=0)[min_len:]
+        base_hi = win[0] - win[min_len:]
+        # Start lo's last lo lengths run past T, each at height P[lo] - P[T].
+        live = int(np.count_nonzero(base_hi[:, :, 0]) - (prefix[:n] != prefix[T]).nonzero()[0].sum())
+        if not live:
+            return math.inf, None, 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = gain / base_hi
+        ratios = np.maximum(r[:, :, 0], r[:, :, 1])
+        best = np.fmin.reduce(ratios, axis=0, initial=math.inf)
+        lo = int(np.argmin(best))
+        k = min_len + int(np.argmax(ratios[:, lo] == best[lo]))
+        return float(best[lo]), (lo, lo + k), live
+    live = _live_pair_count(prefix, min_len)
+    if not live:
+        return math.inf, None, 0
     ahead = np.maximum.accumulate(q[::-1], axis=0)[::-1]  # suffix max of P and -P
     first = min(min_len, _FIRST_POINTS)
     # Each start's first points, as sliding windows over q.
@@ -503,7 +539,7 @@ def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int
         seg = q[lo : T + 1]
         r = np.maximum.accumulate(seg - np.minimum.accumulate(seg, axis=0), axis=0) / (seg[0] - seg)
         k = min_len + int(np.argmax(np.maximum(r[min_len:, 0], r[min_len:, 1]) == best[lo]))
-    return float(best[lo]), (lo, lo + k)
+    return float(best[lo]), (lo, lo + k), live
 
 
 def _dyadic_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int] | None, int]:
@@ -566,11 +602,8 @@ def inversion_ratio(
             f"length {T} exceeds the exhaustive-scan cap {EXHAUSTIVE_SCAN_LIMIT}; use dyadic_only"
         )
 
-    if dyadic_only:
-        best_ratio, best_x, scanned = _dyadic_scan(prefix, min_len)
-    else:
-        scanned = _live_pair_count(prefix, min_len)
-        best_ratio, best_x = _exhaustive_scan(prefix, min_len) if scanned else (0.0, None)
+    scan = _dyadic_scan if dyadic_only else _exhaustive_scan
+    best_ratio, best_x, scanned = scan(prefix, min_len)
 
     if best_x is None:
         return InversionReport(min_len, dyadic_only, scanned, 0.0)

@@ -257,18 +257,19 @@ def _merge_level(
 ) -> np.ndarray:
     """Merge each adjacent pair of length-``n`` blocks, given their heights ``H``, in every trial.
 
-    Returns the merged heights.  Eligible counts are derived from the
-    heights as if the blocks held pure +-1 entries, and clamped at 0.  Rows go in
-    the package's one row-block rule, :func:`~fractalwalk.sequences._row_blocks`
-    over the columns of ``H``; the plan draws its numbers in row-major
-    order, so the blocks read the same stream as one call on all rows would.
+    Returns the merged heights, in ``H``'s dtype.  Eligible counts are
+    derived from the heights as if the blocks held pure +-1 entries, and
+    clamped at 0.  Rows go in the package's one row-block rule,
+    :func:`~fractalwalk.sequences._row_blocks` over the columns of ``H``; the
+    plan draws its numbers in row-major order, so the blocks read the same
+    stream as one call on all rows would.
     For each block ``rows``, ``recount(rows, dirs, eligible)`` may correct
     the eligible counts in place before the plan is drawn, and ``visit(rows,
     dirs, requested, applied, augmented)`` sees the plan, with ``dirs =
     sign(h1)``.
     """
     trials = H.shape[0]
-    merged = np.empty((trials, H.shape[1] // 2), dtype=np.int64)
+    merged = np.empty((trials, H.shape[1] // 2), dtype=H.dtype)
     for rows in _row_blocks(trials, H.shape[1]):
         h1 = H[rows, 0::2]
         h2 = H[rows, 1::2]
@@ -691,9 +692,12 @@ def _merge_family_matrix(
     if planted_prefix:
         A[:, :planted_prefix] = 1
     # Block heights accumulate in the narrowest exact dtype; a one-entry block
-    # is its entry, so l = 1 casts A once.
+    # is its entry, so l = 1 casts A once.  Bit-family heights never exceed
+    # MAX_TOTAL_LEN = 2^24, so int32 holds them exactly; augmented ones, int64.
     blocks = A.reshape(trials, T // l, l)
-    H = (blocks[:, :, 0] if l == 1 else blocks.sum(axis=2, dtype=_sum_dtype(A, l))).astype(np.int64)
+    H = (blocks[:, :, 0] if l == 1 else blocks.sum(axis=2, dtype=_sum_dtype(A, l))).astype(
+        np.int64 if spec.family in _AUGMENTED else np.int32
+    )
     tainted = np.zeros(trials, dtype=bool)  # trials holding non +-1 entries
 
     def recount(rows: slice, dirs: np.ndarray, elig: np.ndarray) -> None:

@@ -432,6 +432,10 @@ def _brute_ratio(prefix, lo, hi):
     return (drop if h > 0 else rise) / abs(h)
 
 
+def _exhaustive_intervals(T, min_len):
+    return [(lo, hi) for lo in range(T - min_len + 1) for hi in range(lo + min_len, T + 1)]
+
+
 def _brute_scan(prefix, intervals):
     """Smallest ratio, its first interval in the given order, and the live count."""
     best, best_x, live = math.inf, None, 0
@@ -484,6 +488,10 @@ def _short_sequences(draw):
 # a start dropped on a tie would move the first minimiser from lo=1 to lo=5.
 _TIE = (IntSequence([3, -3, -3, 3, 1, -3, 1, -1, 1, 1, -1, -1, 3, -1, -3, -1, 3, -1, -3, 3, 1]), 7)
 
+# Values of analysis._ONE_PASS_ENTRIES that force each exhaustive path: the
+# one pass, and the pruned sweep.
+_BOTH_PATHS = (1 << 30, 0)
+
 
 @settings(max_examples=150, deadline=None)
 @given(_short_sequences())
@@ -491,7 +499,9 @@ _TIE = (IntSequence([3, -3, -3, 3, 1, -3, 1, -1, 1, 1, -1, -1, 3, -1, -3, -1, 3,
 def test_exhaustive_matches_naive_batch(case):
     seq, min_len = case
     want = inversion_ratio_naive_batch(seq.values[None, :], min_len)[0]
-    assert inversion_ratio(seq, min_len=min_len).overall_ratio == want
+    for entries in _BOTH_PATHS:
+        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+            assert inversion_ratio(seq, min_len=min_len).overall_ratio == want
 
 
 def test_dp_reference_matches_naive_on_all_length_12_inputs():
@@ -519,8 +529,107 @@ def test_dp_reference_matches_naive_batch(case):
 def test_exhaustive_witness_and_count_match_brute_force(case):
     seq, min_len = case
     T = len(seq)
-    intervals = [(lo, hi) for lo in range(T - min_len + 1) for hi in range(lo + min_len, T + 1)]
-    _check_against_brute(seq, min_len, intervals, dyadic_only=False)
+    intervals = _exhaustive_intervals(T, min_len)
+    for entries in _BOTH_PATHS:
+        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+            _check_against_brute(seq, min_len, intervals, dyadic_only=False)
+
+
+@st.composite
+def _steps_with_zeros(draw):
+    steps = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=16))
+    return steps, draw(st.integers(1, len(steps)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_steps_with_zeros())
+@example(([0, 0, 1], 1))
+def test_exhaustive_scan_skips_flat_intervals(case):
+    # No sequence has a zero entry, but the scan takes any prefix array: a
+    # flat interval's ratio is 0/0 = nan, which fmin must skip on both paths.
+    steps, min_len = case
+    T = len(steps)
+    prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
+    intervals = _exhaustive_intervals(T, min_len)
+    best, best_x, live = _brute_scan(prefix, intervals)
+    for entries in _BOTH_PATHS:
+        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+            assert analysis._exhaustive_scan(prefix, min_len) == (best, best_x, live)
+
+
+def _brute_report(seq, min_len):
+    """The exhaustive report from pairs of points alone: the first minimiser
+    in ``(lo, hi)`` order, and in it the opposite-sign subinterval of largest
+    height, the first by end and then by start."""
+    T = len(seq)
+    prefix = [int(v) for v in seq.prefix]
+    intervals = _exhaustive_intervals(T, min_len)
+    best, best_x, live = _brute_scan(seq.prefix, intervals)
+    if best_x is None:
+        return analysis.InversionReport(min_len, False, live, 0.0)
+    lo, hi = best_x
+    hx = prefix[hi] - prefix[lo]
+    if best == 0.0:
+        return analysis.InversionReport(min_len, False, live, best, Interval(lo, hi, T), None, hx, 0)
+    sign = 1 if hx < 0 else -1
+    pairs = [(u, v) for v in range(lo + 1, hi + 1) for u in range(lo, v)]
+    opp = max(sign * (prefix[v] - prefix[u]) for u, v in pairs)
+    u, v = next((u, v) for u, v in pairs if sign * (prefix[v] - prefix[u]) == opp)
+    return analysis.InversionReport(
+        min_len, False, live, best, Interval(lo, hi, T), Interval(u, v, T), hx, prefix[v] - prefix[u]
+    )
+
+
+def _switch_rows(T, seed):
+    """Random, sorted and patterned bit and odd-integer rows of length ``T``."""
+    rng = np.random.default_rng(seed)
+    bits = 2 * rng.integers(0, 2, size=(2, T)) - 1
+    odd = 2 * rng.integers(-4, 4, size=(2, T)) + 1
+    rows = [*bits, np.sort(bits[0]), *odd, np.sort(odd[0]), np.sort(odd[1])[::-1]]
+    rows += [np.resize(np.array(p) * sign, T) for p in _PATTERNS.values() for sign in (1, -1)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _as_sequence(row):
+    return BitSequence(row.astype(np.int8)) if np.all(np.abs(row) == 1) else IntSequence(row)
+
+
+# With this switch the one pass covers T <= 11, 12 and 15 at min_len 1, 2 and
+# 8, and T in range(9, 19) crosses all three.
+_SMALL_SWITCH = 300
+
+
+@pytest.mark.parametrize("T", range(9, 19))
+def test_exhaustive_report_matches_brute_force_across_the_switch(T):
+    rows = _switch_rows(T, seed=T)
+    for min_len in sorted({1, 2, DEFAULT_MIN_LEN, T}):
+        want_ratios = inversion_ratio_naive_batch(rows, min_len)
+        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", _SMALL_SWITCH):
+            reports = [inversion_ratio(_as_sequence(row), min_len=min_len) for row in rows]
+        for row, got, ratio in zip(rows, reports, want_ratios):
+            # repr pins every field, the ratio to its last bit and sign of zero.
+            assert float.hex(got.overall_ratio) == float.hex(float(ratio))
+            assert repr(got) == repr(_brute_report(_as_sequence(row), min_len))
+
+
+def test_one_pass_and_sweep_agree_around_the_switch():
+    # The last T on the one pass at min_len 1, 2 and 8, from the real switch.
+    last = {
+        m: max(T for T in range(m, 1 << 10) if 2 * (T + 1) * (T - m + 1) <= analysis._ONE_PASS_ENTRIES)
+        for m in (1, 2, DEFAULT_MIN_LEN)
+    }
+    for T in range(min(last.values()) - 2, max(last.values()) + 3):
+        rows = _switch_rows(T, seed=T)
+        for min_len in (1, 2, DEFAULT_MIN_LEN, T):
+            want_ratios = inversion_ratio_dp_batch(rows, min_len)
+            for row, ratio in zip(rows, want_ratios):
+                seq = _as_sequence(row)
+                got = repr(inversion_ratio(seq, min_len=min_len))
+                for entries in _BOTH_PATHS:
+                    with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+                        report = inversion_ratio(seq, min_len=min_len)
+                    assert float.hex(report.overall_ratio) == float.hex(float(ratio))
+                    assert repr(report) == got
 
 
 def _aligned_intervals(T, min_len):

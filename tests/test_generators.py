@@ -797,6 +797,20 @@ class TestSizeCap:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_bit_family_heights_are_int32(self):
+        # At l = 1 the first level holds one height per entry.  In int64 they
+        # took 16 MB beside this 2 MB result, and the call peaked at 32 MB;
+        # int32 heights peak at 19 MB.  The bound is 24 MB.
+        spec = GeneratorSpec(Family.FRW, 1 << 12, delta=0.1, base_len=1, seed=1)
+        tracemalloc.start()
+        try:
+            A = generate_batch(spec, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A.nbytes == 500 << 12
+        assert peak < 24e6
+
     def test_cap_counts_blocks_not_entries_for_heights(self):
         # Uniform heights are one binomial draw per trial, whatever the length.
         spec = GeneratorSpec(Family.UNIFORM, 1 << 20)

@@ -243,6 +243,12 @@ CASES = {
         ["inversion", "--family", "uniform", "--T", "1024", "--seed", "5", "--min-len", "8"],
         {"inversion.json": "4cc7b200ddbc39a98124f671ea7a4cb7be09bdf55ee025dc6ac32e4bdc8ed9b8"},
     ),
+    # Short enough for the exhaustive scan's one-pass path; its ratio is above
+    # 0, so it pins a witness pair as well.
+    "inversion-short": (
+        ["inversion", "--family", "uniform", "--T", "32", "--seed", "5", "--min-len", "8"],
+        {"inversion.json": "54065b7bb0712f5d5c617375977b038fa50847a00b362f8979e6d25bd75c7cd1"},
+    ),
     "inversion-dyadic": (
         ["inversion", "--family", "uniform", "--T", "1024", "--seed", "5", "--min-len", "8",
          "--dyadic-only"],

@@ -200,7 +200,8 @@ class TestNarrowSums:
         spec = GeneratorSpec("opt_frw", T, delta=0.5, base_len=base_len, seed=3)
         out = generate_batch(spec, len(rows))  # runs the row-sum check at T = 2**16
         wide = rows.astype(np.int64).reshape(len(rows), -1, base_len).sum(axis=2)
-        assert seen[0].dtype == np.int64 and np.array_equal(seen[0], wide)
+        # Bit-family block heights merge in int32, exact up to MAX_TOTAL_LEN.
+        assert seen[0].dtype == np.int32 and np.array_equal(seen[0], wide)
         assert np.array_equal(out[:2], rows[:2])  # nothing to flip in a constant row
         assert np.array_equal(predictors._block_momentum_payoffs(rows, base_len),
                               predictors._block_momentum_payoffs(rows.astype(np.int64), base_len))
