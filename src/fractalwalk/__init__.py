@@ -9,32 +9,38 @@ opposite-excursion (inversion) structure.
 Start with :class:`GeneratorSpec` / :func:`generate` for sampling,
 :func:`deviation_stats` / :func:`estimate_delta` for measurement, and
 ``python -m fractalwalk`` (or the ``fractalwalk`` script) for the CLI.
-"""
 
-from . import analysis, errors, fbm, fractal, generators, predictors, seeding, seqio, sequences, verify
-from .errors import *
-from .seeding import *
-from .sequences import *
-from .seqio import *
-from .generators import *
-from .fractal import *
-from .fbm import *
-from .predictors import *
-from .analysis import *
-from .verify import *
+The namespace is lazy (PEP 562): ``import fractalwalk`` loads no submodule and
+not numpy.  A submodule loads when it or one of its public names is first
+read, and ``__all__`` is built from the submodules' own ``__all__`` lists the
+first time it is read, so each public name is declared once, where it is
+defined.  Each CLI command likewise loads only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-# The public names are each submodule's own ``__all__``, listed once there.
-__all__ = [
-    *errors.__all__,
-    *seeding.__all__,
-    *sequences.__all__,
-    *seqio.__all__,
-    *generators.__all__,
-    *fractal.__all__,
-    *fbm.__all__,
-    *predictors.__all__,
-    *analysis.__all__,
-    *verify.__all__,
-]
+# The submodules whose ``__all__`` make up the package's, in the order they are searched.
+_SOURCES = ("errors", "seeding", "sequences", "seqio", "generators", "fractal", "fbm",
+            "predictors", "analysis", "verify")
+
+
+def __getattr__(name: str):
+    if name in _SOURCES or name == "cli":
+        # The builtin, unlike importlib.import_module, shows the load under -X importtime.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name == "__all__":
+        global __all__
+        __all__ = [n for source in _SOURCES for n in __getattr__(source).__all__]
+        return __all__
+    # Other dunders are tools' probes (``__wrapped__``, ``__test__``); they load nothing.
+    if not name.startswith("__"):
+        for source in _SOURCES:
+            module = __getattr__(source)
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCES, "cli", *__getattr__("__all__")})

@@ -39,7 +39,7 @@ from .generators import (
 )
 from .predictors import _bettor_stages, _sign_bets
 from .seeding import derive_rng, make_rng
-from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
+from .sequences import DEFAULT_MIN_LEN, MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
 
 __all__ = [
     "DeviationRow",
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SCAN_LIMIT = 1 << 14
-DEFAULT_MIN_LEN = 8
 
 # Bootstrap resamples behind estimate_delta's interval, the size of alpha_q_estimate's first
 # pass, and the fewest trials deviation_stats (stable quantiles) and the two estimators take.

@@ -14,6 +14,10 @@ Exit codes: 0 success, 1 analysis failure (failed criteria or sweep cells),
 or malformed ``--input`` file, or a ``sweep`` input that no cell could take.
 ``FRACTALWALK_OUTPUT_DIR`` sets the default output directory; no other environment
 variables are read.
+
+Parsing needs only the generator spec's types, so the module imports no more than
+that and the shared writers; each command imports the modules it runs, and a
+fresh process pays for no other command's imports.
 """
 
 from __future__ import annotations
@@ -29,17 +33,16 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, fbm, fractal, predictors, verify
+from . import __version__
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
 from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seeding import derive_seed
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
-from .sequences import Interval
+from .sequences import DEFAULT_MIN_LEN, Interval
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -74,10 +77,10 @@ def _publish(args: argparse.Namespace, outputs: dict) -> Path:
     """Write every ``{name: payload}`` output, then the manifest listing exactly those names.
 
     Bytes are written as given; anything else as sorted, indented JSON.  Each
-    write is atomic.  Returns the output directory.
+    write is atomic.  Returns the output directory.  A directory that cannot be
+    made or written, such as a path at or below a file, is a configuration error.
     """
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k != "from_manifest"}
     manifest = {
         "tool": "fractalwalk",
@@ -86,11 +89,15 @@ def _publish(args: argparse.Namespace, outputs: dict) -> Path:
         "config": config,
         "outputs": sorted(outputs),
     }
-    for name, payload in [*outputs.items(), (f"{args.command}-manifest.json", manifest)]:
-        if not isinstance(payload, bytes):
-            text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-            payload = text.encode("utf-8")
-        atomic_write_bytes(out / name, payload)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in [*outputs.items(), (f"{args.command}-manifest.json", manifest)]:
+            if not isinstance(payload, bytes):
+                text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+                payload = text.encode("utf-8")
+            atomic_write_bytes(out / name, payload)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write to --output-dir {out}: {exc}") from exc
     return out
 
 
@@ -111,7 +118,7 @@ def _metric_row(spec: GeneratorSpec, T: int, trials: int, metric: str, value: fl
             "" if stderr is None else f"{stderr:.10g}", trials, spec.seed]
 
 
-def _deviation_rows(spec: GeneratorSpec, report: analysis.DeviationReport) -> list[list]:
+def _deviation_rows(spec: GeneratorSpec, report) -> list[list]:
     return [
         _metric_row(spec, r.total_len, r.trials, metric, value)
         for r in report.rows
@@ -189,6 +196,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import analysis
+
     spec = _spec_from_args(args)
     T_list = _parse_list(args.T_list)
     report = analysis.deviation_stats(spec, T_list, args.trials)
@@ -204,6 +213,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _check_predictor_flags(args: argparse.Namespace, T: int) -> None:
+    from . import predictors
+
     if args.predictor == "sign_of_prefix":
         if args.window is None or args.x is None:
             raise ConfigurationError("sign_of_prefix requires --window and --x")
@@ -220,6 +231,8 @@ def _check_predictor_flags(args: argparse.Namespace, T: int) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from . import analysis, predictors
+
     spec = _spec_from_args(args)
     T = spec.total_len
     _check_predictor_flags(args, T)
@@ -250,6 +263,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_inversion(args: argparse.Namespace) -> int:
+    from . import analysis
+
     if args.input:
         path = Path(args.input)
         try:
@@ -271,6 +286,8 @@ def cmd_inversion(args: argparse.Namespace) -> int:
 
 
 def cmd_alphaq(args: argparse.Namespace) -> int:
+    from . import analysis
+
     spec = _spec_from_args(args)
     x = _integer(args.x, "--x", 1, spec.total_len)
     window = Interval(spec.total_len - x, spec.total_len, spec.total_len)
@@ -284,6 +301,8 @@ def cmd_alphaq(args: argparse.Namespace) -> int:
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
+    from . import fractal
+
     theta = fractal.solve_theta(args.alpha)
     _publish(args, {"theta.json": {"alpha": args.alpha, "theta": theta,
                                    "residual": fractal.theta_residual(args.alpha, theta)}})
@@ -292,6 +311,8 @@ def cmd_theta(args: argparse.Namespace) -> int:
 
 
 def cmd_fractal(args: argparse.Namespace) -> int:
+    from . import fractal
+
     params = fractal.FractalParams(args.alpha, args.height)
     seq = fractal.build_fractal(params)
     stem = f"fractal-a{args.alpha:g}-h{args.height}"
@@ -309,6 +330,8 @@ def cmd_fractal(args: argparse.Namespace) -> int:
 
 
 def cmd_fbm(args: argparse.Namespace) -> int:
+    from . import fbm
+
     params = fbm.FbmParams(args.hurst, args.grid_len, seed=args.seed)
     result = {"params": params}
     outputs = {}
@@ -337,6 +360,8 @@ def _sweep_cell(payload: dict) -> dict:
     """One (family, delta, T) cell; returns rows or an error record (never raises).  The heap
     it freed then goes back to the OS: glibc would keep it, and a sweep's peak memory swung by
     12 MB with incidental allocation sizes, such as the length of ``--output-dir``."""
+    from . import analysis
+
     try:
         spec = GeneratorSpec.from_json_dict(payload["spec"])
         trials = payload["trials"]
@@ -361,19 +386,19 @@ def _sweep_cell(payload: dict) -> dict:
             libc.malloc_trim(0)
 
 
-_SWEEP_MIN_TRIALS = {"deviation": analysis._MIN_DEVIATION_TRIALS,
-                     "delta_hat": analysis._MIN_ESTIMATOR_TRIALS, "alpha_q": analysis._MIN_ESTIMATOR_TRIALS}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import analysis
+
+    min_trials = {"deviation": analysis._MIN_DEVIATION_TRIALS,
+                  "delta_hat": analysis._MIN_ESTIMATOR_TRIALS, "alpha_q": analysis._MIN_ESTIMATOR_TRIALS}
     _integer(args.parallelism, "--parallelism")
     families = [_enum(Family, f, "--families item") for f in _parse_list(args.families, str, "family")]
     deltas = [_real(d, "--deltas item", 0, 1, "[)") for d in _parse_list(args.deltas, float, "number")]
     T_list = _parse_list(args.T_list)
     metrics = _parse_list(args.metrics, str, "metric")
-    if not set(metrics) <= set(_SWEEP_MIN_TRIALS):
-        raise ConfigurationError(f"metrics must be a subset of {sorted(_SWEEP_MIN_TRIALS)}, got {metrics}")
-    _integer(args.trials, "--trials", max(_SWEEP_MIN_TRIALS[m] for m in metrics))
+    if not set(metrics) <= set(min_trials):
+        raise ConfigurationError(f"metrics must be a subset of {sorted(min_trials)}, got {metrics}")
+    _integer(args.trials, "--trials", max(min_trials[m] for m in metrics))
 
     cells = []
     for family in families:
@@ -398,6 +423,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # are cells or cores.
     workers = min(args.parallelism, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell, cells))
     else:
@@ -420,6 +447,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     names = _parse_list(args.only, str, "criterion name") if args.only is not None else None
     results = verify.run_all(quick=args.quick, names=names)
     n_pass = sum(r.passed for r in results)
@@ -476,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inversion", help="worst opposite-excursion ratio of a sequence")
     _add_spec_flags(p, required=False)
     p.add_argument("--input", default=None, help="sequence file (.fwsq or .csv) instead of a spec")
-    p.add_argument("--min-len", dest="min_len", type=int, default=analysis.DEFAULT_MIN_LEN)
+    p.add_argument("--min-len", dest="min_len", type=int, default=DEFAULT_MIN_LEN)
     p.add_argument("--dyadic-only", dest="dyadic_only", action="store_true")
     common(p)
 

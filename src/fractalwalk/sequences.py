@@ -30,6 +30,9 @@ ALIGNED_SQRT_SUM_FACTOR = float(np.sqrt(2.0) / (np.sqrt(2.0) - 1.0))
 # in the sequence length, so lengths up to 2**24 are safe by a wide margin.
 MAX_TOTAL_LEN = 1 << 24
 
+# The shortest interval the inversion scans consider unless asked otherwise.
+DEFAULT_MIN_LEN = 8
+
 
 # Entries per row block of a (trials, T) reduction: a block's int64 and float64
 # temporaries then stay in cache.

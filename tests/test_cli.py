@@ -8,11 +8,15 @@ bytes, not parsed content.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,7 +466,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         args = list(self.ARGS)
         args[args.index("--parallelism") + 1] = str(parallelism)
@@ -678,3 +682,50 @@ class TestEnvironment:
         monkeypatch.setenv("FRACTALWALK_OUTPUT_DIR", str(tmp_path / "from-env"))
         assert run(["theta", "--alpha", "0.3"]) == 0
         assert (tmp_path / "from-env" / "theta.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_output_dir_at_or_below_a_file_exit_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"kept")
+        out = blocker / below if below else blocker
+        assert run(["theta", "--alpha", "0.2", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write to --output-dir {out}:")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_bytes() == b"kept"
+
+
+def modules_loaded_by(tmp_path, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``run(argv)`` succeeds in it."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\nfrom fractalwalk.cli import run\n"
+              "code = run(sys.argv[1:])\nprint(code, *sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--output-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+class TestImports:
+    """Each command loads only the modules it runs; a stray top-level import fails here."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded, unloaded",
+        [
+            (["theta", "--alpha", "0.2"], {"fractal"}, {"analysis", "verify", "fbm", "predictors"}),
+            (["generate", "--family", "afrw", "--T", "256", "--delta", "0.1"], {"generators"},
+             {"analysis", "verify", "fbm", "predictors", "fractal"}),
+            (["inversion", "--input", "{input}"], {"analysis"}, {"verify", "fbm", "fractal"}),
+        ],
+        ids=["theta", "generate", "inversion"],
+    )
+    def test_command_loads_only_its_modules(self, tmp_path, argv, loaded, unloaded):
+        seq = generate(GeneratorSpec(family=Family.UNIFORM, total_len=64, seed=1)).sequence
+        write_csv(seq, tmp_path / "input.csv")
+        argv = [a.format(input=tmp_path / "input.csv") for a in argv]
+        modules = modules_loaded_by(tmp_path / "out", *argv)
+        assert {f"fractalwalk.{m}" for m in loaded} <= modules
+        assert not {f"fractalwalk.{m}" for m in unloaded} & modules
+        assert "concurrent.futures.process" not in modules

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import fractalwalk
 
 # The public names before ``__all__`` was built from the submodules' own lists.
@@ -38,3 +45,36 @@ def test_every_public_name_resolves_once():
 def test_submodules_stay_attributes_of_the_package():
     for name in ("analysis", "fbm", "fractal", "generators", "predictors", "seqio", "verify"):
         assert getattr(fractalwalk, name).__name__ == f"fractalwalk.{name}"
+
+
+def fresh_interpreter(script: str) -> str:
+    """Standard output of ``script`` run by a new interpreter that imports this package."""
+    src = str(Path(fractalwalk.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_not_numpy():
+    out = fresh_interpreter(
+        "import sys, fractalwalk\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'fractalwalk')))"
+    )
+    assert out.split() == ["fractalwalk"]
+
+
+def test_dir_lists_every_public_name():
+    assert set(fractalwalk.__all__) <= set(dir(fractalwalk))
+    assert {"analysis", "cli", "verify", "__version__"} <= set(dir(fractalwalk))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fractalwalk.no_such_name
+    assert not hasattr(fractalwalk, "__wrapped__")
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from fractalwalk import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fractalwalk.__all__)
