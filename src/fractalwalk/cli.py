@@ -595,7 +595,7 @@ def _namespace_from_manifest(argv: list[str]) -> argparse.Namespace:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config", {}), dict):
         raise ConfigurationError(f"manifest {path} is not a JSON object with a config object")
     command = manifest.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigurationError(f"manifest names unknown command {command!r}")
     if rest and not rest[0].startswith("-"):
         if rest[0] != command:

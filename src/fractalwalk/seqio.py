@@ -46,6 +46,7 @@ def _write_varint(out: io.BytesIO, z: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """One LEB128 varint of at most 10 bytes (70 bits), starting at ``pos``."""
     z = 0
     shift = 0
     while True:
@@ -57,8 +58,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         if not (b & 0x80):
             return z, pos
         shift += 7
-        if shift > 70:
-            raise SequenceFormatError("varint too long")
+        if shift >= 70:
+            raise SequenceFormatError("varint longer than 10 bytes")
 
 
 def dumps(seq: BitSequence | IntSequence) -> bytes:
@@ -100,9 +101,13 @@ def loads(data: bytes) -> BitSequence | IntSequence:
             raise SequenceFormatError(f"{n} integers cannot fit in {len(payload)} payload bytes")
         values = np.empty(n, dtype=np.int64)
         pos = 0
-        for i in range(n):
-            z, pos = _read_varint(payload, pos)
-            values[i] = _zigzag_decode(z)
+        try:
+            for i in range(n):
+                z, pos = _read_varint(payload, pos)
+                values[i] = _zigzag_decode(z)
+        except OverflowError as exc:
+            # A zigzag code decodes inside int64 exactly when it is below 2**64.
+            raise SequenceFormatError(f"entry {i} is wider than 64 bits") from exc
         if pos != len(payload):
             raise SequenceFormatError("trailing bytes after integer payload")
         return IntSequence(values)
@@ -154,10 +159,14 @@ def read_csv(path: str | Path) -> BitSequence | IntSequence:
         raise SequenceFormatError(f"CSV sequence file is not text: {exc}") from exc
     if not rows:
         raise SequenceFormatError("empty CSV sequence file")
+    if len(rows) > MAX_TOTAL_LEN:
+        raise SequenceFormatError(f"{len(rows)} CSV entries exceed {MAX_TOTAL_LEN}")
     try:
         values = np.array([int(r) for r in rows], dtype=np.int64)
     except ValueError as exc:
         raise SequenceFormatError(f"non-integer CSV entry: {exc}") from exc
+    except OverflowError as exc:
+        raise SequenceFormatError(f"CSV entry outside int64: {exc}") from exc
     if np.all(np.abs(values) == 1):
         return BitSequence(values)
     return IntSequence(values)

@@ -377,12 +377,12 @@ def check_fbm(quick: bool = False) -> tuple[bool, str]:
     pay_tol = 0.20 if quick else 0.10
 
     params = fbm.FbmParams(hurst, 256, seed=derive_seed(ACCEPTANCE_SEED, "fbm"))
-    paths = fbm.fbm_sample_batch(params, cov_trials, derive_rng(params.seed, "cov"))
     times = (16, 64, 256)
+    cols = fbm.fbm_sample_batch(params, cov_trials, derive_rng(params.seed, "cov"), times=times)
     worst_cov = 0.0
-    for t in times:
-        for s in times:
-            emp = float(np.mean(paths[:, t - 1] * paths[:, s - 1]))
+    for i, t in enumerate(times):
+        for j, s in enumerate(times):
+            emp = float(np.mean(cols[:, i] * cols[:, j]))
             worst_cov = max(worst_cov, abs(emp / fbm.fbm_cov(t, s, hurst) - 1.0))
 
     closed = fbm.sign_predictor_closed_form(hurst, window, 1)

@@ -261,6 +261,12 @@ class TestInversion:
         assert run_in(tmp_path, "inversion", "--input", str(tmp_path / "absent.fwsq")) == 2
         assert "configuration error:" in capsys.readouterr().err
 
+    def test_csv_entry_outside_int64_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("1\n99999999999999999999\n")
+        assert run_in(tmp_path, "inversion", "--input", str(path)) == 2
+        assert "outside int64" in capsys.readouterr().err
+
     def test_malformed_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.fwsq"
         path.write_bytes(b"garbage")
@@ -665,6 +671,13 @@ class TestManifestReplay:
         assert run(["--from-manifest", str(forged), "--output-dir", str(tmp_path / "b")]) == 2
         assert "--alpha must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", [["theta"], {"theta": 1}, 7, None])
+    def test_command_not_a_string_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps({"command": command, "config": {"alpha": 0.25}}))
+        assert run(["--from-manifest", str(path), "--output-dir", str(tmp_path / "b")]) == 2
+        assert "unknown command" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,29 @@ from fractalwalk import (
     fbm_sign_predictor_payoff,
     sign_predictor_closed_form,
 )
-from fractalwalk import generators
+from fractalwalk import fbm, generators
+from fractalwalk.predictors import _sign_bets
+
+
+def one_shot_paths(params, trials, seed):
+    """The unblocked sampler: every normal drawn at once, times the Cholesky factor."""
+    z = np.random.default_rng(seed).standard_normal((trials, params.grid_len))
+    return z @ fbm._cholesky(params.hurst, params.grid_len).T
+
+
+def block_rows(grid_len):
+    return max(grid_len, (1 << 16) // grid_len)
+
+
+# Row counts around one block of the sampler at each grid length.  20001 rows
+# are left out at grid_len 2048, where each of the three matrices would take
+# 328 MB; block + 1 rows already span two blocks there.
+BLOCK_CASES = [
+    (n, trials)
+    for n in (1, 32, 256, 2048)
+    for trials in (1, block_rows(n) - 1, block_rows(n) + 1, 20_001)
+    if (n, trials) != (2048, 20_001)
+]
 
 
 class TestCovariance:
@@ -35,6 +58,14 @@ class TestCovariance:
         for i in range(5):
             for j in range(5):
                 assert mat[i, j] == pytest.approx(fbm_cov(i + 1.0, j + 1.0, 0.6))
+
+    @pytest.mark.parametrize("grid_len", [1, 2, 7, 256, 2048])
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.6, 0.95])
+    def test_matrix_equals_pairwise_covariance_exactly(self, hurst, grid_len):
+        # The Toeplitz build takes grid_len + 1 powers; bound: equal bit for
+        # bit to the grid_len**2 powers of the pairwise formula.
+        t = np.arange(1, grid_len + 1, dtype=np.float64)
+        assert np.array_equal(fbm_cov_matrix(hurst, grid_len), fbm_cov(t[:, None], t[None, :], hurst))
 
     def test_matrix_symmetric_psd(self):
         mat = fbm_cov_matrix(0.8, 64)
@@ -84,6 +115,38 @@ class TestSampling:
         assert fbm_sample_batch(params, 100).shape == (100, 64)
         with pytest.raises(ConfigurationError, match="cap"):
             fbm_sample_batch(params, 101)
+
+    @pytest.mark.parametrize("grid_len, trials", BLOCK_CASES)
+    def test_blocks_equal_one_shot_product(self, grid_len, trials):
+        # Bound: bit for bit, at 1, block - 1, block + 1 and 20001 rows.
+        params = FbmParams(hurst=0.6, grid_len=grid_len)
+        paths = fbm_sample_batch(params, trials, np.random.default_rng(8))
+        assert np.array_equal(paths, one_shot_paths(params, trials, 8))
+
+    def test_times_keep_the_same_columns(self):
+        # Bound: bit for bit, over three blocks.
+        params = FbmParams(hurst=0.7, grid_len=256, seed=4)
+        times = (256, 1, 64, 64)
+        cols = fbm_sample_batch(params, 700, times=times)
+        assert cols.shape == (700, 4)
+        assert np.array_equal(cols, fbm_sample_batch(params, 700)[:, [t - 1 for t in times]])
+
+    @pytest.mark.parametrize("times", [(0,), (65,), (1.5,)])
+    def test_times_validated_before_drawing(self, times):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="times"):
+            fbm_sample_batch(FbmParams(hurst=0.6, grid_len=64), 10, rng, times=times)
+        assert rng.bit_generator.state == state
+
+    def test_entry_cap_counts_the_whole_grid_with_times(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="cap"):
+            fbm_sample_batch(FbmParams(hurst=0.6, grid_len=256), 1 << 40, rng, times=(1,))
+        with pytest.raises(ConfigurationError, match="cap"):
+            fbm_sign_predictor_payoff(FbmParams(hurst=0.6, grid_len=256), 16, 1, 1 << 40, rng)
+        assert rng.bit_generator.state == state
 
     def test_brownian_increments_independent(self):
         # At H = 1/2 the increments are i.i.d. standard normals.
@@ -150,6 +213,26 @@ class TestSignPredictor:
     def test_closed_form_needs_positive_window_and_lag(self, window, lag_ratio):
         with pytest.raises(ConfigurationError, match="window|lag_ratio"):
             sign_predictor_closed_form(0.6, window, lag_ratio)
+
+    def test_payoff_equals_mean_over_one_shot_paths(self):
+        # Bound: the same float, bit for bit, over five blocks of 1024 rows.
+        params = FbmParams(hurst=0.6, grid_len=64)
+        paths = one_shot_paths(params, 5000, 21)
+        want = float(np.mean(_sign_bets(paths[:, 31], paths[:, 47] - paths[:, 31])))
+        assert fbm_sign_predictor_payoff(params, 16, 2, 5000, np.random.default_rng(21)) == want
+
+    def test_payoff_memory_is_one_block(self):
+        # 100k paths of 256 points: the one-shot sampler held two 205 MB
+        # matrices and peaked near 410 MB.  Bound: below 32 MB, the block of
+        # normals, its product and the two kept columns.
+        params = FbmParams(hurst=0.6, grid_len=256)
+        tracemalloc.start()
+        try:
+            fbm_sign_predictor_payoff(params, 16, 1, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_grid_too_short(self):
         params = FbmParams(hurst=0.6, grid_len=16)

@@ -48,7 +48,8 @@ BAD_INPUTS = {
     "write_csv": [(lambda t: fw.write_csv(SEQ, t / "missing" / "x.csv"), OSError)],
     "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError)],
     "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError)],
-    "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError)],
+    "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
+                 (lambda t: fw.read_csv(_written(t, "big.csv", b"1\n99999999999999999999\n")), SequenceFormatError)],
     "loads": [(lambda t: fw.loads(b"FWSQ"), SequenceFormatError)],
     "GeneratorSpec": [
         lambda t: fw.GeneratorSpec("bogus", 64),
@@ -92,7 +93,8 @@ BAD_INPUTS = {
                        lambda t: fw.fbm_cov_matrix(0.5, 0)],
     "fbm_sample": [lambda t: fw.fbm_sample(FBM, rng=-1)],
     "fbm_sample_batch": [lambda t: fw.fbm_sample_batch(FBM, 0),
-                         lambda t: fw.fbm_sample_batch(FBM, 1 << 40)],
+                         lambda t: fw.fbm_sample_batch(FBM, 1 << 40),
+                         lambda t: fw.fbm_sample_batch(FBM, 10, times=(65,))],
     "sign_predictor_closed_form": [lambda t: fw.sign_predictor_closed_form(0.0, 16, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 0, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 16, NAN)],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +52,9 @@ def fresh_interpreter(script: str) -> str:
     """Standard output of ``script`` run by a new interpreter that imports this package."""
     src = str(Path(fractalwalk.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        pytest.fail(f"exit {proc.returncode}:\n{proc.stderr}")
     return proc.stdout
 
 
@@ -61,6 +64,15 @@ def test_import_loads_no_submodule_and_not_numpy():
         "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'fractalwalk')))"
     )
     assert out.split() == ["fractalwalk"]
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"## Python quick start\n\n```python\n(.*?)```", readme, re.S)
+    if block is None:
+        pytest.fail("README.md has no Python quick start block")
+    out = fresh_interpreter(block.group(1))
+    assert "MergeCounters(merges=" in out
 
 
 def test_dir_lists_every_public_name():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fractalwalk import BitSequence, IntSequence, SequenceFormatError, dumps, loads
+from fractalwalk import BitSequence, IntSequence, SequenceFormatError, dumps, loads, seqio
 from fractalwalk.seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
 from fractalwalk.sequences import MAX_TOTAL_LEN
 
@@ -76,6 +76,43 @@ def test_csv_bad_content(tmp_path):
     p.write_text("")
     with pytest.raises(SequenceFormatError):
         read_csv(p)
+
+
+@pytest.mark.parametrize("entry", ["9223372036854775808", "-9223372036854775809", "99999999999999999999"])
+def test_csv_entry_outside_int64_rejected(tmp_path, entry):
+    p = tmp_path / "big.csv"
+    p.write_text(f"3\n{entry}\n")
+    with pytest.raises(SequenceFormatError, match="int64"):
+        read_csv(p)
+
+
+def test_csv_length_cap_checked_before_parsing(tmp_path, monkeypatch):
+    # The last entry is not an integer: the cap must refuse the file before
+    # any entry is parsed into the value array.
+    monkeypatch.setattr(seqio, "MAX_TOTAL_LEN", 4)
+    p = tmp_path / "long.csv"
+    p.write_text("1\n2\n3\n4\nx\n")
+    with pytest.raises(SequenceFormatError, match="exceed 4"):
+        read_csv(p)
+
+
+def test_widest_varint_decodes():
+    # Ten bytes carry the zigzag code of int64's minimum, 2**64 - 1.
+    assert seqio._read_varint(b"\xff" * 9 + b"\x01", 0) == ((1 << 64) - 1, 10)
+    assert seqio._zigzag_decode((1 << 64) - 1) == -(1 << 63)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\xff" * 9 + b"\x02", "wider than 64 bits"),  # 10 bytes, bit 64 set
+        (b"\xff" * 10 + b"\x01", "longer than 10 bytes"),
+        (b"\x80" * 10 + b"\x00", "longer than 10 bytes"),
+    ],
+)
+def test_varint_wider_than_64_bits_rejected(payload, message):
+    with pytest.raises(SequenceFormatError, match=message):
+        loads(_header(1, 1) + payload)
 
 
 def test_csv_binary_content_rejected(tmp_path):
