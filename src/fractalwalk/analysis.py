@@ -10,7 +10,7 @@ Covers four families of questions about a sequence distribution:
   :func:`certify_inversion`),
 * exact brute-force references used to pin the fast paths
   (:func:`ideal_height_distribution`, :func:`decomposition_height_distribution`,
-  :func:`inversion_ratio_naive`).
+  :func:`inversion_ratio_naive_batch`).
 
 Estimators accept a :class:`~fractalwalk.generators.GeneratorSpec` plus trial
 counts and derive their randomness from the spec seed unless an explicit
@@ -56,7 +56,6 @@ __all__ = [
     "height_moment_checks",
     "InversionReport",
     "inversion_ratio",
-    "inversion_ratio_naive",
     "inversion_ratio_naive_batch",
     "alpha_q_estimate",
     "EstimationMode",
@@ -220,8 +219,9 @@ def exact_height_law(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def upper_bound_rms(delta: float, T: int) -> float:
-    """RMS deviation ceiling ``sqrt(T) * (1 + delta/2 * log2 T)`` implied by
-    delta-unpredictability; any distribution beating it is a contradiction witness."""
+    """RMS ceiling ``sqrt(T) * (1 + delta/2 * log2 T)`` under *conditional* delta-unpredictability,
+    ``|E[h(I) | history]| <= delta * sqrt(|I|)``: a linear program kept the optimum below it at
+    T = 4 and 8.  The averaged reading's optimum exceeds it there (README, criterion 6)."""
     T = _power_of_two(T, "T", MAX_TOTAL_LEN)
     return math.sqrt(T) * (1.0 + 0.5 * _real(delta, "delta", 0) * math.log2(T))
 
@@ -672,10 +672,6 @@ def inversion_ratio_dp_batch(values: np.ndarray, min_len: int) -> np.ndarray:
     return np.where(np.isfinite(best), best, 0.0)
 
 
-def inversion_ratio_naive(seq: BitSequence | IntSequence, min_len: int = DEFAULT_MIN_LEN) -> float:
-    return float(inversion_ratio_naive_batch(seq.values[None, :], min_len)[0])
-
-
 # ---------------------------------------------------------------------------
 # (alpha, q)-inversion estimation
 
@@ -686,7 +682,6 @@ def alpha_q_estimate(
     alpha: float,
     trials: int,
     rng: int | np.random.Generator | None = None,
-    floor_coeff: float = 1.0,
 ) -> float:
     """Probability that a window carries an opposite-sign excursion of relative
     size ``alpha`` against its typical deviation.
@@ -701,7 +696,6 @@ def alpha_q_estimate(
     """
     trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
     alpha = _real(alpha, "alpha", 0)
-    floor_coeff = _real(floor_coeff, "floor_coeff", 0)
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
     rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi))
@@ -713,7 +707,7 @@ def alpha_q_estimate(
 
     (first,) = _map_batches(spec, _FIRST_PASS_TRIALS, rng, window_heights)
     delta_median = float(np.median(first))
-    floor = floor_coeff * spec.delta * math.sqrt(x)
+    floor = spec.delta * math.sqrt(x)
     if delta_median < floor:
         raise ConfigurationError(
             f"threshold not met: median deviation {delta_median} of the window is below "
@@ -799,7 +793,6 @@ def estimate_delta(
     mode: EstimationMode | str,
     trials: int,
     rng: int | np.random.Generator | None = None,
-    windows: list[int] | None = None,
 ) -> UnpredictabilityReport:
     """Estimate the unpredictability constant with the sign-of-prefix family.
 
@@ -829,14 +822,12 @@ def estimate_delta(
             mode = EstimationMode.WEAK_AVERAGED
         groups = [(p, [(p, p, x) for x in _dyadic_range(DEFAULT_MIN_LEN, p)]) for p in prefixes]
     if mode is EstimationMode.WEAK_AVERAGED:
-        wins = [_integer(w, "windows item") for w in windows] if windows is not None else _dyadic_range(1, T // 2)
+        wins = _dyadic_range(1, T // 2)
         xs = _dyadic_range(DEFAULT_MIN_LEN, T // 2)
-        groups = [(0, [(w, T - x, x) for x in xs for w in wins if w <= T - x])]
+        groups = [(0, [(w, T - x, x) for x in xs for w in wins])]
     if not any(group for _, group in groups):
-        raise ConfigurationError(
-            f"no cell to estimate: T={T} has no dyadic interval length in "
-            f"[{DEFAULT_MIN_LEN}, T/2={T // 2}] with a window that fits before it"
-        )
+        raise ConfigurationError(f"no cell to estimate: T={T} has no dyadic interval length in "
+                                 f"[{DEFAULT_MIN_LEN}, T/2={T // 2}]")
 
     cells, payoffs = [], []
     for planted, group in groups:

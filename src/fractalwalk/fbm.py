@@ -36,7 +36,6 @@ __all__ = [
     "FbmParams",
     "fbm_cov",
     "fbm_cov_matrix",
-    "fbm_sample",
     "fbm_sample_batch",
     "sign_predictor_closed_form",
     "fbm_sign_predictor_payoff",
@@ -136,11 +135,6 @@ def fbm_sample_batch(
         else:
             out[rows] = (z @ chol_t)[:, cols]
     return out
-
-
-def fbm_sample(params: FbmParams, rng: int | np.random.Generator | None = None) -> np.ndarray:
-    """One path ``(B(1), ..., B(grid_len))``; deterministic given ``params.seed``."""
-    return fbm_sample_batch(params, 1, rng)[0]
 
 
 def sign_predictor_closed_form(hurst: float, window: int, lag_ratio: float) -> float:

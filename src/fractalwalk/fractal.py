@@ -27,7 +27,6 @@ __all__ = [
     "FractalParams",
     "solve_theta",
     "theta_residual",
-    "part_heights",
     "build_fractal",
     "fractal_length",
     "split_points",
@@ -92,19 +91,14 @@ class FractalParams:
             )
 
 
-def part_heights(height: int, alpha: float) -> tuple[int, int]:
+def _parts(height: int, alpha: float) -> tuple[int, int]:
     """Heights ``(a, c)`` of the outer copies and the inverted middle part.
 
     ``c`` is ``ceil(alpha*height)`` lifted to the parity of ``height`` so
     that the outer parts can be identical: the total is ``2a - c = height``
     exactly, with ``0 < c < a < height``.  Requires ``height > BASE_HEIGHT``
-    and ``alpha`` in ``(0, ALPHA_MAX]``.
+    and ``alpha`` in ``(0, ALPHA_MAX]``, which the callers have checked.
     """
-    return _parts(_integer(height, "height", BASE_HEIGHT + 1), _real(alpha, "alpha", 0, ALPHA_MAX, "(]"))
-
-
-def _parts(height: int, alpha: float) -> tuple[int, int]:
-    """:func:`part_heights` on arguments already checked, as the builder's recursion has them."""
     c = math.ceil(alpha * height)
     if (height + c) % 2:
         c += 1

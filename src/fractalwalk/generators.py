@@ -128,11 +128,6 @@ class GeneratorSpec:
                     f"k={self.k} demands heights above the sequence length; no sequence qualifies"
                 )
 
-    @property
-    def levels(self) -> int:
-        """Number of merge levels (0 when the base block is the whole sequence)."""
-        return int(math.log2(self.total_len // self.base_len))
-
     def with_total_len(self, total_len: int) -> "GeneratorSpec":
         """Copy at a different length, re-deriving the base length if it was defaulted."""
         base = self.base_len if self.base_len != default_base_len(self.family, self.total_len) else None
@@ -374,15 +369,15 @@ def _inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
 def _base_heights(rng: np.random.Generator, l: int, shape) -> np.ndarray:
     """int64 heights ``2 * Binomial(l, 1/2) - l`` of ``shape`` blocks of ``l`` uniform +-1 entries.
 
-    Equal, draw for draw, to ``2 * rng.binomial(l, 0.5, shape) - l``, and it
-    leaves ``rng`` in the same state.  Where numpy samples by inversion, each
-    draw reads one ``next_double``.  For the power-of-two lengths that blocks
-    have, the fill draws the same doubles in chunks, looks each one up in
-    :func:`_inversion_table` and resolves the rare uniforms that land in a
-    bucket split by a cut against the cuts themselves.  Other lengths, and
-    BTPE's rejection sampling above the inversion range, go to numpy.
+    ``l`` is a power of two: a base length or the sequence length.  Equal, draw
+    for draw, to ``2 * rng.binomial(l, 0.5, shape) - l``, and it leaves ``rng``
+    in the same state.  Where numpy samples by inversion, each draw reads one
+    ``next_double``; the fill draws the same doubles in chunks, looks each one
+    up in :func:`_inversion_table` and resolves the rare uniforms that land in
+    a bucket split by a cut against the cuts themselves.  BTPE's rejection
+    sampling above the inversion range goes to numpy.
     """
-    if l * 0.5 > _INVERSION_MAX_MEAN or l & (l - 1):
+    if l * 0.5 > _INVERSION_MAX_MEAN:
         heights = rng.binomial(l, 0.5, size=shape)
         heights *= 2
         heights -= l

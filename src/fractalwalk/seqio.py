@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SequenceFormatError
 from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence
 
-__all__ = ["write_binary", "read_binary", "write_csv", "read_csv", "dumps", "loads", "atomic_write_bytes"]
+__all__ = ["read_binary", "read_csv", "dumps", "loads", "atomic_write_bytes"]
 
 MAGIC = b"FWSQ"
 VERSION = 1
@@ -135,10 +135,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def write_binary(seq: BitSequence | IntSequence, path: str | Path) -> None:
-    atomic_write_bytes(path, dumps(seq))
-
-
 def read_binary(path: str | Path) -> BitSequence | IntSequence:
     return loads(Path(path).read_bytes())
 
@@ -146,10 +142,6 @@ def read_binary(path: str | Path) -> BitSequence | IntSequence:
 def _csv_bytes(seq: BitSequence | IntSequence) -> bytes:
     """One entry per row, no header."""
     return ("\n".join(str(v) for v in seq.values.tolist()) + "\n").encode("ascii")
-
-
-def write_csv(seq: BitSequence | IntSequence, path: str | Path) -> None:
-    atomic_write_bytes(path, _csv_bytes(seq))
 
 
 def read_csv(path: str | Path) -> BitSequence | IntSequence:

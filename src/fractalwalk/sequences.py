@@ -12,19 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IntervalError, _integer, _power_of_two
+from .errors import ConfigurationError, IntervalError, _integer
 
 __all__ = [
     "Interval",
     "BitSequence",
     "IntSequence",
-    "aligned_decompose",
-    "ALIGNED_SQRT_SUM_FACTOR",
 ]
-
-# Greedy aligned decomposition keeps sum(sqrt(|part|)) within this factor of
-# sqrt(|interval|):  sqrt(2) / (sqrt(2) - 1).
-ALIGNED_SQRT_SUM_FACTOR = float(np.sqrt(2.0) / (np.sqrt(2.0) - 1.0))
 
 # Overflow guard: prefix sums are int64 and augmented entries stay polynomial
 # in the sequence length, so lengths up to 2**24 are safe by a wide margin.
@@ -76,14 +70,6 @@ class Interval:
     def __len__(self) -> int:
         return self.hi - self.lo
 
-    def is_aligned(self) -> bool:
-        """True when the length is a power of two and ``lo`` is a multiple of it."""
-        size = len(self)
-        return not size & (size - 1) and self.lo % size == 0
-
-    def whole(self) -> bool:
-        return self.lo == 0 and self.hi == self.total_len
-
 
 class _PrefixSummed:
     """Shared storage and height queries for bit and integer sequences."""
@@ -106,9 +92,6 @@ class _PrefixSummed:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def interval(self) -> Interval:
-        return Interval(0, len(self), len(self))
 
     def height(self, interval: Interval | None = None) -> int:
         """Sum of the entries over ``interval`` (whole sequence when omitted)."""
@@ -151,10 +134,6 @@ class BitSequence(_PrefixSummed):
             raise ConfigurationError("bit sequence entries must be +1 or -1")
         self._init_storage(arr)
 
-    @property
-    def bits(self) -> np.ndarray:
-        return self.values
-
 
 class IntSequence(_PrefixSummed):
     """Immutable sequence of odd integers (augmented walk output)."""
@@ -168,50 +147,3 @@ class IntSequence(_PrefixSummed):
         if np.abs(arr).max() >= (1 << 40):
             raise ConfigurationError("integer sequence entry magnitude must stay below 2**40")
         self._init_storage(arr)
-
-
-def _largest_aligned_inside(lo: int, hi: int) -> tuple[int, int] | None:
-    """(start, size) of the largest aligned interval in ``[lo, hi)``; leftmost on ties."""
-    span = hi - lo
-    if span <= 0:
-        return None
-    size = 1 << (span.bit_length() - 1)
-    while size >= 1:
-        start = -(-lo // size) * size  # first multiple of size at or after lo
-        if start + size <= hi:
-            return start, size
-        size >>= 1
-    return None
-
-
-def aligned_decompose(interval: Interval) -> list[Interval]:
-    """Greedy decomposition of an interval into disjoint aligned intervals.
-
-    Repeatedly removes the largest aligned interval contained in what is
-    left (leftmost on ties) and recurses on the two remainders.  The result
-    is sorted, covers the input exactly, and has at most ``2*log2(total_len)``
-    parts.
-
-    Args:
-        interval: target interval; ``total_len`` must be a power of two.
-
-    Returns:
-        List of aligned ``Interval`` parts in increasing position order.
-    """
-    total = _power_of_two(interval.total_len, "aligned decomposition's total_len", MAX_TOTAL_LEN)
-    parts: list[Interval] = []
-
-    def extract(lo: int, hi: int) -> None:
-        got = _largest_aligned_inside(lo, hi)
-        if got is None:
-            return
-        start, size = got
-        extract(lo, start)
-        parts.append(Interval(start, start + size, total))
-        extract(start + size, hi)
-
-    extract(interval.lo, interval.hi)
-    assert parts and parts[0].lo == interval.lo and parts[-1].hi == interval.hi
-    assert all(a.hi == b.lo for a, b in zip(parts, parts[1:]))
-    assert len(parts) <= 2 * max(1, total.bit_length() - 1)
-    return parts

@@ -32,10 +32,10 @@ from fractalwalk import (
     read_binary,
     read_csv,
     sign_predictor_closed_form,
-    write_csv,
 )
 from fractalwalk import cli
 from fractalwalk.cli import run
+from fractalwalk.seqio import _csv_bytes
 
 
 def run_in(tmp_path, *argv: str) -> int:
@@ -243,7 +243,7 @@ class TestInversion:
     def test_from_file(self, tmp_path):
         seq = generate(GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=2)).sequence
         path = tmp_path / "input.csv"
-        write_csv(seq, path)
+        path.write_bytes(_csv_bytes(seq))
         assert run_in(tmp_path, "inversion", "--input", str(path), "--min-len", "16") == 0
         report = json.loads((tmp_path / "inversion.json").read_text())
         assert report["overall_ratio"] == inversion_ratio(seq, min_len=16).overall_ratio
@@ -736,7 +736,7 @@ class TestImports:
     )
     def test_command_loads_only_its_modules(self, tmp_path, argv, loaded, unloaded):
         seq = generate(GeneratorSpec(family=Family.UNIFORM, total_len=64, seed=1)).sequence
-        write_csv(seq, tmp_path / "input.csv")
+        (tmp_path / "input.csv").write_bytes(_csv_bytes(seq))
         argv = [a.format(input=tmp_path / "input.csv") for a in argv]
         modules = modules_loaded_by(tmp_path / "out", *argv)
         assert {f"fractalwalk.{m}" for m in loaded} <= modules

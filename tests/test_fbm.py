@@ -13,7 +13,6 @@ from fractalwalk import (
     FbmParams,
     fbm_cov,
     fbm_cov_matrix,
-    fbm_sample,
     fbm_sample_batch,
     fbm_sign_predictor_payoff,
     sign_predictor_closed_form,
@@ -93,7 +92,7 @@ class TestParams:
 class TestSampling:
     def test_deterministic(self):
         params = FbmParams(hurst=0.7, grid_len=32, seed=5)
-        assert np.array_equal(fbm_sample(params), fbm_sample(params))
+        assert np.array_equal(fbm_sample_batch(params, 1), fbm_sample_batch(params, 1))
         assert np.array_equal(fbm_sample_batch(params, 7), fbm_sample_batch(params, 7))
 
     def test_trials_positive(self):

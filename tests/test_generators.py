@@ -165,12 +165,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="seed"):
             GeneratorSpec(family=Family.UNIFORM, total_len=16, seed=seed)
 
-    def test_levels(self):
-        spec = GeneratorSpec(family=Family.FRW, total_len=16, delta=0.1, base_len=2)
-        assert spec.levels == 3
-        whole = GeneratorSpec(family=Family.UNIFORM, total_len=16)
-        assert whole.levels == 0
-
     def test_with_total_len_rederives_defaulted_base(self):
         spec = GeneratorSpec(family=Family.OPT_FRW, total_len=1 << 12, delta=0.1)
         grown = spec.with_total_len(1 << 14)
@@ -272,7 +266,7 @@ class TestMergeHandTrace:
                 family=Family.FRW, total_len=4, delta=0.5, base_len=2, seed=seed
             ))
             ((requested, applied, augmented),) = plan
-            first_block = int(out.sequence.bits[:2].sum())
+            first_block = int(out.sequence.values[:2].sum())
             assert requested == pytest.approx(0.5 * first_block)
             assert augmented == 0
             if first_block == 0:
@@ -296,7 +290,7 @@ class TestSqrtBudgetHandTrace:
             )
             out, plan = generate_with_plan(spec)
             ((requested, applied, _),) = plan
-            first_half = int(out.sequence.bits[:4].sum())
+            first_half = int(out.sequence.values[:4].sum())
             if first_half == 0:
                 assert requested == 0.0
                 assert applied == 0
@@ -310,7 +304,7 @@ class TestSqrtBudgetHandTrace:
         )
         out, plan = generate_with_plan(spec)
         requested = plan[-1][0]
-        first_half = int(out.sequence.bits[:32].sum())
+        first_half = int(out.sequence.values[:32].sum())
         if first_half == 0:
             assert requested == 0.0
         else:
@@ -699,7 +693,7 @@ BIT_GENERATORS = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937, "philo
 
 @settings(max_examples=80, deadline=None)
 @given(
-    l=st.integers(min_value=0, max_value=10).map(lambda k: 1 << k) | st.integers(min_value=1, max_value=70),
+    l=st.integers(min_value=0, max_value=10).map(lambda k: 1 << k),
     rows=st.integers(min_value=1, max_value=3),
     cols=st.integers(min_value=1, max_value=3 * _FILL_CHUNK // 2),
     prior=st.integers(min_value=0, max_value=5),
@@ -709,9 +703,10 @@ BIT_GENERATORS = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937, "philo
 def test_base_heights_match_numpy_binomial(l, rows, cols, prior, bitgen, seed):
     """The table-read fill equals numpy's Binomial(l, 1/2) draw for draw.
 
-    Lengths run on both sides of numpy's switch from inversion to BTPE (l = 60
-    / 61), sizes straddle the fill's chunk, and the prior uint32 draws can
-    leave half a word buffered in the generator.
+    Lengths are the powers of two that blocks have, on both sides of numpy's
+    switch from inversion to BTPE (l = 32 / 64), sizes straddle the fill's
+    chunk, and the prior uint32 draws can leave half a word buffered in the
+    generator.
     """
     got_rng, want_rng = (np.random.Generator(BIT_GENERATORS[bitgen](seed)) for _ in range(2))
     for rng in (got_rng, want_rng):

@@ -14,24 +14,23 @@ import fractalwalk
 
 # The public names before ``__all__`` was built from the submodules' own lists.
 EARLIER_NAMES = """
-    ALIGNED_SQRT_SUM_FACTOR ALPHA_MAX BASE_HEIGHT BitSequence CertificationReport
+    ALPHA_MAX BASE_HEIGHT BitSequence CertificationReport
     ConfigurationError CriterionResult DeviationReport DeviationRow EstimationMode
     Family FbmParams FlipMode FractalParams Generated GeneratorSpec
     IntSequence Interval InversionReport MergeCounters MomentChecks PayoffLedger
     PredictionPlan SamplingBudgetError SequenceFormatError StopCause StopRule
     UnpredictabilityReport UnpredictabilityRow adaptive_inversion_bettor
-    afrw_moment_oracle aligned_decompose alpha_q_estimate block_momentum_payoff
+    afrw_moment_oracle alpha_q_estimate block_momentum_payoff
     build_fractal certify_inversion constant_plan decomposition_height_distribution
     default_base_len derive_rng derive_seed deviation_stats distribution_moment dumps
-    entropy_threshold estimate_delta exact_height_law fbm_cov fbm_cov_matrix fbm_sample
+    entropy_threshold estimate_delta exact_height_law fbm_cov fbm_cov_matrix
     fbm_sample_batch fbm_sign_predictor_payoff fractal_length generate generate_batch
-    height_moment_checks ideal_height_distribution inversion_ratio inversion_ratio_naive
+    height_moment_checks ideal_height_distribution inversion_ratio
     inversion_ratio_naive_batch iter_generate_batches loads make_rng measured_exponent
-    part_heights read_binary read_csv run_all run_criterion run_plan sign_of_prefix_plan
+    read_binary read_csv run_all run_criterion run_plan sign_of_prefix_plan
     sign_predictor_closed_form simulate_heights solve_theta split_points theta_residual
     total_variation upper_bound_rms weighted_majority_expected_payoff
     weighted_majority_guarantee weighted_majority_rate weighted_majority_run
-    write_binary write_csv
 """.split()
 
 
@@ -40,7 +39,22 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     assert all(hasattr(fractalwalk, name) for name in names)
     assert set(EARLIER_NAMES) <= set(names)
-    assert len(EARLIER_NAMES) == 84
+    assert len(EARLIER_NAMES) == 77
+
+
+def test_every_public_name_is_used_or_documented():
+    """Each public name is read by another module of the package or named in README.md."""
+    root = Path(fractalwalk.__file__).parent
+    readme = (root.parents[1] / "README.md").read_text("utf-8")
+    texts = {path.stem: path.read_text("utf-8") for path in root.glob("*.py")}
+    unused = []
+    for source in fractalwalk._SOURCES:
+        for name in getattr(fractalwalk, source).__all__:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not word.search(readme) and not any(word.search(text) for stem, text in texts.items()
+                                                   if stem not in (source, "__init__")):
+                unused.append(f"{source}.{name}")
+    assert not unused, f"public names no module uses and README.md does not name: {unused}"
 
 
 def test_submodules_stay_attributes_of_the_package():
@@ -73,6 +87,7 @@ def test_readme_quick_start_runs_as_written():
         pytest.fail("README.md has no Python quick start block")
     out = fresh_interpreter(block.group(1))
     assert "MergeCounters(merges=" in out
+    assert "PayoffLedger(payoff=" in out
 
 
 def test_dir_lists_every_public_name():

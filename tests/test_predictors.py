@@ -230,7 +230,7 @@ def test_inversion_bettor_is_a_one_row_kernel_call():
     lower, upper = _bettor_limits(theta, alpha)  # -2, +4
     for row, cause in [([-1, 1, -1, -1, 1, 1], "LOWER"), ([1, 1, -1, 1, 1, 1], "UPPER"), ([1, -1, 1, -1], "EXHAUSTED")]:
         seq = BitSequence(row)
-        ledger = adaptive_inversion_bettor(seq, seq.interval(), theta, alpha)
+        ledger = adaptive_inversion_bettor(seq, Interval(0, len(row), len(row)), theta, alpha)
         assert ledger.payoff == _bettor_payoffs(seq.values[None, :], lower, upper)[0]
         assert ledger.stop_cause.name == cause
 
@@ -273,7 +273,7 @@ class TestSignOfPrefix:
         assert np.all(plan.per_position == 1)  # bits 0..4 sum to 0
 
     def test_ignores_bits_inside_target(self):
-        flipped = BitSequence(np.concatenate([self.HISTORY.bits[:4], -self.HISTORY.bits[4:]]))
+        flipped = BitSequence(np.concatenate([self.HISTORY.values[:4], -self.HISTORY.values[4:]]))
         a = sign_of_prefix_plan(self.HISTORY, window=4, target=Interval(4, 8, 8))
         b = sign_of_prefix_plan(flipped, window=4, target=Interval(4, 8, 8))
         assert np.array_equal(a.per_position, b.per_position)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fractalwalk import BitSequence, IntSequence, SequenceFormatError, dumps, loads, seqio
-from fractalwalk.seqio import atomic_write_bytes, read_binary, read_csv, write_binary, write_csv
+from fractalwalk.seqio import _csv_bytes, atomic_write_bytes, read_binary, read_csv
 from fractalwalk.sequences import MAX_TOTAL_LEN
 
 
@@ -30,12 +30,13 @@ def test_int_roundtrip(entries):
 
 def test_file_roundtrips(tmp_path):
     seq = BitSequence([1, -1, 1, 1, -1])
-    write_binary(seq, tmp_path / "s.fwsq")
+    # The CLI's write path: the encoded bytes through atomic_write_bytes.
+    atomic_write_bytes(tmp_path / "s.fwsq", dumps(seq))
     assert read_binary(tmp_path / "s.fwsq") == seq
-    write_csv(seq, tmp_path / "s.csv")
+    atomic_write_bytes(tmp_path / "s.csv", _csv_bytes(seq))
     assert read_csv(tmp_path / "s.csv") == seq
     aug = IntSequence([3, -5, 1])
-    write_csv(aug, tmp_path / "a.csv")
+    atomic_write_bytes(tmp_path / "a.csv", _csv_bytes(aug))
     assert read_csv(tmp_path / "a.csv") == aug
     assert not list(tmp_path.glob("*.tmp"))
 

@@ -1,17 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fractalwalk import (
-    ALIGNED_SQRT_SUM_FACTOR,
     BitSequence,
     ConfigurationError,
     GeneratorSpec,
     IntSequence,
     Interval,
-    aligned_decompose,
     generate_batch,
 )
 from fractalwalk import analysis, generators, predictors
@@ -20,18 +16,9 @@ from fractalwalk.sequences import _sum_dtype
 
 
 class TestInterval:
-    def test_len_and_whole(self):
-        iv = Interval(2, 6, 8)
-        assert len(iv) == 4
-        assert not iv.whole()
-        assert Interval(0, 8, 8).whole()
-
-    @pytest.mark.parametrize(
-        "lo,hi,aligned",
-        [(0, 4, True), (4, 8, True), (2, 4, True), (2, 6, False), (1, 2, True), (3, 4, True), (2, 5, False)],
-    )
-    def test_is_aligned(self, lo, hi, aligned):
-        assert Interval(lo, hi, 8).is_aligned() is aligned
+    def test_len(self):
+        assert len(Interval(2, 6, 8)) == 4
+        assert len(Interval(0, 8, 8)) == 8
 
     @pytest.mark.parametrize("lo,hi", [(-1, 4), (4, 4), (5, 4), (0, 9), (8, 9)])
     def test_out_of_range_rejected(self, lo, hi):
@@ -101,33 +88,6 @@ class TestIntSequence:
     def test_rejects_entries_beyond_supported_magnitude(self):
         with pytest.raises(ConfigurationError, match="magnitude"):
             IntSequence([2**41 + 1])
-
-
-class TestAlignedDecompose:
-    def test_hand_cases(self):
-        parts = aligned_decompose(Interval(2, 6, 8))
-        assert [(p.lo, p.hi) for p in parts] == [(2, 4), (4, 6)]
-        parts = aligned_decompose(Interval(1, 8, 8))
-        assert [(p.lo, p.hi) for p in parts] == [(1, 2), (2, 4), (4, 8)]
-        parts = aligned_decompose(Interval(0, 8, 8))
-        assert [(p.lo, p.hi) for p in parts] == [(0, 8)]
-
-    def test_power_of_two_ambient_required(self):
-        with pytest.raises(ConfigurationError):
-            aligned_decompose(Interval(0, 3, 6))
-
-    @given(st.integers(1, 10), st.data())
-    def test_properties(self, log_total, data):
-        total = 1 << log_total
-        lo = data.draw(st.integers(0, total - 1))
-        hi = data.draw(st.integers(lo + 1, total))
-        parts = aligned_decompose(Interval(lo, hi, total))
-        assert all(p.is_aligned() for p in parts)
-        assert parts[0].lo == lo and parts[-1].hi == hi
-        assert all(a.hi == b.lo for a, b in zip(parts, parts[1:]))
-        assert len(parts) <= 2 * log_total
-        sqrt_sum = sum(math.sqrt(len(p)) for p in parts)
-        assert sqrt_sum <= ALIGNED_SQRT_SUM_FACTOR * math.sqrt(hi - lo) + 1e-9
 
 
 def _worst_rows(n: int) -> np.ndarray:
