@@ -1,3 +1,6 @@
-from .cli import main
+import sys
 
-main()
+from .cli import run
+
+if __name__ == "__main__":
+    sys.exit(run())

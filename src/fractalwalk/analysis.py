@@ -13,8 +13,10 @@ Covers four families of questions about a sequence distribution:
   :func:`inversion_ratio_naive_batch`).
 
 Estimators accept a :class:`~fractalwalk.generators.GeneratorSpec` plus trial
-counts and derive their randomness from the spec seed unless an explicit
-generator is passed, so any reported number can be replayed exactly.
+counts and derive their own generator from the spec seed and a label, so the
+spec fixes every number reported from it and any of them can be replayed
+exactly.  A trial count whose kept per-row values would pass the samplers'
+entry cap is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from .generators import (
     FlipMode,
     GeneratorSpec,
     _MERGE_FAMILIES,
+    _check_entries,
     _map_batches,
     iter_generate_batches,  # callers still import it from here
     simulate_heights,
 )
 from .predictors import _bettor_stages, _sign_bets
-from .seeding import derive_rng, make_rng
+from .seeding import derive_rng
 from .sequences import DEFAULT_MIN_LEN, MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
 
 __all__ = [
@@ -101,25 +104,23 @@ def deviation_stats(
     spec: GeneratorSpec,
     T_list: list[int],
     trials: int,
-    rng: int | np.random.Generator | None = None,
 ) -> DeviationReport:
     """Monte Carlo mean/median/RMS of |height| per length, with a power-law fit.
 
     The exponent is the least-squares slope of ``log(median_dev)`` against
-    ``log(T)``.  Lengths get independent derived seeds unless an explicit
-    generator is supplied, so extending ``T_list`` never perturbs other rows.
+    ``log(T)``.  Lengths get independent derived seeds, so extending
+    ``T_list`` never perturbs other rows.
     """
     trials = _integer(trials, "trials", _MIN_DEVIATION_TRIALS)
     if not T_list:
         raise ConfigurationError("T_list must not be empty")
     if len(set(T_list)) != len(T_list):
         raise ConfigurationError(f"T_list must not repeat a length, got {T_list}")
-    shared = make_rng(rng) if rng is not None else None
     rows = []
     for T in T_list:
         cell = spec.with_total_len(T)
-        cell_rng = shared if shared is not None else derive_rng(spec.seed, "deviation", T)
-        dev = np.abs(simulate_heights(cell, trials, cell_rng)).astype(np.float64)
+        rng = derive_rng(spec.seed, "deviation", T)
+        dev = np.abs(simulate_heights(cell, trials, rng)).astype(np.float64)
         mean = float(dev.mean())
         rms = float(np.sqrt(np.mean(dev**2)))
         assert mean <= rms * (1.0 + 1e-12)
@@ -681,7 +682,6 @@ def alpha_q_estimate(
     interval: Interval,
     alpha: float,
     trials: int,
-    rng: int | np.random.Generator | None = None,
 ) -> float:
     """Probability that a window carries an opposite-sign excursion of relative
     size ``alpha`` against its typical deviation.
@@ -694,11 +694,11 @@ def alpha_q_estimate(
     fewer than ``_SWEEP_MIN_ROWS`` rows takes prefix passes per row block), in
     memory of O(rows + one tile) rather than a prefix matrix of the window.
     """
-    trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
+    trials = _check_entries(_integer(trials, "trials", _MIN_ESTIMATOR_TRIALS), 1)
     alpha = _real(alpha, "alpha", 0)
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
-    rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi))
+    rng = derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi)
     lo, hi = interval.lo, interval.hi
     x = len(interval)
 
@@ -792,7 +792,6 @@ def estimate_delta(
     spec: GeneratorSpec,
     mode: EstimationMode | str,
     trials: int,
-    rng: int | np.random.Generator | None = None,
 ) -> UnpredictabilityReport:
     """Estimate the unpredictability constant with the sign-of-prefix family.
 
@@ -807,7 +806,7 @@ def estimate_delta(
     mode = _enum(EstimationMode, mode, "mode")
     trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
     T = spec.total_len
-    rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "estimate_delta", mode.value))
+    rng = derive_rng(spec.seed, "estimate_delta", mode.value)
 
     # (window, interval lo, interval len) cells grouped by planted prefix.  A cell
     # bets the sign of its window's height; strict windows are all +1.
@@ -828,6 +827,7 @@ def estimate_delta(
     if not any(group for _, group in groups):
         raise ConfigurationError(f"no cell to estimate: T={T} has no dyadic interval length in "
                                  f"[{DEFAULT_MIN_LEN}, T/2={T // 2}]")
+    _check_entries(trials, sum(len(group) for _, group in groups))
 
     cells, payoffs = [], []
     for planted, group in groups:
@@ -879,7 +879,6 @@ def certify_inversion(
     s_iterations: int,
     trials: int,
     alpha: float = 0.5,
-    rng: int | np.random.Generator | None = None,
 ) -> CertificationReport:
     """Run the staged +1 bettor and measure how often a height-``theta`` climb
     escapes without any stage detecting an opposite excursion.
@@ -898,9 +897,10 @@ def certify_inversion(
         )
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
+    _check_entries(trials, 2 * s_iterations + 1)
     lower = math.ceil(alpha * theta / s_iterations)
     upper = math.ceil(2.0 * alpha * theta / s_iterations)
-    rng = make_rng(rng if rng is not None else derive_rng(spec.seed, "certify", theta, s_iterations))
+    rng = derive_rng(spec.seed, "certify", theta, s_iterations)
 
     lo, hi = interval.lo, interval.hi
     stops, payoffs, sums = _map_batches(

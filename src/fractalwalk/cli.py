@@ -39,12 +39,12 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
-from .generators import Family, FlipMode, GeneratorSpec, generate, generate_batch
-from .seeding import derive_seed
+from .generators import _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, generate, generate_batch
+from .seeding import derive_rng, derive_seed
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
 from .sequences import DEFAULT_MIN_LEN, Interval
 
-__all__ = ["run", "main", "build_parser"]
+__all__ = ["run", "build_parser"]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     T = spec.total_len
     _check_predictor_flags(args, T)
     stop_causes = None
-    rng = np.random.default_rng(derive_seed(spec.seed, "predict", args.predictor))
-    mat = generate_batch(spec, args.trials, rng)
+    mat = generate_batch(spec, args.trials, derive_rng(spec.seed, "predict", args.predictor))
     if args.predictor == "weighted_majority":
         payoffs = predictors._weighted_majority_payoffs(mat)
     elif args.predictor == "sign_of_prefix":
@@ -398,7 +397,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     metrics = _parse_list(args.metrics, str, "metric")
     if not set(metrics) <= set(min_trials):
         raise ConfigurationError(f"metrics must be a subset of {sorted(min_trials)}, got {metrics}")
-    _integer(args.trials, "--trials", max(min_trials[m] for m in metrics))
+    # Every metric keeps a value per trial, so no cell takes more trials than the entry cap.
+    _integer(args.trials, "--trials", max(min_trials[m] for m in metrics), _MAX_MATRIX_ENTRIES)
 
     cells = []
     for family in families:
@@ -652,11 +652,3 @@ def run(argv: list[str] | None = None) -> int:
     except SamplingBudgetError as exc:
         print(f"analysis failure: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> None:
-    sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

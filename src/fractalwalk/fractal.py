@@ -14,7 +14,7 @@ evaluates the length recurrence without materializing anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,21 +74,17 @@ def solve_theta(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class FractalParams:
-    """Inversion ratio, target height, and the derived deviation exponent."""
+    """Inversion ratio and target height; ``theta``, the deviation exponent, is
+    not an argument but always ``solve_theta(alpha)``."""
 
     alpha: float
     target_height: int
-    theta: float | None = None
+    theta: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0, ALPHA_MAX, "(]"))
         object.__setattr__(self, "target_height", _integer(self.target_height, "target_height"))
-        if self.theta is None:
-            object.__setattr__(self, "theta", solve_theta(self.alpha))
-        elif abs(theta_residual(self.alpha, self.theta)) >= _THETA_TOL:
-            raise ConfigurationError(
-                f"theta={self.theta} does not solve the exponent equation for alpha={self.alpha}"
-            )
+        object.__setattr__(self, "theta", solve_theta(self.alpha))
 
 
 def _parts(height: int, alpha: float) -> tuple[int, int]:
@@ -135,20 +131,20 @@ def build_fractal(params: FractalParams) -> BitSequence:
     return seq
 
 
+def _length(height: int, alpha: float, memo: dict[int, int]) -> int:
+    """Length of the height-``height`` fractal via the recurrence L(h) = 2L(a) + L(c)."""
+    if height <= BASE_HEIGHT:
+        return height
+    got = memo.get(height)
+    if got is None:
+        a, c = _parts(height, alpha)
+        got = memo[height] = 2 * _length(a, alpha, memo) + _length(c, alpha, memo)
+    return got
+
+
 def fractal_length(params: FractalParams) -> int:
-    """Length of :func:`build_fractal` output via the recurrence L(h) = 2L(a) + L(c)."""
-    memo: dict[int, int] = {}
-
-    def length(h: int) -> int:
-        if h <= BASE_HEIGHT:
-            return h
-        got = memo.get(h)
-        if got is None:
-            a, c = _parts(h, params.alpha)
-            got = memo[h] = 2 * length(a) + length(c)
-        return got
-
-    return length(params.target_height)
+    """Length of :func:`build_fractal` output, without materializing anything."""
+    return _length(params.target_height, params.alpha, {})
 
 
 def split_points(params: FractalParams) -> tuple[int, int] | None:
@@ -158,9 +154,9 @@ def split_points(params: FractalParams) -> tuple[int, int] | None:
     if h <= BASE_HEIGHT:
         return None
     a, c = _parts(h, params.alpha)
-    la = fractal_length(FractalParams(params.alpha, a, params.theta))
-    lc = fractal_length(FractalParams(params.alpha, c, params.theta))
-    return la, la + lc
+    memo: dict[int, int] = {}
+    la = _length(a, params.alpha, memo)
+    return la, la + _length(c, params.alpha, memo)
 
 
 def measured_exponent(params: FractalParams) -> float:

@@ -783,13 +783,11 @@ def _place_flips(
 # Single-sequence front ends
 
 
-def generate(
-    spec: GeneratorSpec, rng: int | np.random.Generator | None = None
-) -> Generated:
+def generate(spec: GeneratorSpec) -> Generated:
     """One sequence drawn from ``spec``, the one-row :func:`generate_batch`, with its event counts.
 
-    Deterministic in ``(spec, spec.seed)`` when ``rng`` is omitted.
+    Its stream is ``spec.seed``'s, so the spec alone fixes the sequence.
     """
-    A, counters = generate_batch(spec, 1, rng, with_counters=True)
+    A, counters = generate_batch(spec, 1, with_counters=True)
     seq = IntSequence(A[0]) if spec.family in _AUGMENTED else BitSequence(A[0])
     return Generated(seq, counters)

@@ -83,15 +83,20 @@ class PredictionPlan:
 
 @dataclass(frozen=True)
 class PayoffLedger:
+    """Payoff of one plan run, the positions it bet on, and why it stopped;
+    ``stopped_early`` is read off ``stop_cause``."""
+
     payoff: int
     steps_used: int
-    stopped_early: bool
     stop_cause: StopCause
 
     def __post_init__(self) -> None:
         # Every gain is an odd integer, so the payoff has the parity of the steps.
         assert (self.payoff - self.steps_used) % 2 == 0
-        assert not (self.stopped_early and self.stop_cause is StopCause.EXHAUSTED)
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_cause is not StopCause.EXHAUSTED
 
 
 def _sign_bets(history: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -146,13 +151,13 @@ def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedg
     gains = plan.per_position.astype(np.int64) * seq.values[iv.lo : iv.hi]
     rule = plan.stop_rule
     if rule is None:
-        return PayoffLedger(int(gains.sum()), len(iv), False, StopCause.EXHAUSTED)
+        return PayoffLedger(int(gains.sum()), len(iv), StopCause.EXHAUSTED)
     stops, payoffs, _ = _bettor_stages(gains[None, :], rule.lower_limit, rule.upper_limit, 1)
     t, payoff = int(stops[0, 0]), int(payoffs[0, 0])
     if t < 0:
-        return PayoffLedger(payoff, len(iv), False, StopCause.EXHAUSTED)
+        return PayoffLedger(payoff, len(iv), StopCause.EXHAUSTED)
     cause = StopCause.LOWER if payoff <= rule.lower_limit else StopCause.UPPER
-    return PayoffLedger(payoff, t + 1, True, cause)
+    return PayoffLedger(payoff, t + 1, cause)
 
 
 def constant_plan(value: int, interval: Interval, stop_rule: StopRule | None = None) -> PredictionPlan:

@@ -1,9 +1,11 @@
 """Deterministic seed derivation.
 
-Every stochastic entry point accepts either an explicit ``numpy.random.Generator``
-or derives one from an integer seed.  Sweep cells derive their seeds by hashing
-the master seed together with the cell coordinates, so adding or reordering
-cells never perturbs the randomness of existing cells.
+The samplers (``simulate_heights``, ``generate_batch``, ``iter_generate_batches``,
+the fBm samplers and ``weighted_majority_run``) take a ``numpy.random.Generator``
+or an integer seed.  Everything built on them derives its own generator from the
+spec seed and a label, so the spec alone fixes every number reported from it.
+Sweep cells derive their seeds by hashing the master seed together with the cell
+coordinates, so adding or reordering cells never perturbs existing cells.
 """
 
 from __future__ import annotations

@@ -808,17 +808,18 @@ class TestEstimateDelta:
                 row.mean_payoff / math.sqrt(row.interval_len)
             )
 
-    def test_no_cell_rejected_before_any_draw(self):
+    def test_no_cell_rejected_before_any_draw(self, monkeypatch):
         # T // 2 < DEFAULT_MIN_LEN leaves no interval length: the error comes before the
         # generator is touched, not from argmax over an empty cell list.
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=8, seed=5)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
+        monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
         for mode in ("weak_averaged", "strict"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # strict falls back to weak
                 with pytest.raises(ConfigurationError, match="no cell"):
-                    estimate_delta(spec, mode, 1000, rng=rng)
+                    estimate_delta(spec, mode, 1000)
         assert rng.bit_generator.state == state
 
     def test_strict_mode_sees_height_coupled_bias(self):
@@ -868,11 +869,12 @@ class TestCertifyInversion:
             certify_inversion(self.SPEC, self.WHOLE, theta=4, s_iterations=1, trials=100, alpha=0.2)
 
     @pytest.mark.parametrize("trials", [0, -5])
-    def test_trials_must_be_positive(self, trials):
+    def test_trials_must_be_positive(self, monkeypatch, trials):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
+        monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
         with pytest.raises(ConfigurationError, match="trials"):
-            certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=1, trials=trials, rng=rng)
+            certify_inversion(self.SPEC, self.WHOLE, theta=32, s_iterations=1, trials=trials)
         assert rng.bit_generator.state == state  # rejected before any draw
 
     def test_stages_walk_row_blocks(self):
@@ -1004,3 +1006,35 @@ def test_chunked_reports_are_pinned(monkeypatch, name):
     estimate, digest = _CHUNKED_REPORTS[name]
     monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 300 * 256)
     assert hashlib.sha256(repr(estimate()).encode()).hexdigest() == digest
+
+
+class TestTrialCap:
+    """An estimator joins any number of batches, so it refuses, before any draw, a trial
+    count whose kept values (1 per row for alpha_q, one per cell for estimate_delta,
+    2s + 1 for certify_inversion) would pass the samplers' entry cap."""
+
+    SPEC = GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=9)
+    WHOLE = Interval(0, 128, 128)
+    CAP = generators._MAX_MATRIX_ENTRIES
+
+    def refused(self, monkeypatch, call):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
+        with pytest.raises(ConfigurationError, match="entries exceed the cap"):
+            call()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("trials", [CAP + 1, 99999999999999999999])
+    def test_alpha_q(self, monkeypatch, trials):
+        self.refused(monkeypatch, lambda: alpha_q_estimate(self.SPEC, self.WHOLE, 0.2, trials))
+
+    @pytest.mark.parametrize("mode", ["weak_averaged", "strict"])
+    def test_estimate_delta(self, monkeypatch, mode):
+        cells = len(estimate_delta(self.SPEC, mode, 1000).rows)
+        self.refused(monkeypatch, lambda: estimate_delta(self.SPEC, mode, self.CAP // cells + 1))
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_certify_inversion(self, monkeypatch, s):
+        trials = self.CAP // (2 * s + 1) + 1
+        self.refused(monkeypatch, lambda: certify_inversion(self.SPEC, self.WHOLE, 32, s, trials))

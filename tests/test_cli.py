@@ -298,6 +298,7 @@ class TestAlphaQ:
             ("--alpha", "0.3", "--x", "-4"),
             ("--alpha", "nan", "--x", "16"),
             ("--alpha", "inf", "--x", "16"),
+            ("--alpha", "0.2", "--x", "64", "--trials", "99999999999999999999"),
         ],
     )
     def test_bad_flags_exit_2(self, tmp_path, capsys, flags):
@@ -440,6 +441,7 @@ class TestSweep:
             (("--trials", "0"), "--trials"),
             (("--deltas", "1.5"), "--deltas"),
             (("--deltas", "0.1,-0.1"), "--deltas"),
+            (("--metrics", "delta_hat", "--trials", "99999999999999999999"), "--trials"),
         ],
     )
     def test_input_no_cell_takes_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, flags, flag):
@@ -708,14 +710,25 @@ class TestEnvironment:
         assert blocker.read_bytes() == b"kept"
 
 
+def package_env() -> dict[str, str]:
+    """The environment with this package's source directory first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point_exits_with_the_command_code(tmp_path):
+    # ``python -m fractalwalk`` hands run's code to the shell, as the console script does.
+    proc = subprocess.run([sys.executable, "-m", "fractalwalk", "theta", "--alpha", "nan",
+                           "--output-dir", str(tmp_path)], env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
 def modules_loaded_by(tmp_path, *argv: str) -> set[str]:
     """The modules a fresh interpreter holds after ``run(argv)`` succeeds in it."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\nfrom fractalwalk.cli import run\n"
               "code = run(sys.argv[1:])\nprint(code, *sorted(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script, *argv, "--output-dir", str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=package_env(), capture_output=True, text=True, check=True)
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     return set(modules)

@@ -55,12 +55,6 @@ class TestParams:
         params = FractalParams(alpha=0.25, target_height=100)
         assert params.theta == pytest.approx(solve_theta(0.25))
 
-    def test_supplied_theta_must_solve_equation(self):
-        good = solve_theta(0.25)
-        assert FractalParams(alpha=0.25, target_height=10, theta=good).theta == good
-        with pytest.raises(ConfigurationError, match="theta"):
-            FractalParams(alpha=1.0 / 3.0, target_height=10, theta=0.9)
-
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.6])
     def test_alpha_validated(self, alpha):
         with pytest.raises(ConfigurationError, match="alpha"):
@@ -126,8 +120,8 @@ class TestConstruction:
         bits = seq.values
         assert np.array_equal(bits[:i], bits[j:])
         a, c = _parts(100, params.alpha)
-        outer = build_fractal(FractalParams(params.alpha, a, params.theta))
-        middle = build_fractal(FractalParams(params.alpha, c, params.theta))
+        outer = build_fractal(FractalParams(params.alpha, a))
+        middle = build_fractal(FractalParams(params.alpha, c))
         assert np.array_equal(bits[:i], outer.values)
         assert np.array_equal(bits[i:j], -middle.values)
 

@@ -62,7 +62,6 @@ BAD_INPUTS = {
                          lambda t: fw.default_base_len(fw.Family.FRW, 0)],
     "entropy_threshold": [lambda t: fw.entropy_threshold(NAN, 16),
                           lambda t: fw.entropy_threshold(1.0, 0)],
-    "generate": [lambda t: fw.generate(SPEC, rng=-1)],
     "generate_batch": [lambda t: fw.generate_batch(SPEC, 2.0),
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=64),
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=3)],
@@ -73,8 +72,7 @@ BAD_INPUTS = {
     "simulate_heights": [lambda t: fw.simulate_heights(SPEC, 1.5),
                          lambda t: fw.simulate_heights(SPEC, 1 << 40)],
     "FractalParams": [lambda t: fw.FractalParams(0.7, 10),
-                      lambda t: fw.FractalParams(0.3, 4.0),
-                      lambda t: fw.FractalParams(0.25, 10, theta=0.0)],
+                      lambda t: fw.FractalParams(0.3, 4.0)],
     "solve_theta": [lambda t: fw.solve_theta(0.51), lambda t: fw.solve_theta(NAN)],
     "theta_residual": [lambda t: fw.theta_residual(0.2, 0.0),
                        lambda t: fw.theta_residual(NAN, 0.5)],
@@ -160,6 +158,7 @@ NO_ARGUMENT_RULE = {
     **dict.fromkeys(["fractal_length", "split_points"], "read only an already checked FractalParams"),
     **dict.fromkeys(["dumps", "weighted_majority_expected_payoff"], "read only an already checked sequence"),
     "total_variation": "compares two given laws",
+    "generate": "reads only an already checked GeneratorSpec",
     "format_result": "formats a CriterionResult",
 }
 

@@ -79,19 +79,19 @@ class TestRunPlan:
 
     def test_full_interval_no_stop(self):
         ledger = run_plan(self.SEQ, constant_plan(1, Interval(0, 4, 4)))
-        assert ledger == PayoffLedger(2, 4, False, StopCause.EXHAUSTED)
+        assert ledger == PayoffLedger(2, 4, StopCause.EXHAUSTED)
 
     def test_upper_stop(self):
         # Running payoff 1, 0, 1, 2 hits the +2 limit on the last step.
         rule = StopRule(lower_limit=-1, upper_limit=2)
         ledger = run_plan(self.SEQ, constant_plan(1, Interval(0, 4, 4), rule))
-        assert ledger == PayoffLedger(2, 4, True, StopCause.UPPER)
+        assert ledger == PayoffLedger(2, 4, StopCause.UPPER)
 
     def test_lower_stop(self):
         seq = BitSequence([-1, -1, 1, 1])
         rule = StopRule(lower_limit=-2, upper_limit=1)
         ledger = run_plan(seq, constant_plan(1, Interval(0, 4, 4), rule))
-        assert ledger == PayoffLedger(-2, 2, True, StopCause.LOWER)
+        assert ledger == PayoffLedger(-2, 2, StopCause.LOWER)
 
     def test_mixed_predictions_on_subinterval(self):
         plan = PredictionPlan(Interval(1, 3, 4), np.array([-1, 1]))
@@ -107,7 +107,7 @@ class TestRunPlan:
         seq = IntSequence([5, 3, -1, 1])
         rule = StopRule(lower_limit=-2, upper_limit=6)
         ledger = run_plan(seq, constant_plan(1, Interval(0, 4, 4), rule))
-        assert ledger == PayoffLedger(8, 2, True, StopCause.UPPER)
+        assert ledger == PayoffLedger(8, 2, StopCause.UPPER)
 
     def test_interval_must_match_sequence(self):
         with pytest.raises(IndexError):
@@ -359,12 +359,12 @@ class TestAdaptiveInversionBettor:
         # theta=4, alpha=0.5: stop at -2 or +4.
         seq = BitSequence(np.ones(8, dtype=np.int8))
         ledger = adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=4, alpha=0.5)
-        assert ledger == PayoffLedger(4, 4, True, StopCause.UPPER)
+        assert ledger == PayoffLedger(4, 4, StopCause.UPPER)
 
     def test_lower_stop_detects_opposite_excursion(self):
         seq = BitSequence([-1, 1, -1, -1, 1, 1, 1, 1])
         ledger = adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=4, alpha=0.5)
-        assert ledger == PayoffLedger(-2, 4, True, StopCause.LOWER)
+        assert ledger == PayoffLedger(-2, 4, StopCause.LOWER)
 
     def test_degenerate_limits_rejected(self):
         seq = BitSequence(np.ones(8, dtype=np.int8))
