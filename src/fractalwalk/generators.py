@@ -366,37 +366,68 @@ def _inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     return cuts, table
 
 
-def _base_heights(rng: np.random.Generator, l: int, shape) -> np.ndarray:
-    """int64 heights ``2 * Binomial(l, 1/2) - l`` of ``shape`` blocks of ``l`` uniform +-1 entries.
+def _base_heights(rng: np.random.Generator, l: int, shape, dtype=np.int64) -> np.ndarray:
+    """Heights ``2 * Binomial(l, 1/2) - l`` of ``shape`` blocks of ``l`` uniform +-1 entries, in ``dtype``.
 
     ``l`` is a power of two: a base length or the sequence length.  Equal, draw
     for draw, to ``2 * rng.binomial(l, 0.5, shape) - l``, and it leaves ``rng``
-    in the same state.  Where numpy samples by inversion, each draw reads one
-    ``next_double``; the fill draws the same doubles in chunks, looks each one
-    up in :func:`_inversion_table` and resolves the rare uniforms that land in
-    a bucket split by a cut against the cuts themselves.  BTPE's rejection
-    sampling above the inversion range goes to numpy.
+    in the same state.  The output is filled ``_FILL_CHUNK`` draws at a time,
+    so no int64 temporary of ``shape`` is made.  Where numpy samples by
+    inversion, each draw reads one ``next_double``; the fill draws the same
+    doubles, looks each one up in :func:`_inversion_table` and resolves the
+    rare uniforms that land in a bucket split by a cut against the cuts
+    themselves.  BTPE's rejection sampling above the inversion range goes to
+    numpy, one chunk per call: its draws do not depend on the call size.
     """
-    if l * 0.5 > _INVERSION_MAX_MEAN:
-        heights = rng.binomial(l, 0.5, size=shape)
-        heights *= 2
-        heights -= l
-        return heights
-    cuts, table = _inversion_table(l)
-    heights = np.empty(shape, dtype=np.int64)
+    heights = np.empty(shape, dtype=dtype)
     flat = heights.reshape(-1)
+    btpe = l * 0.5 > _INVERSION_MAX_MEAN
+    if not btpe:
+        cuts, table = _inversion_table(l)
     for lo in range(0, flat.size, _FILL_CHUNK):
-        u = rng.random(min(_FILL_CHUNK, flat.size - lo))
-        u *= 1 << _TABLE_BITS
-        part = flat[lo : lo + u.size]
-        np.take(table, u.astype(np.intp), out=part)
-        split = np.flatnonzero(part > l)
-        part[split] = 2 * np.searchsorted(cuts, u[split], side="right") - l
+        part = flat[lo : lo + _FILL_CHUNK]
+        if btpe:
+            draws = rng.binomial(l, 0.5, size=part.size)
+            draws *= 2
+            np.subtract(draws, l, out=part)
+        else:
+            u = rng.random(part.size)
+            u *= 1 << _TABLE_BITS
+            np.take(table, u.astype(np.intp), out=part)
+            split = np.flatnonzero(part > l)
+            part[split] = 2 * np.searchsorted(cuts, u[split], side="right") - l
     return heights
 
 
 # ---------------------------------------------------------------------------
 # Height-only simulation
+
+
+def _height_bound(spec: GeneratorSpec) -> int:
+    """The largest |height| any block of ``spec`` can reach, at every merge level.
+
+    Entries stay +-1 in the bit families and in ``bernoulli`` mode, so that is
+    ``total_len``.  An ``exact_count`` augmented merge moves the height by
+    ``2 * steps``, and ``steps`` is at most the floor of the halved budget
+    :func:`_plan_level` computes, plus one.  So from ``M_l = l`` each level
+    gives ``M_2n = 2 * M_n + 2 * (floor(budget / 2) + 1)``, with afrw's budget
+    ``delta * M_n`` (float64 rounding is monotone, so no |h1| <= M_n exceeds
+    it) and aofrw's ``delta * sqrt(n)``.  Every intermediate value of
+    :func:`_merge_level` stays within the bound of the level it makes.
+    """
+    if spec.family not in _AUGMENTED or spec.flip_mode is FlipMode.BERNOULLI:
+        return spec.total_len
+    n = bound = spec.base_len
+    while n < spec.total_len:
+        budget = bound * spec.delta if spec.family is Family.AFRW else spec.delta * math.sqrt(n)
+        bound = 2 * bound + 2 * (math.floor(budget / 2.0) + 1)
+        n *= 2
+    return bound
+
+
+def _height_dtype(spec: GeneratorSpec) -> type:
+    """The dtype block heights of ``spec`` merge in: int32 when :func:`_height_bound` is below 2**31, else int64."""
+    return np.int32 if _height_bound(spec) < 1 << 31 else np.int64
 
 
 def _check_entries(trials: int, cols: int) -> int:
@@ -438,8 +469,10 @@ def simulate_heights(
 
     Base-block heights are ``2 * rng.binomial(l, 0.5) - l``, and the fill
     equals that call draw for draw (see :func:`_base_heights`); the merge
-    levels then draw in row-major order.  A call that needs more than
-    ``2**28`` base-block heights is refused before anything is drawn.
+    levels then draw in row-major order.  Block heights merge in
+    :func:`_height_dtype`, int32 unless an augmented spec can reach 2**31, and
+    the final heights are int64.  A call that needs more than ``2**28``
+    base-block heights is refused before anything is drawn.
     """
     T = spec.total_len
     trials = _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
@@ -452,11 +485,11 @@ def simulate_heights(
         heights = _entropy_heights(spec, trials, rng, counters)
     else:
         n = spec.base_len
-        H = _base_heights(rng, n, (trials, T // n))
+        H = _base_heights(rng, n, (trials, T // n), _height_dtype(spec))
         while n < T:
             H = _merge_level(spec, n, H, rng, counters)
             n *= 2
-        heights = H[:, 0]
+        heights = H[:, 0].astype(np.int64)
 
     if with_counters:
         return heights, counters
@@ -687,11 +720,11 @@ def _merge_family_matrix(
     if planted_prefix:
         A[:, :planted_prefix] = 1
     # Block heights accumulate in the narrowest exact dtype; a one-entry block
-    # is its entry, so l = 1 casts A once.  Bit-family heights never exceed
-    # MAX_TOTAL_LEN = 2^24, so int32 holds them exactly; augmented ones, int64.
+    # is its entry, so l = 1 casts A once.  They merge in _height_dtype(spec),
+    # which holds every height the spec can reach.
     blocks = A.reshape(trials, T // l, l)
     H = (blocks[:, :, 0] if l == 1 else blocks.sum(axis=2, dtype=_sum_dtype(A, l))).astype(
-        np.int64 if spec.family in _AUGMENTED else np.int32
+        _height_dtype(spec)
     )
     tainted = np.zeros(trials, dtype=bool)  # trials holding non +-1 entries
 
@@ -700,12 +733,13 @@ def _merge_family_matrix(
             _recount_eligible(A[rows], tainted[rows], dirs, elig, n, dirs.shape[1])
 
     # Per row block of a level, the merges that move anything:
-    # (trial, merge, dir, flips, additions).
+    # (trial, merge, dir, flips, additions).  Directions take A's dtype, so
+    # np.add.at and _place_flips' compares need no cast.
     moves: list[tuple[np.ndarray, ...]] = []
 
     def visit(rows: slice, dirs, requested, applied, augmented) -> None:
         t, m = np.nonzero(applied + augmented)
-        moves.append((t + rows.start, m, dirs[t, m], applied[t, m], augmented[t, m]))
+        moves.append((t + rows.start, m, dirs[t, m].astype(A.dtype), applied[t, m], augmented[t, m]))
 
     n = l
     while n < T:

@@ -117,12 +117,25 @@ class _PrefixSummed:
 
 
 def _entries(values, dtype) -> np.ndarray:
-    """A fresh 1-d ``dtype`` copy of ``values``, of 1 to ``MAX_TOTAL_LEN`` entries."""
+    """A fresh 1-d ``dtype`` copy of ``values``, of 1 to ``MAX_TOTAL_LEN`` entries.
+
+    Entries the cast would change, such as fractions or integers outside
+    ``dtype``, are refused rather than wrapped or truncated.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ConfigurationError(f"a sequence must be a 1-d array, got shape {arr.shape}")
     _integer(len(arr), "sequence length", 1, MAX_TOTAL_LEN)
-    return arr.astype(dtype, copy=True)
+    if arr.dtype.kind not in "biufO":
+        raise ConfigurationError(f"sequence entries must be real numbers, got dtype {arr.dtype}")
+    try:
+        with np.errstate(invalid="ignore"):
+            out = arr.astype(dtype, copy=True)
+    except (OverflowError, TypeError, ValueError):
+        out = None
+    if out is None or not (np.can_cast(arr.dtype, dtype) or np.array_equal(out, arr)):
+        raise ConfigurationError(f"sequence entries must be integers that fit {np.dtype(dtype)}")
+    return out
 
 
 class BitSequence(_PrefixSummed):

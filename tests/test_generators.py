@@ -38,6 +38,8 @@ from fractalwalk.generators import (
     _FILL_CHUNK,
     _base_heights,
     _bits,
+    _height_bound,
+    _height_dtype,
     _inversion_draw,
     _inversion_table,
     _recount_eligible,
@@ -615,6 +617,37 @@ def test_plain_families_stay_binary(family, delta, seed):
     assert np.all(np.abs(batch) == 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(MERGE_FAMILIES),
+    flip_mode=st.sampled_from(list(FlipMode)),
+    log_len=st.integers(min_value=1, max_value=9),
+    log_base=st.integers(min_value=0, max_value=9),
+    delta=st.floats(min_value=0.0, max_value=0.99),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_heights_stay_within_the_dtype_bound(family, flip_mode, log_len, log_base, delta, seed):
+    """Final heights stay within ``_height_bound``, from ``simulate_heights`` and from ``generate_batch`` rows."""
+    T = 1 << log_len
+    spec = GeneratorSpec(family, T, delta=delta, base_len=1 << min(log_base, log_len),
+                         flip_mode=flip_mode, seed=seed)
+    bound = _height_bound(spec)
+    assert np.abs(simulate_heights(spec, 200)).max() <= bound
+    A = generate_batch(spec, 50)
+    assert np.abs(A.sum(axis=1)).max() <= bound
+
+
+def test_height_dtype_widens_only_past_int32():
+    # afrw at l = 1 multiplies its bound by about 2 + delta per level: near
+    # 3.5e11 at delta = 0.99 over 24 levels, and 1.4e8 at delta = 0.1.
+    big = GeneratorSpec(Family.AFRW, 1 << 24, delta=0.99, base_len=1)
+    assert _height_bound(big) >= 1 << 31
+    assert _height_dtype(big) is np.int64
+    assert _height_dtype(dataclasses.replace(big, delta=0.1)) is np.int32
+    assert _height_dtype(dataclasses.replace(big, flip_mode=FlipMode.BERNOULLI)) is np.int32
+    assert _height_bound(GeneratorSpec(Family.FRW, 1 << 24, delta=0.99, base_len=1)) == 1 << 24
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(min_value=0, max_value=9),
@@ -701,21 +734,23 @@ BIT_GENERATORS = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937, "philo
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_base_heights_match_numpy_binomial(l, rows, cols, prior, bitgen, seed):
-    """The table-read fill equals numpy's Binomial(l, 1/2) draw for draw.
+    """The chunked fill equals numpy's Binomial(l, 1/2) draw for draw, in int64 and int32.
 
     Lengths are the powers of two that blocks have, on both sides of numpy's
     switch from inversion to BTPE (l = 32 / 64), sizes straddle the fill's
     chunk, and the prior uint32 draws can leave half a word buffered in the
     generator.
     """
-    got_rng, want_rng = (np.random.Generator(BIT_GENERATORS[bitgen](seed)) for _ in range(2))
-    for rng in (got_rng, want_rng):
+    got_rng, got32_rng, want_rng = (np.random.Generator(BIT_GENERATORS[bitgen](seed)) for _ in range(3))
+    for rng in (got_rng, got32_rng, want_rng):
         rng.integers(0, 1 << 32, size=prior, dtype=np.uint32)
     got = _base_heights(got_rng, l, (rows, cols))
+    got32 = _base_heights(got32_rng, l, (rows, cols), np.int32)
     want = 2 * want_rng.binomial(l, 0.5, (rows, cols)) - l
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
-    assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    assert got.dtype == np.int64 and got32.dtype == np.int32
+    for heights, rng in ((got, got_rng), (got32, got32_rng)):
+        assert np.array_equal(heights, want)
+        assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 def _same_state(a, b) -> bool:
@@ -805,6 +840,20 @@ class TestSizeCap:
             tracemalloc.stop()
         assert A.nbytes == 500 << 12
         assert peak < 24e6
+
+    def test_heights_only_runs_merge_in_int32(self):
+        # afrw's bound at this spec is far below 2**31, so its 4096 heights per
+        # trial merge in int32: 16 MiB at l = 1 beside an 8 MiB first level,
+        # and the call peaks near 27 MiB, against 51 MiB in int64.
+        spec = GeneratorSpec(Family.AFRW, 1 << 12, delta=0.1, base_len=1, seed=1)
+        tracemalloc.start()
+        try:
+            heights = simulate_heights(spec, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert heights.dtype == np.int64
+        assert peak < 30 * 2**20
 
     def test_cap_counts_blocks_not_entries_for_heights(self):
         # Uniform heights are one binomial draw per trial, whatever the length.

@@ -1,10 +1,10 @@
 """Every public callable refuses bad arguments with the package's typed errors.
 
 ``BAD_INPUTS`` holds, per public name, calls with a bad argument and the
-typed error each must raise; ``NO_ARGUMENT_RULE`` names the callables none of the
-argument rules applies to, and why.  A public callable in neither fails
-:func:`test_every_public_callable_is_listed`, so new API comes with its bad
-inputs.
+typed error each must raise, with no warning on the way; ``NO_ARGUMENT_RULE``
+names the callables none of the argument rules applies to, and why.  A public
+callable in neither fails :func:`test_every_public_callable_is_listed`, so new
+API comes with its bad inputs.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ BAD_INPUTS = {
                  (lambda t: fw.Interval(0, 9, 8), IntervalError),
                  (lambda t: fw.Interval(2, 2, 4), IntervalError),
                  (lambda t: fw.Interval(0.5, 2, 4), IntervalError)],
-    "BitSequence": [lambda t: fw.BitSequence([0, 1]), lambda t: fw.BitSequence([])],
-    "IntSequence": [lambda t: fw.IntSequence([2, 1])],
+    "BitSequence": [lambda t: fw.BitSequence([0, 1]), lambda t: fw.BitSequence([]),
+                    lambda t: fw.BitSequence([257, -1]), lambda t: fw.BitSequence([1, -255]),
+                    lambda t: fw.BitSequence([1.5, -1.0])],
+    "IntSequence": [lambda t: fw.IntSequence([2, 1]), lambda t: fw.IntSequence([1.5, 3]),
+                    lambda t: fw.IntSequence([2**64 + 1, 1])],
     "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError)],
     "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError)],
     "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
@@ -172,6 +175,7 @@ def test_every_public_callable_is_listed():
     assert set(BAD_INPUTS) | set(NO_ARGUMENT_RULE) == public
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, i, call, error", CASES, ids=[f"{name}-{i}" for name, i, _, _ in CASES])
 def test_bad_input_raises_typed_error(tmp_path, name, i, call, error):
     with pytest.raises(error):
