@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .generators import (
     iter_generate_batches,  # callers still import it from here
     simulate_heights,
 )
-from .predictors import _bettor_stages, _sign_bets
+from .predictors import _bettor_limits, _bettor_stages, _sign_bets
 from .seeding import derive_rng
 from .sequences import DEFAULT_MIN_LEN, MAX_TOTAL_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
 
@@ -802,6 +801,10 @@ def estimate_delta(
     naturally generated histories with the interval pinned at the sequence
     end.  Either way ``delta_hat`` is the largest interval-normalized mean
     payoff over the family, with a bootstrap interval for the winning cell.
+
+    A spec with no cell raises ``ConfigurationError`` before any draw.  In strict
+    mode that is a merge-family spec with ``base_len > T/2`` (frw and afrw at
+    their default base length up to T = 2048); it is never measured weakly instead.
     """
     mode = _enum(EstimationMode, mode, "mode")
     trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
@@ -811,22 +814,16 @@ def estimate_delta(
     # (window, interval lo, interval len) cells grouped by planted prefix.  A cell
     # bets the sign of its window's height; strict windows are all +1.
     if mode is EstimationMode.STRICT:
-        prefixes = _strict_prefix_lengths(spec, DEFAULT_MIN_LEN)
-        if not prefixes:
-            warnings.warn(
-                "strict conditioning infeasible: no dyadic prefix is compatible with the "
-                "base-block structure; falling back to weak averaging",
-                stacklevel=2,
-            )
-            mode = EstimationMode.WEAK_AVERAGED
-        groups = [(p, [(p, p, x) for x in _dyadic_range(DEFAULT_MIN_LEN, p)]) for p in prefixes]
-    if mode is EstimationMode.WEAK_AVERAGED:
+        groups = [(p, [(p, p, x) for x in _dyadic_range(DEFAULT_MIN_LEN, p)])
+                  for p in _strict_prefix_lengths(spec, DEFAULT_MIN_LEN)]
+    else:
         wins = _dyadic_range(1, T // 2)
         xs = _dyadic_range(DEFAULT_MIN_LEN, T // 2)
         groups = [(0, [(w, T - x, x) for x in xs for w in wins])]
     if not any(group for _, group in groups):
-        raise ConfigurationError(f"no cell to estimate: T={T} has no dyadic interval length in "
-                                 f"[{DEFAULT_MIN_LEN}, T/2={T // 2}]")
+        raise ConfigurationError(f"no cell to estimate in {mode.value} mode at T={T}, base_len={spec.base_len}: a "
+                                 f"cell needs a dyadic interval of {DEFAULT_MIN_LEN} to T/2 entries, and in strict "
+                                 f"mode a dyadic prefix of whole base blocks up to T/2 before it")
     _check_entries(trials, sum(len(group) for _, group in groups))
 
     cells, payoffs = [], []
@@ -884,12 +881,14 @@ def certify_inversion(
     escapes without any stage detecting an opposite excursion.
 
     Each stage stops at running payoff ``-ceil(alpha*theta/s)`` (an inversion
-    witness) or ``+ceil(2*alpha*theta/s)``; the next stage starts immediately
+    witness) or ``+ceil(2*alpha*theta/s)``, the limits of
+    :func:`~fractalwalk.predictors._bettor_limits`; the next stage starts immediately
     after.  The headline number is the frequency of final height >= theta
     with no stage having hit its lower limit.
     """
     theta, s_iterations = _integer(theta, "theta"), _integer(s_iterations, "s_iterations")
     trials, alpha = _integer(trials, "trials"), _real(alpha, "alpha", 0)
+    lower, upper = _bettor_limits(theta, alpha, s_iterations)
     if alpha * theta / s_iterations < 1.0:
         raise ConfigurationError(
             f"per-stage limits degenerate: need alpha*theta/s >= 1, got "
@@ -898,16 +897,14 @@ def certify_inversion(
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
     _check_entries(trials, 2 * s_iterations + 1)
-    lower = math.ceil(alpha * theta / s_iterations)
-    upper = math.ceil(2.0 * alpha * theta / s_iterations)
     rng = derive_rng(spec.seed, "certify", theta, s_iterations)
 
     lo, hi = interval.lo, interval.hi
     stops, payoffs, sums = _map_batches(
-        spec, trials, rng, lambda part: _bettor_stages(part[:, lo:hi], -lower, upper, s_iterations)
+        spec, trials, rng, lambda part: _bettor_stages(part[:, lo:hi], lower, upper, s_iterations)
     )
     stopped = stops >= 0
-    low = stopped & (payoffs <= -lower)
+    low = stopped & (payoffs <= lower)
     lower_hits = np.count_nonzero(low, axis=0)
     upper_hits = np.count_nonzero(stopped & ~low, axis=0)
     # A stage starts when the one before it stopped short of the last position.

@@ -81,13 +81,12 @@ def fbm_cov_matrix(hurst: float, grid_len: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _cholesky(hurst: float, grid_len: int) -> np.ndarray:
-    cov = fbm_cov_matrix(hurst, grid_len)
+    """The covariance's Cholesky factor, refused where float64 has none (hurst near 1)."""
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(fbm_cov_matrix(hurst, grid_len))
     except np.linalg.LinAlgError:
-        # One jitter retry for borderline conditioning; beyond that the
-        # parameters are genuinely outside this sampler's reach.
-        return np.linalg.cholesky(cov + 1e-10 * np.eye(grid_len))
+        raise ConfigurationError(f"the fBm covariance at hurst={hurst}, grid_len={grid_len} "
+                                 f"has no Cholesky factor in float64") from None
 
 
 def _even_blocks(trials: int, grid_len: int) -> list[slice]:

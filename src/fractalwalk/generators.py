@@ -133,13 +133,9 @@ class GeneratorSpec:
         base = self.base_len if self.base_len != default_base_len(self.family, self.total_len) else None
         return replace(self, total_len=total_len, base_len=base)
 
-    def to_json_dict(self) -> dict:
-        """The fields by name, enums as their values; :meth:`from_json_dict` inverts it."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorSpec":
+        """The spec ``cli._jsonable`` writes: its fields by name, enums as their values."""
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown generator spec fields: {sorted(unknown)}")

@@ -255,12 +255,17 @@ def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
     return int(_block_momentum_payoffs(seq.values[None, :], block_len)[0])
 
 
-def _bettor_limits(theta: int, alpha: float) -> tuple[int, int]:
-    """The inversion bettor's stop limits ``(-ceil(alpha*theta), ceil(2*alpha*theta))``."""
+def _bettor_limits(theta: int, alpha: float, stages: int = 1) -> tuple[int, int]:
+    """Each stage's stop limits ``(-ceil(alpha*theta/stages), ceil(2*alpha*theta/stages))``: the
+    inversion bettor's at one stage, the certifier's at ``s_iterations``.  The upper one must be at
+    least 1, and below 2**62 so that it plus a stage's starting total (0, or a generated height far
+    below 2**62) fits int64 in :func:`_bettor_stages`."""
     theta, alpha = _integer(theta, "theta"), _real(alpha, "alpha", 0)
-    if 2.0 * alpha * theta < 1.0:
-        raise ConfigurationError(f"limits degenerate: need 2*alpha*theta >= 1, got {alpha=}, {theta=}")
-    return -math.ceil(alpha * theta), math.ceil(2.0 * alpha * theta)
+    share = alpha * _real(theta, "theta") / stages
+    if not 1.0 <= 2.0 * share < 2.0**62:
+        raise ConfigurationError(f"limits {'degenerate' if 2.0 * share < 1.0 else 'too large'}: need "
+                                 f"1 <= 2*alpha*theta/stages < 2**62, got {alpha=}, {theta=}, {stages=}")
+    return -math.ceil(share), math.ceil(2.0 * share)
 
 
 def _bettor_payoffs(values: np.ndarray, lower: int, upper: int) -> np.ndarray:

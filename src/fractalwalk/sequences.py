@@ -20,9 +20,11 @@ __all__ = [
     "IntSequence",
 ]
 
-# Overflow guard: prefix sums are int64 and augmented entries stay polynomial
-# in the sequence length, so lengths up to 2**24 are safe by a wide margin.
+# The longest sequence.  An integer entry stays below 2**63 / MAX_TOTAL_LEN = 2**39
+# in magnitude, so no int64 prefix sum can wrap; generated entries stay within
+# generators._height_bound, about 3.5e11 at most (afrw, l=1, T=2**24, delta 0.99).
 MAX_TOTAL_LEN = 1 << 24
+_MAX_ENTRY = (1 << 63) // MAX_TOTAL_LEN
 
 # The shortest interval the inversion scans consider unless asked otherwise.
 DEFAULT_MIN_LEN = 8
@@ -126,7 +128,7 @@ def _entries(values, dtype) -> np.ndarray:
     if arr.ndim != 1:
         raise ConfigurationError(f"a sequence must be a 1-d array, got shape {arr.shape}")
     _integer(len(arr), "sequence length", 1, MAX_TOTAL_LEN)
-    if arr.dtype.kind not in "biufO":
+    if arr.dtype.kind not in "iufO":
         raise ConfigurationError(f"sequence entries must be real numbers, got dtype {arr.dtype}")
     try:
         with np.errstate(invalid="ignore"):
@@ -155,8 +157,6 @@ class IntSequence(_PrefixSummed):
         arr = _entries(entries, np.int64)
         if not np.all(arr & 1):
             raise ConfigurationError("integer sequence entries must be odd")
-        # Polynomial-in-length bound on augmented entries; rules out overflow
-        # in the int64 prefix sums.
-        if np.abs(arr).max() >= (1 << 40):
-            raise ConfigurationError("integer sequence entry magnitude must stay below 2**40")
+        if np.abs(arr).max() >= _MAX_ENTRY:
+            raise ConfigurationError(f"integer sequence entry magnitude must stay below {_MAX_ENTRY}")
         self._init_storage(arr)

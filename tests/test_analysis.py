@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -816,10 +815,8 @@ class TestEstimateDelta:
         state = rng.bit_generator.state
         monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
         for mode in ("weak_averaged", "strict"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # strict falls back to weak
-                with pytest.raises(ConfigurationError, match="no cell"):
-                    estimate_delta(spec, mode, 1000)
+            with pytest.raises(ConfigurationError, match="no cell"):
+                estimate_delta(spec, mode, 1000)
         assert rng.bit_generator.state == state
 
     def test_strict_mode_sees_height_coupled_bias(self):
@@ -832,11 +829,27 @@ class TestEstimateDelta:
             assert row.interval_lo % 16 == 0
         assert report.delta_hat > 2 * 0.2  # conditioning makes this family very exposed
 
-    def test_strict_falls_back_when_no_prefix_fits(self):
-        spec = GeneratorSpec(family=Family.FRW, total_len=64, delta=0.1, base_len=64, seed=6)
-        with pytest.warns(UserWarning, match="strict conditioning infeasible"):
-            report = estimate_delta(spec, "strict", 1000)
-        assert report.mode is EstimationMode.WEAK_AVERAGED
+    def test_strict_refuses_when_no_prefix_fits(self, monkeypatch):
+        # One base block covers the whole sequence, so no planted prefix of whole
+        # blocks leaves an interval to bet on: strict mode refuses before any draw
+        # instead of measuring weak cells under the strict name.
+        spec = GeneratorSpec("frw", 64, delta=0.1, base_len=64, seed=6)
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
+        with pytest.raises(ConfigurationError, match=r"strict mode at T=64, base_len=64"):
+            estimate_delta(spec, "strict", 1000)
+        assert rng.bit_generator.state == state
+        assert estimate_delta(spec, "weak_averaged", 1000).mode is EstimationMode.WEAK_AVERAGED
+
+    @pytest.mark.parametrize("family", ["frw", "afrw"])
+    def test_default_base_len_leaves_no_strict_prefix_up_to_2048(self, family):
+        # default_base_len wants 100 log2 T entries per block, so up to T = 2048 one
+        # block is the whole sequence; at 4096 the block is T/2 and one prefix fits.
+        for T in (64, 256, 2048):
+            assert GeneratorSpec(family, T, delta=0.1).base_len == T
+            assert not analysis._strict_prefix_lengths(GeneratorSpec(family, T, delta=0.1), 8)
+        assert analysis._strict_prefix_lengths(GeneratorSpec(family, 4096, delta=0.1), 8) == [2048]
 
     def test_deterministic(self):
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=128, seed=7)
@@ -867,6 +880,15 @@ class TestCertifyInversion:
     def test_degenerate_stage_limits_rejected(self):
         with pytest.raises(ConfigurationError, match="degenerate"):
             certify_inversion(self.SPEC, self.WHOLE, theta=4, s_iterations=1, trials=100, alpha=0.2)
+
+    @pytest.mark.parametrize("theta, alpha", [(32, 1e308), (2**64, 0.5), (2**63, 1.0)])
+    def test_limits_past_int64_refused(self, monkeypatch, theta, alpha):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(analysis, "derive_rng", lambda *key: rng)
+        with pytest.raises(ConfigurationError, match="too large"):
+            certify_inversion(self.SPEC, self.WHOLE, theta=theta, s_iterations=1, trials=100, alpha=alpha)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_must_be_positive(self, monkeypatch, trials):

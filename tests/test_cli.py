@@ -122,8 +122,7 @@ class TestSpecFlags:
             assert getattr(want, f.name) != f.default, f.name
         spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
         assert spec == want
-        assert GeneratorSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
-        assert cli._jsonable(spec) == spec.to_json_dict()
+        assert GeneratorSpec.from_json_dict(json.loads(json.dumps(cli._jsonable(spec)))) == spec
 
 
 class TestGenerate:
@@ -168,6 +167,22 @@ class TestStats:
         assert len(report["rows"]) == 2
         assert "exponent" in capsys.readouterr().out
 
+    def test_equal_medians_write_a_null_stderr(self, tmp_path, capsys):
+        # median |h| is 2 at T = 2, 4 and 8, so the fitted line has no residual
+        # spread: the slope's stderr is NaN, and the JSON writes it as null.
+        argv = ("stats", "--family", "uniform", "--T", "8", "--T-list", "2,4,8", "--trials", "1000")
+        assert run_in(tmp_path, *argv) == 0
+        report = strict_json(tmp_path / "stats.json")
+        assert [row["median_dev"] for row in report["rows"]] == [2.0, 2.0, 2.0]
+        assert report["fitted_exponent"] == 0.0 and report["exponent_stderr"] is None
+        assert "+- nan" in capsys.readouterr().out
+
+    def test_single_length_prints_no_fit(self, tmp_path, capsys):
+        argv = ("stats", "--family", "uniform", "--T", "64", "--T-list", "64", "--trials", "200")
+        assert run_in(tmp_path, *argv) == 0
+        assert "single length; no exponent fit" in capsys.readouterr().out
+        assert strict_json(tmp_path / "stats.json")["fitted_exponent"] is None
+
     def test_replay_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_in(a, *self.ARGS) == 0
@@ -205,6 +220,10 @@ class TestPredict:
             tmp_path, "predict", "--family", "uniform", "--T", "64",
             "--predictor", "sign_of_prefix", "--trials", "10",
         ) == 2
+        assert run_in(
+            tmp_path, "predict", "--family", "uniform", "--T", "64",
+            "--predictor", "block_momentum", "--trials", "10",
+        ) == 2
 
     @pytest.mark.parametrize(
         "flags",
@@ -219,13 +238,16 @@ class TestPredict:
             ("--predictor", "adaptive_bettor", "--theta", "1", "--alpha", "0.1"),
             ("--predictor", "adaptive_bettor", "--theta", "8", "--alpha", "nan"),
             ("--predictor", "adaptive_bettor", "--theta", "8", "--alpha", "inf"),
+            ("--predictor", "adaptive_bettor", "--theta", "8", "--alpha", "1e308"),
+            ("--predictor", "adaptive_bettor", "--theta", "99999999999999999999", "--alpha", "0.25"),
         ],
     )
     def test_bad_predictor_flags_exit_2(self, tmp_path, capsys, flags):
         assert run_in(
             tmp_path, "predict", "--family", "uniform", "--T", "1024", "--trials", "10", *flags,
         ) == 2
-        assert "configuration error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "Traceback" not in err
         assert not (tmp_path / "predict.json").exists()
 
 
@@ -356,6 +378,12 @@ class TestFbm:
             tmp_path, "fbm", "--hurst", "0.6", "--grid-len", "16", "--window", "16",
         ) == 2
 
+    def test_unfactorable_covariance_exit_2(self, tmp_path, capsys):
+        assert run_in(tmp_path, "fbm", "--hurst", "0.99999999", "--grid-len", "1024", "--trials", "10") == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "hurst=0.99999999, grid_len=1024" in err
+        assert not any(tmp_path.iterdir())
+
 
     @pytest.mark.parametrize("flags", [("--lag-ratio", "0"), ("--lag-ratio", "-2"), ("--window", "0")])
     def test_bad_flags_exit_2(self, tmp_path, capsys, flags):
@@ -423,6 +451,21 @@ class TestSweep:
         failures = json.loads((tmp_path / "sweep-failures.json").read_text())
         assert [f["error"].split(":")[0] for f in failures] == ["ConfigurationError"]
         assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_strict_cell_without_a_prefix_fails(self, tmp_path):
+        # frw's default base length at T=64 is 64, so strict mode has no planted
+        # prefix there: that cell fails, and no weak-mode number stands in for it.
+        code = run_in(
+            tmp_path, "sweep", "--families", "uniform,frw", "--deltas", "0.1", "--T-list", "64",
+            "--metrics", "delta_hat", "--mode", "strict", "--trials", "1000", "--parallelism", "1",
+        )
+        assert code == 1
+        failures = strict_json(tmp_path / "sweep-failures.json")
+        assert [f["spec"]["family"] for f in failures] == ["frw"]
+        assert failures[0]["error"].startswith(
+            "ConfigurationError: no cell to estimate in strict mode at T=64, base_len=64")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["uniform"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_parallelism_below_one_exit_2(self, tmp_path, capsys, value):
@@ -622,6 +665,15 @@ class TestExitCodes:
         assert run_in(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_exhausted_rejection_budget_exit_1(self, tmp_path, capsys):
+        # No fair sequence of 1024 steps reaches |h| >= 320 within the draw budget.
+        argv = ("stats", "--family", "entropy_conditioned", "--T", "1024", "--k", "10",
+                "--T-list", "1024", "--trials", "100")
+        assert run_in(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert "analysis failure:" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     def test_argparse_rejects_unknown_family(self, tmp_path):

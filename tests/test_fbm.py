@@ -108,6 +108,20 @@ class TestSampling:
             fbm_sample_batch(FbmParams(hurst=0.6, grid_len=256), 1 << 40, rng)
         assert rng.bit_generator.state == state
 
+    def test_covariance_without_a_factor_refused(self):
+        # Near H = 1 the covariance is numerically singular: float64 cannot
+        # factor it, and a diagonal jitter of 1e-10 could not either.
+        params = FbmParams(hurst=1 - 1e-8, grid_len=1024)
+        cov = fbm.fbm_cov_matrix(params.hurst, params.grid_len)
+        for jitter in (0.0, 1e-10):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(cov + jitter * np.eye(params.grid_len))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="hurst=0.99999999, grid_len=1024"):
+            fbm_sample_batch(params, 10, rng)
+        assert rng.bit_generator.state == state
+
     def test_entry_cap_is_the_generators_cap(self, monkeypatch):
         monkeypatch.setattr(generators, "_MAX_MATRIX_ENTRIES", 100 * 64)
         params = FbmParams(hurst=0.6, grid_len=64)

@@ -1,17 +1,20 @@
 """Fuzzed inputs end in the package's typed errors and exit codes, never a traceback.
 
-Three properties, each with a fixed example budget and derandomized, so every
+Four properties, each with a fixed example budget and derandomized, so every
 run tries the same cases:
 
 * a command's recorded manifest with one value or key mutated replays through
   ``cli.run`` to exit code 0, 1 or 2;
 * a ``.fwsq`` or CSV sequence file with a byte flipped, inserted or cut off is
   read back or refused with ``SequenceFormatError`` or ``ConfigurationError``;
-* a numeric flag given a string that is not a finite number exits 2.
+* a numeric flag given a string that is not a finite number exits 2;
+* the adaptive bettor's ``--theta`` and ``--alpha``, given finite extremes,
+  exit 0 or 2.
 
 The ``@example`` cases pin inputs that once escaped: a manifest whose command
-is a list, a CSV entry outside int64, a varint wider than 64 bits, and a
-``--trials`` so large that a chunked estimator would have drawn without end.
+is a list, a CSV entry outside int64, a varint wider than 64 bits, a
+``--trials`` so large that a chunked estimator would have drawn without end,
+and bettor limits that overflowed int64.
 """
 
 from __future__ import annotations
@@ -145,3 +148,17 @@ def test_odd_numeric_flag_exits_2(manifests, case, text):
     argv, flag = case
     _, out = manifests
     assert exit_code([*argv, f"{flag}={text}", "--output-dir", str(out)]) == 2
+
+
+BETTOR = ["predict", "--predictor", "adaptive_bettor", "--family", "opt_frw", "--T", "64", "--base-len", "8",
+          "--trials", "10"]
+EXTREMES = [0, -1, 8, 2**31, 2**63, 2**64, 1e308, -1e308, 5e-324, 0.25]
+
+
+@settings(FUZZ, max_examples=100)
+@given(theta=st.sampled_from(EXTREMES), alpha=st.sampled_from(EXTREMES))
+@example(theta=8, alpha=1e308)
+@example(theta=HUGE, alpha=0.25)
+def test_bettor_flag_extremes_exit_0_or_2(manifests, theta, alpha):
+    _, out = manifests
+    assert exit_code([*BETTOR, f"--theta={theta}", f"--alpha={alpha}", "--output-dir", str(out)]) in (0, 2)

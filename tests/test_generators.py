@@ -34,6 +34,7 @@ from fractalwalk import (
     simulate_heights,
 )
 from fractalwalk import generators
+from fractalwalk.cli import _jsonable
 from fractalwalk.generators import (
     _FILL_CHUNK,
     _base_heights,
@@ -83,13 +84,13 @@ class TestSpecValidation:
         spec = GeneratorSpec(
             family=Family.AFRW, total_len=256, delta=0.25, base_len=16, seed=99
         )
-        assert GeneratorSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert GeneratorSpec.from_json_dict(json.loads(json.dumps(_jsonable(spec)))) == spec
 
     def test_json_round_trip_entropy(self):
         spec = GeneratorSpec(
             family=Family.ENTROPY_CONDITIONED, total_len=64, k=1.5, seed=3
         )
-        assert GeneratorSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert GeneratorSpec.from_json_dict(json.loads(json.dumps(_jsonable(spec)))) == spec
 
     def test_string_enums_coerced(self):
         spec = GeneratorSpec(family="frw", total_len=32, delta=0.1, flip_mode="bernoulli")
@@ -149,7 +150,7 @@ class TestSpecValidation:
     def test_json_keys_are_the_dataclass_fields(self):
         spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, k=1.5,
                              flip_mode=FlipMode.BERNOULLI)
-        data = spec.to_json_dict()
+        data = _jsonable(spec)
         assert list(data) == [f.name for f in dataclasses.fields(GeneratorSpec)]
         assert type(data["family"]) is str and type(data["flip_mode"]) is str
 
@@ -770,6 +771,12 @@ def test_inversion_redraw_unreachable_for_served_lengths(l):
     assert _inversion_draw(l, (2**53 - 1) / 2**53) is not None
     cuts, table = _inversion_table(l)
     assert cuts.shape == (l,) and table.shape == (1 << 16,)
+
+
+def test_inversion_draw_returns_none_past_its_bound():
+    # At l = 2048, 0.5**l underflows to 0, so the loop runs into its bound:
+    # numpy would draw a fresh uniform there, and the copy returns None.
+    assert _inversion_draw(2048, 0.5) is None
 
 
 def test_table_builder_refuses_a_length_that_can_redraw(monkeypatch):

@@ -1,7 +1,8 @@
 """Golden outputs: fixed-seed CLI runs must keep producing the same bytes.
 
-Each case runs one command through ``cli.run`` at a small size and compares
-the sha256 of every output its manifest lists with a recorded value.  The
+Each case runs one command through ``cli.run`` at a small size, checks its
+exit code (0 unless ``EXIT_CODES`` names another), and compares the sha256 of
+every output its manifest lists with a recorded value.  The
 manifest itself is not hashed because it records ``--output-dir``.  A change
 that moves any of these hashes changes a number the package reports; it must
 either be a bug or a deliberate, documented change of the random stream.
@@ -170,13 +171,16 @@ CASES = {
             "sweep-failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
         },
     ),
+    # frw's default base length at T=256 is 256, which leaves strict mode no
+    # planted prefix: that cell fails (exit 1, see EXIT_CODES), and the other
+    # three cells write their rows.
     "sweep-strict": (
         ["sweep", "--families", "uniform,opt_frw,entropy_conditioned,frw", "--deltas", "0.1",
          "--T-list", "256", "--metrics", "delta_hat", "--mode", "strict", "--trials", "1000",
          "--parallelism", "1", "--master-seed", "11"],
         {
-            "sweep.csv": "e73f0fe6893bef18cc61e7c0055d497dbf1c0be3116fcff29578546374676dd3",
-            "sweep-failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            "sweep.csv": "bc5fecddd0c17796d9a53009c03da7191e3f702427a5ea05b27fc5c43390efe6",
+            "sweep-failures.json": "3ac4bb3c9bd6c4f65e18ad3d40d77daac7604e494ead9c32c9ce367b9f851572",
         },
     ),
     "fractal": (
@@ -276,8 +280,12 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _output_hashes(argv, out_dir) -> dict[str, str]:
-    assert run([*argv, "--output-dir", str(out_dir)]) == 0
+# The cases whose command must exit with a code other than 0.
+EXIT_CODES = {"sweep-strict": 1}
+
+
+def _output_hashes(argv, out_dir, code: int = 0) -> dict[str, str]:
+    assert run([*argv, "--output-dir", str(out_dir)]) == code
     manifest = json.loads((out_dir / f"{argv[0]}-manifest.json").read_text())
     return {out: _sha256(out_dir / out) for out in manifest["outputs"]}
 
@@ -285,7 +293,7 @@ def _output_hashes(argv, out_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_hashes(tmp_path, name):
     argv, want = CASES[name]
-    assert _output_hashes(argv, tmp_path) == want
+    assert _output_hashes(argv, tmp_path, EXIT_CODES.get(name, 0)) == want
 
 
 def test_inversion_of_written_file_matches_recorded_hash(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 
 import fractalwalk as fw
 from fractalwalk import ConfigurationError, IntervalError, SequenceFormatError
+from fractalwalk.errors import _real
 
 SPEC = fw.GeneratorSpec("frw", 64, delta=0.1, base_len=8, seed=1)
 SEQ = fw.BitSequence([1, -1, 1, 1, -1, 1, 1, 1])
@@ -43,9 +44,10 @@ BAD_INPUTS = {
                  (lambda t: fw.Interval(0.5, 2, 4), IntervalError)],
     "BitSequence": [lambda t: fw.BitSequence([0, 1]), lambda t: fw.BitSequence([]),
                     lambda t: fw.BitSequence([257, -1]), lambda t: fw.BitSequence([1, -255]),
-                    lambda t: fw.BitSequence([1.5, -1.0])],
+                    lambda t: fw.BitSequence([1.5, -1.0]), lambda t: fw.BitSequence([True, True]),
+                    lambda t: fw.BitSequence(np.ones(4, bool)), lambda t: fw.BitSequence(np.array(["1", "-1"]))],
     "IntSequence": [lambda t: fw.IntSequence([2, 1]), lambda t: fw.IntSequence([1.5, 3]),
-                    lambda t: fw.IntSequence([2**64 + 1, 1])],
+                    lambda t: fw.IntSequence([2**64 + 1, 1]), lambda t: fw.IntSequence([1, 2**39 + 1])],
     "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError)],
     "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError)],
     "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
@@ -89,7 +91,8 @@ BAD_INPUTS = {
                        lambda t: fw.fbm_cov_matrix(0.5, 0)],
     "fbm_sample_batch": [lambda t: fw.fbm_sample_batch(FBM, 0),
                          lambda t: fw.fbm_sample_batch(FBM, 1 << 40),
-                         lambda t: fw.fbm_sample_batch(FBM, 10, times=(65,))],
+                         lambda t: fw.fbm_sample_batch(FBM, 10, times=(65,)),
+                         lambda t: fw.fbm_sample_batch(fw.FbmParams(1 - 1e-8, 1024), 10)],
     "sign_predictor_closed_form": [lambda t: fw.sign_predictor_closed_form(0.0, 16, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 0, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 16, NAN)],
@@ -111,6 +114,8 @@ BAD_INPUTS = {
         lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 1, 0.3),
         lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 0, 0.5),
         lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 4, NAN),
+        lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 2**64, 0.5),
+        lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 4, 1e308),
     ],
     "deviation_stats": [lambda t: fw.deviation_stats(SPEC, [64], 99),
                         lambda t: fw.deviation_stats(SPEC, [], 100),
@@ -140,12 +145,16 @@ BAD_INPUTS = {
                          lambda t: fw.alpha_q_estimate(SPEC, WHOLE, NAN, 1000),
                          lambda t: fw.alpha_q_estimate(SPEC, fw.Interval(0, 8, 8), 0.2, 1000)],
     "estimate_delta": [lambda t: fw.estimate_delta(SPEC, "bogus", 1000),
-                       lambda t: fw.estimate_delta(SPEC, "strict", 999)],
+                       lambda t: fw.estimate_delta(SPEC, "strict", 999),
+                       lambda t: fw.estimate_delta(fw.GeneratorSpec("frw", 64, delta=0.1, base_len=64), "strict",
+                                                   1000)],
     "certify_inversion": [lambda t: fw.certify_inversion(SPEC, WHOLE, 0, 1, 100),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 0, 100),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 1.5),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 100, alpha=NAN),
-                          lambda t: fw.certify_inversion(SPEC, WHOLE, 4, 1, 100, alpha=0.2)],
+                          lambda t: fw.certify_inversion(SPEC, WHOLE, 4, 1, 100, alpha=0.2),
+                          lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 100, alpha=1e308),
+                          lambda t: fw.certify_inversion(SPEC, WHOLE, 2**64, 1, 100)],
     "run_criterion": [lambda t: fw.run_criterion("bogus")],
     "run_all": [lambda t: fw.run_all(names=["bogus"])],
 }
@@ -180,3 +189,9 @@ def test_every_public_callable_is_listed():
 def test_bad_input_raises_typed_error(tmp_path, name, i, call, error):
     with pytest.raises(error):
         call(tmp_path)
+
+
+def test_an_int_beyond_float_range_is_not_finite():
+    # float(10**400) overflows; the real-number rule reads it as an infinity.
+    with pytest.raises(ConfigurationError, match="x must be finite, got 1000"):
+        _real(10**400, "x")

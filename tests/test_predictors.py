@@ -377,6 +377,40 @@ class TestAdaptiveInversionBettor:
         with pytest.raises(ConfigurationError, match="alpha must be finite"):
             adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=4, alpha=alpha)
 
+    @pytest.mark.parametrize("theta, alpha, match", [
+        (8, 1e308, "too large"), (99999999999999999999, 0.25, "too large"), (2**64, 0.5, "too large"),
+        (2**62, 1.0, "too large"), (10**400, 0.5, "theta must be finite"),
+    ])
+    def test_limits_past_int64_refused(self, theta, alpha, match):
+        seq = BitSequence(np.ones(8, dtype=np.int8))
+        with pytest.raises(ConfigurationError, match=match):
+            adaptive_inversion_bettor(seq, Interval(0, 8, 8), theta=theta, alpha=alpha)
+
+    def test_largest_limits_run(self):
+        # The largest limits the rule allows, and a theta past float range that a
+        # tiny alpha brings back: neither limit is reached, so the bet runs out.
+        seq = IntSequence(np.full(8, (1 << 39) - 1))
+        whole = Interval(0, 8, 8)
+        assert _bettor_limits(2**61 - 2**9, 1.0) == (-(2**61 - 2**9), 2**62 - 2**10)
+        ledger = adaptive_inversion_bettor(seq, whole, theta=2**61 - 2**9, alpha=1.0)
+        assert ledger == PayoffLedger(8 * ((1 << 39) - 1), 8, StopCause.EXHAUSTED)
+        assert _bettor_limits(2**1000, 2.0**-1000) == (-1, 2)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(theta=st.integers(1, 2**70), alpha=st.floats(0, 1e300), stages=st.integers(1, 64))
+    def test_limits_are_the_ceilings_of_the_shares(self, theta, alpha, stages):
+        # The one rule equals the bettor's (stages = 1) and the certifier's former
+        # arithmetic wherever it returns, and refuses exactly where a limit is
+        # below 1 or at least 2**62.
+        upper = 2.0 * alpha * theta / stages
+        if 1.0 <= upper < 2.0**62:
+            assert _bettor_limits(theta, alpha, stages) == (-math.ceil(alpha * theta / stages), math.ceil(upper))
+            if stages == 1:
+                assert _bettor_limits(theta, alpha) == (-math.ceil(alpha * theta), math.ceil(2.0 * alpha * theta))
+        else:
+            with pytest.raises(ConfigurationError, match="limits"):
+                _bettor_limits(theta, alpha, stages)
+
     def test_gamblers_ruin_on_uniform(self):
         # Limits -15/+30 on a symmetric walk: P(hit lower first) = 30/45 = 2/3.
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=8192, seed=43)

@@ -12,7 +12,7 @@ from fractalwalk import (
 )
 from fractalwalk import analysis, generators, predictors
 from fractalwalk.analysis import _opposite_falls, _prefix_at, _segment_extremes
-from fractalwalk.sequences import _sum_dtype
+from fractalwalk.sequences import _MAX_ENTRY, MAX_TOTAL_LEN, _sum_dtype
 
 
 class TestInterval:
@@ -88,6 +88,25 @@ class TestIntSequence:
     def test_rejects_entries_beyond_supported_magnitude(self):
         with pytest.raises(ConfigurationError, match="magnitude"):
             IntSequence([2**41 + 1])
+
+    def test_entry_cap_keeps_every_prefix_sum_in_int64(self):
+        # MAX_TOTAL_LEN entries below the cap sum to less than 2**63; at 2**40 - 1
+        # a full-length sequence's height wrapped to -2**24.
+        assert _MAX_ENTRY == 1 << 39
+        assert MAX_TOTAL_LEN * (_MAX_ENTRY - 1) < 2**63 <= MAX_TOTAL_LEN * _MAX_ENTRY
+        top = _MAX_ENTRY - 1
+        assert IntSequence([top, -top, top]).height() == top
+        for bad in (_MAX_ENTRY, _MAX_ENTRY + 1, -_MAX_ENTRY - 1, 2**40 - 1):
+            with pytest.raises(ConfigurationError):
+                IntSequence([1, bad])
+        with pytest.raises(ConfigurationError, match="magnitude"):
+            IntSequence([-_MAX_ENTRY - 1])
+
+    def test_generated_entries_stay_below_the_cap(self):
+        # The largest block height any spec can reach, so ``generate`` never
+        # builds an IntSequence it would refuse: about 3.5e11 against 5.5e11.
+        spec = GeneratorSpec("afrw", MAX_TOTAL_LEN, delta=0.99, base_len=1)
+        assert 3.5e11 < generators._height_bound(spec) < _MAX_ENTRY
 
 
 def _worst_rows(n: int) -> np.ndarray:
