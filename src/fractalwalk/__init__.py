@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # The submodules whose ``__all__`` make up the package's, in the order they are searched.
 _SOURCES = ("errors", "seeding", "sequences", "seqio", "generators", "fractal", "fbm",
-            "predictors", "analysis", "verify")
+            "predictors", "laws", "analysis", "verify")
 
 
 def __getattr__(name: str):

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+# Stop limits stay below this in magnitude, so a limit plus a stage's starting total
+# (0, or a generated height far below it) fits int64 in _bettor_stages.
+_LIMIT_CAP = 1 << 62
+
+
 class StopCause(enum.Enum):
     LOWER = "lower"
     UPPER = "upper"
@@ -57,8 +62,8 @@ class StopRule:
     upper_limit: int
 
     def __post_init__(self) -> None:
-        _integer(self.lower_limit, "stop rule lower_limit", None, -1)
-        _integer(self.upper_limit, "stop rule upper_limit")
+        _integer(self.lower_limit, "stop rule lower_limit", 1 - _LIMIT_CAP, -1)
+        _integer(self.upper_limit, "stop rule upper_limit", 1, _LIMIT_CAP - 1)
 
 
 @dataclass(frozen=True)
@@ -258,11 +263,10 @@ def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
 def _bettor_limits(theta: int, alpha: float, stages: int = 1) -> tuple[int, int]:
     """Each stage's stop limits ``(-ceil(alpha*theta/stages), ceil(2*alpha*theta/stages))``: the
     inversion bettor's at one stage, the certifier's at ``s_iterations``.  The upper one must be at
-    least 1, and below 2**62 so that it plus a stage's starting total (0, or a generated height far
-    below 2**62) fits int64 in :func:`_bettor_stages`."""
+    least 1, and below ``_LIMIT_CAP`` (2**62)."""
     theta, alpha = _integer(theta, "theta"), _real(alpha, "alpha", 0)
     share = alpha * _real(theta, "theta") / stages
-    if not 1.0 <= 2.0 * share < 2.0**62:
+    if not 1.0 <= 2.0 * share < _LIMIT_CAP:
         raise ConfigurationError(f"limits {'degenerate' if 2.0 * share < 1.0 else 'too large'}: need "
                                  f"1 <= 2*alpha*theta/stages < 2**62, got {alpha=}, {theta=}, {stages=}")
     return -math.ceil(share), math.ceil(2.0 * share)

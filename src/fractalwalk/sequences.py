@@ -130,6 +130,10 @@ def _entries(values, dtype) -> np.ndarray:
     _integer(len(arr), "sequence length", 1, MAX_TOTAL_LEN)
     if arr.dtype.kind not in "iufO":
         raise ConfigurationError(f"sequence entries must be real numbers, got dtype {arr.dtype}")
+    # numpy folds a bool among numbers into their dtype, so only the elements still show it.
+    if not isinstance(values, np.ndarray) or arr.dtype.kind == "O":
+        if any(isinstance(v, (bool, np.bool_)) for v in (arr if arr.dtype.kind == "O" else values)):
+            raise ConfigurationError("sequence entries must be real numbers, got a bool")
     try:
         with np.errstate(invalid="ignore"):
             out = arr.astype(dtype, copy=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, fbm, fractal, predictors
+from . import analysis, fbm, fractal, laws, predictors
 from .errors import ConfigurationError
 from .generators import Family, GeneratorSpec, _map_batches, simulate_heights
 from .seeding import derive_rng, derive_seed
@@ -64,7 +64,7 @@ def check_afrw_exact_moment(quick: bool = False) -> tuple[bool, str]:
         spec = _spec(Family.AFRW, T, "afrw-moment", delta=delta, base_len=l)
         h = simulate_heights(spec, trials)
         rms = float(np.sqrt(np.mean(h.astype(np.float64) ** 2)))
-        target = math.sqrt(analysis.afrw_moment_oracle(delta, l, depth))
+        target = math.sqrt(laws.afrw_moment_oracle(delta, l, depth))
         rel = abs(rms / target - 1.0)
         worst = max(worst, rel)
         lines.append(f"delta={delta}: rms={rms:.1f} target={target:.1f} rel={rel:.4f}")
@@ -81,11 +81,11 @@ def check_recursion_decomposition_equivalence(quick: bool = False) -> tuple[bool
     moment_ok = True
     for delta in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
         for depth in range(1, max_depth + 1):
-            via_recursion = analysis.ideal_height_distribution(delta, depth)
-            via_blocks = analysis.decomposition_height_distribution(delta, depth)
-            worst_tv = max(worst_tv, analysis.total_variation(via_recursion, via_blocks))
-            m2 = analysis.distribution_moment(via_recursion, 2)
-            oracle = analysis.afrw_moment_oracle(float(delta), 1, depth)
+            via_recursion = laws.ideal_height_distribution(delta, depth)
+            via_blocks = laws.decomposition_height_distribution(delta, depth)
+            worst_tv = max(worst_tv, laws.total_variation(via_recursion, via_blocks))
+            m2 = laws.distribution_moment(via_recursion, 2)
+            oracle = laws.afrw_moment_oracle(float(delta), 1, depth)
             moment_ok = moment_ok and abs(float(m2) - oracle) <= 1e-9 * max(oracle, 1.0)
     passed = worst_tv <= Fraction(1, 10**9) and moment_ok
     detail = f"max TV={float(worst_tv):.2e} (exact), moments agree={moment_ok}, depth<= {max_depth}"
@@ -179,7 +179,7 @@ def check_rms_upper_bound(quick: bool = False) -> tuple[bool, str]:
         ).delta_hat
         report = analysis.deviation_stats(_spec(family, 1 << 16, "rms-bound-dev", **kw), T_list, trials)
         slack = min(
-            analysis.upper_bound_rms(8.0 * hat + 0.05, r.total_len) / r.rms_dev for r in report.rows
+            laws.upper_bound_rms(8.0 * hat + 0.05, r.total_len) / r.rms_dev for r in report.rows
         )
         passed = passed and slack >= 1.0
         lines.append(f"{family.value}(d={delta}): hat={hat:.3f} min bound/rms={slack:.2f}")

@@ -266,6 +266,12 @@ CASES = {
          "uniform-null,optfrw-unpredictability,entropy-predictable,frw-per-bit-payoff,alpha-q-inversion"],
         {"verify.json": "f74807d87e8ae64c5308e740e6c4f7b1a4311b748e7677c571e2644f71444a6e"},
     ),
+    # The criteria that read the exact laws: the closed-form moment, the two
+    # exact enumeration routes, and the RMS ceiling.
+    "verify-quick-laws": (
+        ["verify", "--quick", "--only", "afrw-exact-moment,recursion-decomposition-equivalence,rms-upper-bound"],
+        {"verify.json": "17664b241a48ded91ae0b08ede4be8cccd630c627826946bdc7b04e95e07ad16"},
+    ),
 }
 
 # ``inversion --input`` on the file written by the ``generate-afrw`` case.  Its

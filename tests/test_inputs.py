@@ -45,9 +45,12 @@ BAD_INPUTS = {
     "BitSequence": [lambda t: fw.BitSequence([0, 1]), lambda t: fw.BitSequence([]),
                     lambda t: fw.BitSequence([257, -1]), lambda t: fw.BitSequence([1, -255]),
                     lambda t: fw.BitSequence([1.5, -1.0]), lambda t: fw.BitSequence([True, True]),
-                    lambda t: fw.BitSequence(np.ones(4, bool)), lambda t: fw.BitSequence(np.array(["1", "-1"]))],
+                    lambda t: fw.BitSequence(np.ones(4, bool)), lambda t: fw.BitSequence(np.array(["1", "-1"])),
+                    lambda t: fw.BitSequence([True, 1]),
+                    lambda t: fw.BitSequence(np.array([True, True], dtype=object))],
     "IntSequence": [lambda t: fw.IntSequence([2, 1]), lambda t: fw.IntSequence([1.5, 3]),
-                    lambda t: fw.IntSequence([2**64 + 1, 1]), lambda t: fw.IntSequence([1, 2**39 + 1])],
+                    lambda t: fw.IntSequence([2**64 + 1, 1]), lambda t: fw.IntSequence([1, 2**39 + 1]),
+                    lambda t: fw.IntSequence([True, 3])],
     "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError)],
     "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError)],
     "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
@@ -99,7 +102,8 @@ BAD_INPUTS = {
     "fbm_sign_predictor_payoff": [lambda t: fw.fbm_sign_predictor_payoff(FBM, 0, 1),
                                   lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 1.5),
                                   lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 4)],
-    "StopRule": [lambda t: fw.StopRule(0, 5), lambda t: fw.StopRule(-1, 0.5)],
+    "StopRule": [lambda t: fw.StopRule(0, 5), lambda t: fw.StopRule(-1, 0.5), lambda t: fw.StopRule(-2**70, 5),
+                 lambda t: fw.StopRule(-1, 2**63)],
     "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0]))],
     "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError)],
     "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE)],

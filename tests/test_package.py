@@ -58,8 +58,22 @@ def test_every_public_name_is_used_or_documented():
 
 
 def test_submodules_stay_attributes_of_the_package():
-    for name in ("analysis", "fbm", "fractal", "generators", "predictors", "seqio", "verify"):
+    for name in fractalwalk._SOURCES:
         assert getattr(fractalwalk, name).__name__ == f"fractalwalk.{name}"
+
+
+def test_every_module_is_a_source():
+    """Each module but the command line's adds its ``__all__`` to the package's."""
+    modules = {path.stem for path in Path(fractalwalk.__file__).parent.glob("*.py")}
+    assert modules - {"__init__", "__main__", "cli"} == set(fractalwalk._SOURCES)
+
+
+def test_exact_laws_are_defined_in_laws_only():
+    for name in fractalwalk.laws.__all__:
+        assert getattr(fractalwalk, name) is getattr(fractalwalk.laws, name)
+        assert getattr(fractalwalk, name).__module__ == "fractalwalk.laws"
+        assert name not in fractalwalk.analysis.__all__
+    assert fractalwalk.analysis.afrw_moment_oracle is fractalwalk.laws.afrw_moment_oracle
 
 
 def fresh_interpreter(script: str) -> str:
@@ -78,6 +92,14 @@ def test_import_loads_no_submodule_and_not_numpy():
         "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'fractalwalk')))"
     )
     assert out.split() == ["fractalwalk"]
+
+
+def test_laws_load_no_estimator_module():
+    # The oracles take only the spec types from generators, so they stay
+    # independent of the estimators they check.
+    out = fresh_interpreter("import sys, fractalwalk.laws\nprint(*sys.modules)")
+    estimators = {f"fractalwalk.{m}" for m in ("analysis", "predictors", "verify", "fbm", "fractal", "seqio")}
+    assert not estimators & set(out.split())
 
 
 def test_readme_quick_start_runs_as_written():

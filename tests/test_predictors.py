@@ -109,6 +109,17 @@ class TestRunPlan:
         ledger = run_plan(seq, constant_plan(1, Interval(0, 4, 4), rule))
         assert ledger == PayoffLedger(8, 2, StopCause.UPPER)
 
+    def test_stop_limits_below_2_to_the_62(self):
+        # The widest limits the rule allows, on the largest entries: neither is
+        # reached.  One more in magnitude is refused, as _bettor_limits refuses it.
+        seq = IntSequence(np.full(8, (1 << 39) - 1))
+        rule = StopRule(1 - 2**62, 2**62 - 1)
+        ledger = run_plan(seq, constant_plan(1, Interval(0, 8, 8), rule))
+        assert ledger == PayoffLedger(8 * ((1 << 39) - 1), 8, StopCause.EXHAUSTED)
+        for limits in ((-2**62, 1), (-1, 2**62)):
+            with pytest.raises(ConfigurationError, match="stop rule"):
+                StopRule(*limits)
+
     def test_interval_must_match_sequence(self):
         with pytest.raises(IndexError):
             run_plan(self.SEQ, constant_plan(1, Interval(0, 8, 8)))
