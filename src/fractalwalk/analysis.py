@@ -260,6 +260,20 @@ def _recover_witness(prefix: np.ndarray, lo: int, hi: int, want_positive: bool) 
     return u, v, int(prefix[v] - prefix[u])
 
 
+def _scalar_witness(points: list[int], lo: int, hi: int, want_positive: bool) -> tuple[int, int, int]:
+    """:func:`_recover_witness` walked over ``points``, the prefix as Python
+    ints: the first end of the extreme subinterval, then its first start."""
+    sign = 1 if want_positive else -1
+    gain, low, at, u, v = -math.inf, sign * points[lo], lo, lo, lo
+    for end in range(lo + 1, hi + 1):
+        p = sign * points[end]
+        if p - low > gain:
+            gain, u, v = p - low, at, end
+        if p < low:
+            low, at = p, end
+    return u, v, points[v] - points[u]
+
+
 def _live_pair_count(prefix: np.ndarray, min_len: int) -> int:
     """Number of intervals with ``hi - lo >= min_len`` and ``P[hi] != P[lo]``.
 
@@ -295,6 +309,65 @@ _ONE_PASS_ENTRIES = 20 << 10
 _FIRST_POINTS = 16
 _PRUNE_EVERY = 8
 
+# A scan of at most _SCALAR_STEPS steps, start lo walking the points P[lo+1 ..
+# T], runs in Python (_scalar_scan) and never reaches numpy: on rows this
+# short numpy's fixed cost per call, not the summary, is the scan's cost.
+# Whole inversion_ratio calls were timed in both regimes, alternating in one
+# process on random and sorted +-1 rows at min_len 1 and 8.  The walk won up
+# to 225 steps (T = 22 at min_len 8: 33 against 38 us), broke even near 250
+# to 270, and lost from 300 on (T = 24 at min_len 1: 50-58 against 44-49 us).
+# Criterion 12's rows (T = 12, min_len 8) take 50 steps: about 12 us, from 32.
+_SCALAR_STEPS = 200
+
+
+def _scalar_steps(T: int, min_len: int) -> int:
+    """The steps of :func:`_scalar_scan` over ``T`` entries."""
+    n = T - min_len + 1
+    return n * T - n * (n - 1) // 2
+
+
+def _scalar_scan(points: list[int], min_len: int) -> tuple[float, tuple[int, int] | None, int]:
+    """:func:`_exhaustive_scan`'s result, walked start by start over
+    ``points``, the prefix as Python ints.
+
+    Each start carries the same summary as the numpy paths: the running
+    minimum and maximum of ``P`` and the largest rise and drop.  A flat
+    interval is skipped, and only a strictly smaller ratio replaces the best,
+    so the first minimiser in ``(lo, hi)`` order is kept.  Python divides two
+    ints in one correctly rounded step, which is numpy's float64 quotient
+    whenever both lie below 2**53 in magnitude.  The switch admits at most
+    ``_SCALAR_STEPS`` entries (at ``min_len == T``), each below 2**39
+    (``sequences._MAX_ENTRY``), so every prefix sum stays below 2**47.
+    """
+    T = len(points) - 1
+    best, best_x, live = math.inf, None, 0
+    for lo in range(T - min_len + 1):
+        base = low = top = points[lo]
+        rise = drop = 0
+        for hi in range(lo + 1, T + 1):
+            p = points[hi]
+            if p < low:
+                low = p
+            elif p - low > rise:
+                rise = p - low
+            if p > top:
+                top = p
+            elif top - p > drop:
+                drop = top - p
+            if hi - lo < min_len:
+                continue
+            h = p - base
+            if h > 0:
+                r = drop / h
+            elif h < 0:
+                r = rise / -h
+            else:
+                continue
+            live += 1
+            if r < best:
+                best, best_x = r, (lo, hi)
+    return best, best_x, live
+
 
 def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int, int] | None, int]:
     """Smallest ratio over the intervals of length ``>= min_len`` that have a
@@ -307,10 +380,16 @@ def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int
     ``opp / |h|`` in float64, and ``h == 0`` yields ``nan`` or ``inf``, which
     ``fmin`` never keeps below a live ratio.
 
-    A block of at most ``_ONE_PASS_ENTRIES`` entries is summarised at every
-    length at once, from sliding windows over ``P``: ``fmin`` reduces each
-    start's ratios over increasing lengths, as the sweep does, and the first
-    minimiser and the live count come from the same block.
+    It runs the second and third of three regimes.  Rows of at most
+    ``_SCALAR_STEPS`` (200) scan steps, T <= 20 at ``min_len`` 8, never reach
+    it: :func:`inversion_ratio` walks them in :func:`_scalar_scan`, which
+    returns the same result.
+
+    A block of at most ``_ONE_PASS_ENTRIES`` (20k) entries, T <= 104 at
+    ``min_len`` 8, is summarised at every length at once, from sliding
+    windows over ``P``: ``fmin`` reduces each start's ratios over increasing
+    lengths, as the sweep does, and the first minimiser and the live count
+    come from the same block.
 
     Longer sequences are swept over the length ``k`` for all starts at once,
     one point per step, from first summaries of up to ``_FIRST_POINTS``
@@ -449,8 +528,13 @@ def inversion_ratio(
     opposite-sign subinterval height is divided by ``|h(X)|``; the report
     carries the minimum and its witness pair, the first minimiser in
     ``(lo, hi)`` order.  Exhaustive mode scans all O(T^2) intervals (length
-    capped at 2^14); ``dyadic_only`` restricts X to aligned intervals, which
-    scales to the fractal builder's output sizes.
+    capped at 2^14) in one of three regimes, each with the same report: up to
+    ``_SCALAR_STEPS`` (200) steps, T <= 20 at ``min_len`` 8, a Python walk
+    over the prefix (:func:`_scalar_scan`); up to ``_ONE_PASS_ENTRIES`` (20k)
+    block entries, T <= 104, one numpy pass over every length; above that, a
+    pruned sweep over lengths (both :func:`_exhaustive_scan`).
+    ``dyadic_only`` restricts X to aligned intervals, which scales to the
+    fractal builder's output sizes.
     """
     min_len = _integer(min_len, "min_len")
     prefix = seq.prefix
@@ -462,15 +546,20 @@ def inversion_ratio(
             f"length {T} exceeds the exhaustive-scan cap {EXHAUSTIVE_SCAN_LIMIT}; use dyadic_only"
         )
 
-    scan = _dyadic_scan if dyadic_only else _exhaustive_scan
-    best_ratio, best_x, scanned = scan(prefix, min_len)
+    if dyadic_only:
+        points, scan, witness = prefix, _dyadic_scan, _recover_witness
+    elif _scalar_steps(T, min_len) <= _SCALAR_STEPS:
+        points, scan, witness = prefix.tolist(), _scalar_scan, _scalar_witness
+    else:
+        points, scan, witness = prefix, _exhaustive_scan, _recover_witness
+    best_ratio, best_x, scanned = scan(points, min_len)
 
     if best_x is None:
         return InversionReport(min_len, dyadic_only, scanned, 0.0)
     lo, hi = best_x
     x_iv = Interval(lo, hi, T)
-    hx = int(prefix[hi] - prefix[lo])
-    u, v, hy = _recover_witness(prefix, lo, hi, want_positive=hx < 0)
+    hx = int(points[hi] - points[lo])
+    u, v, hy = witness(points, lo, hi, want_positive=hx < 0)
     if best_ratio == 0.0 or hx * hy >= 0:
         return InversionReport(min_len, dyadic_only, scanned, float(best_ratio), x_iv, None, hx, 0)
     return InversionReport(

@@ -93,7 +93,10 @@ def default_base_len(family: Family, total_len: int) -> int:
 
 def entropy_threshold(k: float, total_len: int) -> int:
     """Height threshold ``ceil(k * sqrt(total_len))`` lifted to the parity of ``total_len``."""
-    thr = math.ceil(_real(k, "k", 0) * math.sqrt(_integer(total_len, "total_len")))
+    bound = _real(k, "k", 0) * math.sqrt(_integer(total_len, "total_len"))
+    if math.isinf(bound):  # the ceiling would overflow, and no length reaches it
+        raise ConfigurationError(f"k={k} demands heights above any sequence length")
+    thr = math.ceil(bound)
     if (thr & 1) != (total_len & 1):
         thr += 1
     return thr
@@ -123,7 +126,9 @@ class GeneratorSpec:
             raise ConfigurationError(f"k is for entropy_conditioned only, and required there; got k={self.k}")
         if self.k is not None:
             object.__setattr__(self, "k", _real(self.k, "k", 0))
-            if entropy_threshold(self.k, self.total_len) > self.total_len:
+            # entropy_threshold(k, T) > T exactly when k * sqrt(T) > T, tested
+            # before its ceiling, which an infinite product would overflow.
+            if self.k * math.sqrt(self.total_len) > self.total_len:
                 raise ConfigurationError(
                     f"k={self.k} demands heights above the sequence length; no sequence qualifies"
                 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntervalError, _integer, _real
 from .seeding import make_rng
-from .sequences import BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
+from .sequences import BitSequence, IntSequence, Interval, _entries, _row_blocks, _sum_dtype
 
 __all__ = [
     "StopCause",
@@ -75,7 +75,7 @@ class PredictionPlan:
     stop_rule: StopRule | None = None
 
     def __post_init__(self) -> None:
-        pp = np.asarray(self.per_position, dtype=np.int8)
+        pp = _entries(self.per_position, np.int8)
         if pp.shape != (len(self.interval),):
             raise ConfigurationError(
                 f"per_position must have length {len(self.interval)}, got shape {pp.shape}"

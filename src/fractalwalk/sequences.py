@@ -134,12 +134,14 @@ def _entries(values, dtype) -> np.ndarray:
     if not isinstance(values, np.ndarray) or arr.dtype.kind == "O":
         if any(isinstance(v, (bool, np.bool_)) for v in (arr if arr.dtype.kind == "O" else values)):
             raise ConfigurationError("sequence entries must be real numbers, got a bool")
+    if np.can_cast(arr.dtype, dtype):
+        return arr.astype(dtype)  # a safe cast neither warns nor changes a value
     try:
         with np.errstate(invalid="ignore"):
             out = arr.astype(dtype, copy=True)
     except (OverflowError, TypeError, ValueError):
         out = None
-    if out is None or not (np.can_cast(arr.dtype, dtype) or np.array_equal(out, arr)):
+    if out is None or not np.array_equal(out, arr):
         raise ConfigurationError(f"sequence entries must be integers that fit {np.dtype(dtype)}")
     return out
 
@@ -149,7 +151,8 @@ class BitSequence(_PrefixSummed):
 
     def __init__(self, bits: np.ndarray | list[int]) -> None:
         arr = _entries(bits, np.int8)
-        if not np.all(np.abs(arr) == 1):
+        # int8 wraps abs(-128) to -128, which this still counts.
+        if np.count_nonzero(np.abs(arr) - 1):
             raise ConfigurationError("bit sequence entries must be +1 or -1")
         self._init_storage(arr)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -486,9 +487,17 @@ def _short_sequences(draw):
 # a start dropped on a tie would move the first minimiser from lo=1 to lo=5.
 _TIE = (IntSequence([3, -3, -3, 3, 1, -3, 1, -1, 1, 1, -1, -1, 3, -1, -3, -1, 3, -1, -3, 3, 1]), 7)
 
-# Values of analysis._ONE_PASS_ENTRIES that force each exhaustive path: the
-# one pass, and the pruned sweep.
-_BOTH_PATHS = (1 << 30, 0)
+# (analysis._SCALAR_STEPS, analysis._ONE_PASS_ENTRIES) that force each
+# exhaustive regime: both switches are patched, since a row under the scalar
+# switch never reaches the one-pass switch.
+_REGIMES = {"scalar": (1 << 30, 0), "one_pass": (-1, 1 << 30), "sweep": (-1, 0)}
+
+
+@contextlib.contextmanager
+def _switches(steps, entries):
+    with mock.patch.object(analysis, "_SCALAR_STEPS", steps):
+        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+            yield
 
 
 @settings(max_examples=150, deadline=None)
@@ -497,8 +506,8 @@ _BOTH_PATHS = (1 << 30, 0)
 def test_exhaustive_matches_naive_batch(case):
     seq, min_len = case
     want = inversion_ratio_naive_batch(seq.values[None, :], min_len)[0]
-    for entries in _BOTH_PATHS:
-        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+    for switches in _REGIMES.values():
+        with _switches(*switches):
             assert inversion_ratio(seq, min_len=min_len).overall_ratio == want
 
 
@@ -528,8 +537,8 @@ def test_exhaustive_witness_and_count_match_brute_force(case):
     seq, min_len = case
     T = len(seq)
     intervals = _exhaustive_intervals(T, min_len)
-    for entries in _BOTH_PATHS:
-        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
+    for switches in _REGIMES.values():
+        with _switches(*switches):
             _check_against_brute(seq, min_len, intervals, dyadic_only=False)
 
 
@@ -543,16 +552,18 @@ def _steps_with_zeros(draw):
 @given(_steps_with_zeros())
 @example(([0, 0, 1], 1))
 def test_exhaustive_scan_skips_flat_intervals(case):
-    # No sequence has a zero entry, but the scan takes any prefix array: a
-    # flat interval's ratio is 0/0 = nan, which fmin must skip on both paths.
+    # No sequence has a zero entry, but the scans take any prefix: a flat
+    # interval's ratio is 0/0 = nan, which fmin must skip on both numpy
+    # paths, and which the scalar walk must skip too.
     steps, min_len = case
     T = len(steps)
     prefix = np.concatenate([[0], np.cumsum(steps)]).astype(np.int64)
     intervals = _exhaustive_intervals(T, min_len)
-    best, best_x, live = _brute_scan(prefix, intervals)
-    for entries in _BOTH_PATHS:
-        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
-            assert analysis._exhaustive_scan(prefix, min_len) == (best, best_x, live)
+    want = _brute_scan(prefix, intervals)
+    assert analysis._scalar_scan(prefix.tolist(), min_len) == want
+    for regime in ("one_pass", "sweep"):
+        with _switches(*_REGIMES[regime]):
+            assert analysis._exhaustive_scan(prefix, min_len) == want
 
 
 def _brute_report(seq, min_len):
@@ -592,9 +603,10 @@ def _as_sequence(row):
     return BitSequence(row.astype(np.int8)) if np.all(np.abs(row) == 1) else IntSequence(row)
 
 
-# With this switch the one pass covers T <= 11, 12 and 15 at min_len 1, 2 and
-# 8, and T in range(9, 19) crosses all three.
-_SMALL_SWITCH = 300
+# With these switches the scalar walk covers T <= 9, 9 and 12 at min_len 1, 2
+# and 8, the one pass T <= 11, 12 and 15, and T in range(9, 19) crosses all
+# three regimes.
+_SMALL_SWITCHES = (50, 300)
 
 
 @pytest.mark.parametrize("T", range(9, 19))
@@ -602,12 +614,39 @@ def test_exhaustive_report_matches_brute_force_across_the_switch(T):
     rows = _switch_rows(T, seed=T)
     for min_len in sorted({1, 2, DEFAULT_MIN_LEN, T}):
         want_ratios = inversion_ratio_naive_batch(rows, min_len)
-        with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", _SMALL_SWITCH):
+        with _switches(*_SMALL_SWITCHES):
             reports = [inversion_ratio(_as_sequence(row), min_len=min_len) for row in rows]
         for row, got, ratio in zip(rows, reports, want_ratios):
             # repr pins every field, the ratio to its last bit and sign of zero.
             assert float.hex(got.overall_ratio) == float.hex(float(ratio))
             assert repr(got) == repr(_brute_report(_as_sequence(row), min_len))
+
+
+def _agree_around(last, regimes):
+    """From the T just below ``last``'s smallest value to just past its largest,
+    every regime in ``regimes`` gives the default call's report and the DP
+    reference's ratio, over bit and odd-integer rows."""
+    for T in range(min(last.values()) - 2, max(last.values()) + 3):
+        rows = _switch_rows(T, seed=T)
+        for min_len in (1, 2, DEFAULT_MIN_LEN, T):
+            want_ratios = inversion_ratio_dp_batch(rows, min_len)
+            for row, ratio in zip(rows, want_ratios):
+                seq = _as_sequence(row)
+                got = repr(inversion_ratio(seq, min_len=min_len))
+                for regime in regimes:
+                    with _switches(*_REGIMES[regime]):
+                        report = inversion_ratio(seq, min_len=min_len)
+                    assert float.hex(report.overall_ratio) == float.hex(float(ratio))
+                    assert repr(report) == got
+
+
+def test_scalar_and_one_pass_agree_around_the_switch():
+    # The last T on the scalar walk at min_len 1, 2 and 8, from the real switch.
+    last = {
+        m: max(T for T in range(m, 1 << 10) if analysis._scalar_steps(T, m) <= analysis._SCALAR_STEPS)
+        for m in (1, 2, DEFAULT_MIN_LEN)
+    }
+    _agree_around(last, ("scalar", "one_pass"))
 
 
 def test_one_pass_and_sweep_agree_around_the_switch():
@@ -616,18 +655,7 @@ def test_one_pass_and_sweep_agree_around_the_switch():
         m: max(T for T in range(m, 1 << 10) if 2 * (T + 1) * (T - m + 1) <= analysis._ONE_PASS_ENTRIES)
         for m in (1, 2, DEFAULT_MIN_LEN)
     }
-    for T in range(min(last.values()) - 2, max(last.values()) + 3):
-        rows = _switch_rows(T, seed=T)
-        for min_len in (1, 2, DEFAULT_MIN_LEN, T):
-            want_ratios = inversion_ratio_dp_batch(rows, min_len)
-            for row, ratio in zip(rows, want_ratios):
-                seq = _as_sequence(row)
-                got = repr(inversion_ratio(seq, min_len=min_len))
-                for entries in _BOTH_PATHS:
-                    with mock.patch.object(analysis, "_ONE_PASS_ENTRIES", entries):
-                        report = inversion_ratio(seq, min_len=min_len)
-                    assert float.hex(report.overall_ratio) == float.hex(float(ratio))
-                    assert repr(report) == got
+    _agree_around(last, ("one_pass", "sweep"))
 
 
 def _aligned_intervals(T, min_len):

@@ -47,7 +47,8 @@ BAD_INPUTS = {
                     lambda t: fw.BitSequence([1.5, -1.0]), lambda t: fw.BitSequence([True, True]),
                     lambda t: fw.BitSequence(np.ones(4, bool)), lambda t: fw.BitSequence(np.array(["1", "-1"])),
                     lambda t: fw.BitSequence([True, 1]),
-                    lambda t: fw.BitSequence(np.array([True, True], dtype=object))],
+                    lambda t: fw.BitSequence(np.array([True, True], dtype=object)),
+                    lambda t: fw.BitSequence(np.array([-128, 1], np.int8))],
     "IntSequence": [lambda t: fw.IntSequence([2, 1]), lambda t: fw.IntSequence([1.5, 3]),
                     lambda t: fw.IntSequence([2**64 + 1, 1]), lambda t: fw.IntSequence([1, 2**39 + 1]),
                     lambda t: fw.IntSequence([True, 3])],
@@ -65,11 +66,13 @@ BAD_INPUTS = {
         lambda t: fw.GeneratorSpec("uniform", 64, flip_mode="bogus"),
         lambda t: fw.GeneratorSpec("entropy_conditioned", 64, k=math.inf),
         lambda t: fw.GeneratorSpec("uniform", 64, seed=-1),
+        lambda t: fw.GeneratorSpec("entropy_conditioned", 64, k=1e308),
     ],
     "default_base_len": [lambda t: fw.default_base_len("bogus", 64),
                          lambda t: fw.default_base_len(fw.Family.FRW, 0)],
     "entropy_threshold": [lambda t: fw.entropy_threshold(NAN, 16),
-                          lambda t: fw.entropy_threshold(1.0, 0)],
+                          lambda t: fw.entropy_threshold(1.0, 0),
+                          lambda t: fw.entropy_threshold(1e308, 64)],
     "generate_batch": [lambda t: fw.generate_batch(SPEC, 2.0),
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=64),
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=3)],
@@ -104,7 +107,10 @@ BAD_INPUTS = {
                                   lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 4)],
     "StopRule": [lambda t: fw.StopRule(0, 5), lambda t: fw.StopRule(-1, 0.5), lambda t: fw.StopRule(-2**70, 5),
                  lambda t: fw.StopRule(-1, 2**63)],
-    "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0]))],
+    "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0])),
+                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([257, -1])),
+                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1.5, -1.0])),
+                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [257, -1])],
     "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError)],
     "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE)],
     "sign_of_prefix_plan": [lambda t: fw.sign_of_prefix_plan(SEQ, 0, fw.Interval(4, 8, 8)),
