@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _enum, _integer, _real
+from .errors import ConfigurationError, _enum, _instance, _integer, _real
 from .generators import (
     GeneratorSpec,
     _MERGE_FAMILIES,
@@ -536,8 +536,8 @@ def inversion_ratio(
     ``dyadic_only`` restricts X to aligned intervals, which scales to the
     fractal builder's output sizes.
     """
+    prefix = _instance(seq, "seq", (BitSequence, IntSequence)).prefix
     min_len = _integer(min_len, "min_len")
-    prefix = seq.prefix
     T = prefix.shape[0] - 1
     if T < min_len:
         raise ConfigurationError(f"sequence of length {T} has no interval of length {min_len}")
@@ -557,14 +557,12 @@ def inversion_ratio(
     if best_x is None:
         return InversionReport(min_len, dyadic_only, scanned, 0.0)
     lo, hi = best_x
-    x_iv = Interval(lo, hi, T)
     hx = int(points[hi] - points[lo])
+    if best_ratio == 0.0:  # no opposite-sign subinterval, so no witness
+        return InversionReport(min_len, dyadic_only, scanned, 0.0, Interval(lo, hi, T), None, hx)
+    # A positive ratio has an opposite-sign subinterval, and the witness is its largest.
     u, v, hy = witness(points, lo, hi, want_positive=hx < 0)
-    if best_ratio == 0.0 or hx * hy >= 0:
-        return InversionReport(min_len, dyadic_only, scanned, float(best_ratio), x_iv, None, hx, 0)
-    return InversionReport(
-        min_len, dyadic_only, scanned, float(best_ratio), x_iv, Interval(u, v, T), hx, hy
-    )
+    return InversionReport(min_len, dyadic_only, scanned, best_ratio, Interval(lo, hi, T), Interval(u, v, T), hx, hy)
 
 
 def inversion_ratio_naive_batch(values: np.ndarray, min_len: int) -> np.ndarray:

@@ -72,6 +72,14 @@ def _real(value, name: str, lo: float | None = None, hi: float | None = None, bo
     return v
 
 
+def _instance(value, name: str, types: tuple[type, ...]):
+    """``value`` itself when it is an instance of one of ``types``."""
+    if not isinstance(value, types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ConfigurationError(f"{name} must be a {kinds}, got {type(value).__name__}")
+    return value
+
+
 def _enum(cls, value, name: str):
     """``cls(value)``: a member of the enum ``cls`` given as itself or as its value."""
     try:

@@ -497,19 +497,65 @@ def simulate_heights(
     return heights
 
 
+# A rejection fill is refused before its first draw when even an upper bound
+# on the chance that its budget yields every requested row is below this.
+_HOPELESS = 1e-9
+
+
+def _log_tail_bound(n: int, k: int) -> float:
+    """An upper bound on ``log P(Bin(n, 1/2) >= k)``: ``0`` up to the mean.
+
+    Past the mean each term of the tail is at most ``r = (n - k) / (k + 1)``
+    times the one before it, so the tail is at most ``pmf(k) / (1 - r)``,
+    which exceeds the exact tail by a factor that tends to 1 far past the mean.
+    """
+    if 2 * k <= n:
+        return 0.0
+    if k > n:
+        return -math.inf
+    log_pmf = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) - n * math.log(2)
+    return min(0.0, log_pmf - math.log1p(-(n - k) / (k + 1)))
+
+
+def _log_accept_bound(free: int, planted: int, thr: int) -> float:
+    """An upper bound on the log chance that ``planted`` plus the height of
+    ``free`` fair entries reaches ``thr`` in magnitude.
+
+    That height is ``planted + 2B - free`` for ``B ~ Bin(free, 1/2)``, so it
+    reaches ``thr`` when ``B`` reaches ``(free + thr - planted) / 2`` or
+    ``free - B``, of the same law, reaches ``(free + thr + planted) / 2``.
+    """
+    up = _log_tail_bound(free, -(-(free + thr - planted) // 2))
+    down = _log_tail_bound(free, -(-(free + thr + planted) // 2))
+    top, low = max(up, down), min(up, down)
+    return top if low == -math.inf else top + math.log1p(math.exp(low - top))
+
+
 def _rejection_fill(
-    out: np.ndarray, spec: GeneratorSpec, chunk: int, draw, counters: MergeCounters
+    out: np.ndarray, spec: GeneratorSpec, chunk: int, draw, counters: MergeCounters, planted: int = 0
 ) -> None:
     """Fill the rows of ``out`` with candidates whose |height| reaches the entropy threshold.
 
     ``draw(m)`` returns ``(candidates, heights)`` for ``m`` fresh candidates;
     they are drawn ``chunk`` at a time until every row is filled or
-    :data:`DEFAULT_REJECTION_BUDGET` candidates have been examined.
+    :data:`DEFAULT_REJECTION_BUDGET` candidates have been examined.  Each
+    candidate's height counts ``planted`` leading +1 entries before its own.
+
+    Before the first draw the fill is refused when the budget is hopeless:
+    of ``N`` candidates, each accepted with chance at most ``p``, at least
+    ``t`` are accepted with chance at most ``E[C(accepted, t)] = C(N, t) p^t
+    <= (N p)^t / t!``, and the fill stops when that is below :data:`_HOPELESS`.
     """
     thr = entropy_threshold(spec.k, spec.total_len)
     trials = out.shape[0]
     got = 0
     budget = DEFAULT_REJECTION_BUDGET
+    log_p = _log_accept_bound(spec.total_len - planted, planted, thr)
+    if trials * (math.log(budget) + log_p) - math.lgamma(trials + 1) < math.log(_HOPELESS):
+        raise SamplingBudgetError(
+            f"rejection budget {budget} cannot accept {trials} samples (threshold {thr}): a candidate "
+            f"qualifies with probability at most 10^{log_p / math.log(10):.1f}; retry with a smaller k"
+        )
     while got < trials:
         if counters.attempts >= budget:
             raise SamplingBudgetError(
@@ -703,7 +749,7 @@ def _entropy_matrix(
     out = np.empty((trials, spec.total_len), dtype=np.int8)
     if p:
         out[:, :p] = 1
-    _rejection_fill(out[:, p:], spec, max(256, min(4 * trials, 1 << 14)), draw, counters)
+    _rejection_fill(out[:, p:], spec, max(256, min(4 * trials, 1 << 14)), draw, counters, planted=p)
     return out
 
 

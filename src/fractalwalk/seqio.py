@@ -9,17 +9,20 @@ Binary layout (little-endian):
 
 followed by ``ceil(length / 8)`` packed bit bytes (+1 encoded as a set bit),
 or ``length`` zigzag-encoded LEB128 varints for integer sequences.
+
+The varint codec works on whole arrays, one numpy pass per byte position (at
+most ten), rather than one Python step per entry; its bytes are those of the
+plain per-entry loop, which ``tests/test_seqio.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SequenceFormatError
+from .errors import SequenceFormatError, _instance
 from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence
 
 __all__ = ["read_binary", "read_csv", "dumps", "loads", "atomic_write_bytes"]
@@ -30,50 +33,72 @@ _KIND_BITS = 0
 _KIND_INTS = 1
 
 
-def _zigzag_encode(v: int) -> int:
-    return (v << 1) if v >= 0 else ((-v << 1) - 1)
+def _varints(values: np.ndarray) -> np.ndarray:
+    """The zigzag LEB128 bytes of int64 ``values``, one scatter per byte position.
 
-
-def _zigzag_decode(z: int) -> int:
-    return (z >> 1) if (z & 1) == 0 else -((z + 1) >> 1)
-
-
-def _write_varint(out: io.BytesIO, z: int) -> None:
-    while z > 0x7F:
-        out.write(bytes((0x80 | (z & 0x7F),)))
+    Each code's byte count is one plus the 7-bit group thresholds ``2**(7k)``
+    it reaches, so every byte's place is known before any is written.  Each
+    pass writes the next low 7 bits of every code still unwritten, with the
+    continuation bit set; the pass then drops the codes it finished, and the
+    last byte of each code has its continuation bit cleared at the end.
+    """
+    z = ((values << 1) ^ (values >> 63)).view(np.uint64)
+    size = np.ones(z.shape[0], dtype=np.int64)
+    for k in range(1, (int(z.max()).bit_length() + 6) // 7):
+        size += z >= 1 << 7 * k
+    ends = np.cumsum(size)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    pos = ends - size
+    while pos.shape[0]:
+        out[pos] = z | 0x80  # the cast keeps the low 8 bits
         z >>= 7
-    out.write(bytes((z,)))
+        more = z != 0
+        pos, z = pos[more] + 1, z[more]
+    out[ends - 1] &= 0x7F
+    return out
 
 
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """One LEB128 varint of at most 10 bytes (70 bits), starting at ``pos``."""
-    z = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise SequenceFormatError("truncated varint payload")
-        b = data[pos]
-        pos += 1
-        z |= (b & 0x7F) << shift
-        if not (b & 0x80):
-            return z, pos
-        shift += 7
-        if shift >= 70:
+def _unvarints(payload: bytes, n: int) -> np.ndarray:
+    """``n`` int64 values from as many zigzag LEB128 varints filling ``payload``.
+
+    The codes end at the terminator bytes (``b < 0x80``); each pass gathers
+    the next 7-bit group of every code still that long.  A malformed payload
+    raises the error a sequential reader would meet first.
+    """
+    b = np.frombuffer(payload, dtype=np.uint8)
+    ends = np.flatnonzero(b < 0x80)[:n]
+    starts = np.zeros(ends.shape[0], dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    size = ends - starts + 1
+    # A code of 10 bytes holds more than 64 bits once its last byte exceeds 1.
+    bad = np.flatnonzero((size > 10) | ((size == 10) & (b[ends] > 1)))
+    if bad.shape[0]:
+        i = int(bad[0])
+        if size[i] > 10:
             raise SequenceFormatError("varint longer than 10 bytes")
+        raise SequenceFormatError(f"entry {i} is wider than 64 bits")
+    done = int(ends[-1]) + 1 if ends.shape[0] else 0
+    if ends.shape[0] < n:
+        if b.shape[0] - done >= 10:
+            raise SequenceFormatError("varint longer than 10 bytes")
+        raise SequenceFormatError("truncated varint payload")
+    if done != b.shape[0]:
+        raise SequenceFormatError("trailing bytes after integer payload")
+    z = (b[starts] & 0x7F).astype(np.uint64)
+    live = np.flatnonzero(size > 1)
+    for j in range(1, int(size.max())):
+        z[live] |= (b[starts[live] + j] & 0x7F).astype(np.uint64) << 7 * j
+        live = live[size[live] > j + 1]
+    return (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)
 
 
 def dumps(seq: BitSequence | IntSequence) -> bytes:
-    out = io.BytesIO()
-    out.write(MAGIC)
+    seq = _instance(seq, "seq", (BitSequence, IntSequence))
     kind = _KIND_BITS if isinstance(seq, BitSequence) else _KIND_INTS
-    out.write(bytes((VERSION, kind)))
-    out.write(np.uint64(len(seq)).tobytes())
+    header = MAGIC + bytes((VERSION, kind)) + np.uint64(len(seq)).tobytes()
     if kind == _KIND_BITS:
-        out.write(np.packbits(seq.values > 0).tobytes())
-    else:
-        for v in seq.values.tolist():
-            _write_varint(out, _zigzag_encode(v))
-    return out.getvalue()
+        return header + np.packbits(seq.values > 0).tobytes()
+    return header + _varints(seq.values).tobytes()
 
 
 def loads(data: bytes) -> BitSequence | IntSequence:
@@ -99,18 +124,7 @@ def loads(data: bytes) -> BitSequence | IntSequence:
     if kind == _KIND_INTS:
         if n > len(payload):
             raise SequenceFormatError(f"{n} integers cannot fit in {len(payload)} payload bytes")
-        values = np.empty(n, dtype=np.int64)
-        pos = 0
-        try:
-            for i in range(n):
-                z, pos = _read_varint(payload, pos)
-                values[i] = _zigzag_decode(z)
-        except OverflowError as exc:
-            # A zigzag code decodes inside int64 exactly when it is below 2**64.
-            raise SequenceFormatError(f"entry {i} is wider than 64 bits") from exc
-        if pos != len(payload):
-            raise SequenceFormatError("trailing bytes after integer payload")
-        return IntSequence(values)
+        return IntSequence(_unvarints(payload, n))
     raise SequenceFormatError(f"unknown sequence kind {kind}")
 
 

@@ -63,6 +63,10 @@ class Interval:
     total_len: int
 
     def __post_init__(self) -> None:
+        lo, hi, total_len = self.lo, self.hi, self.total_len
+        # Exact in-range ints, as the scans build them, pass without the rules' coercions.
+        if type(lo) is int and type(hi) is int and type(total_len) is int and 0 <= lo < hi <= total_len:
+            return
         try:
             hi = _integer(self.hi, "hi", 1, _integer(self.total_len, "total_len"))
             _integer(self.lo, "lo", 0, hi - 1)
@@ -83,9 +87,9 @@ class _PrefixSummed:
 
     def _init_storage(self, values: np.ndarray) -> None:
         prefix = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(values, dtype=np.int64, out=prefix[1:])
-        values.flags.writeable = False
-        prefix.flags.writeable = False
+        np.add.accumulate(values, dtype=np.int64, out=prefix[1:])
+        values.setflags(write=False)
+        prefix.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "prefix", prefix)
 
@@ -134,7 +138,7 @@ def _entries(values, dtype) -> np.ndarray:
     if not isinstance(values, np.ndarray) or arr.dtype.kind == "O":
         if any(isinstance(v, (bool, np.bool_)) for v in (arr if arr.dtype.kind == "O" else values)):
             raise ConfigurationError("sequence entries must be real numbers, got a bool")
-    if np.can_cast(arr.dtype, dtype):
+    if arr.dtype == dtype or np.can_cast(arr.dtype, dtype):
         return arr.astype(dtype)  # a safe cast neither warns nor changes a value
     try:
         with np.errstate(invalid="ignore"):
@@ -151,8 +155,8 @@ class BitSequence(_PrefixSummed):
 
     def __init__(self, bits: np.ndarray | list[int]) -> None:
         arr = _entries(bits, np.int8)
-        # int8 wraps abs(-128) to -128, which this still counts.
-        if np.count_nonzero(np.abs(arr) - 1):
+        # +1 and -1 are the int8 bytes 0x01 and 0xff; deleting both leaves any other entry.
+        if arr.tobytes().translate(None, b"\x01\xff"):
             raise ConfigurationError("bit sequence entries must be +1 or -1")
         self._init_storage(arr)
 

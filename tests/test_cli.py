@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -674,6 +675,18 @@ class TestExitCodes:
         assert run_in(tmp_path, *argv) == 1
         err = capsys.readouterr().err
         assert "analysis failure:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("T, k", [("64", "8"), ("1024", "20")])
+    def test_hopeless_threshold_exit_1_before_any_draw(self, tmp_path, capsys, T, k):
+        # |h| >= 64 of 64 fair steps has chance 2**-63, and |h| >= 640 of 1024
+        # about 1e-95: ten million candidates would hold one with chance below
+        # 1e-9, so the command refuses before its first draw.
+        start = time.perf_counter()
+        assert run_in(tmp_path, "generate", "--family", "entropy_conditioned", "--T", T, "--k", k) == 1
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "analysis failure: rejection budget 10000000 cannot accept 1 samples" in err
         assert not any(tmp_path.iterdir())
 
     def test_argparse_rejects_unknown_family(self, tmp_path):

@@ -443,6 +443,24 @@ class TestEntropyConditioned:
         with pytest.raises(SamplingBudgetError, match="budget"):
             simulate_heights(spec, 10)
 
+    @pytest.mark.parametrize("n, planted", [(n, p) for n in (1, 2, 15, 16, 63, 64) for p in (0, 1, 6)])
+    def test_acceptance_bound_covers_the_exact_law(self, n, planted):
+        # The exact chance that planted + (height of n fair entries) reaches thr in
+        # magnitude, by enumeration; the bound stays above it, and far in the tail
+        # within 2% of it.
+        for thr in range(n + planted + 1):
+            exact = sum(math.comb(n, b) for b in range(n + 1) if abs(planted + 2 * b - n) >= thr) / 2**n
+            bound = generators._log_accept_bound(n, planted, thr)
+            assert bound >= math.log(exact) - 1e-12
+            if exact < 1e-6:
+                assert bound <= math.log(exact) + 0.02
+
+    def test_rare_but_reachable_threshold_still_draws(self):
+        # |h| >= 36 of 64 fair steps has chance 7.1e-6: ten million candidates
+        # hold one, so the fill runs and finds it.
+        spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, k=4.5, seed=3)
+        assert abs(int(simulate_heights(spec, 1)[0])) >= entropy_threshold(4.5, 64)
+
 
 class TestPlantedPrefix:
     def test_merge_family_prefix_survives(self):

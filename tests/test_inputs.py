@@ -57,6 +57,7 @@ BAD_INPUTS = {
     "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
                  (lambda t: fw.read_csv(_written(t, "big.csv", b"1\n99999999999999999999\n")), SequenceFormatError)],
     "loads": [(lambda t: fw.loads(b"FWSQ"), SequenceFormatError)],
+    "dumps": [lambda t: fw.dumps(5), lambda t: fw.dumps(SEQ.values)],
     "GeneratorSpec": [
         lambda t: fw.GeneratorSpec("bogus", 64),
         lambda t: fw.GeneratorSpec("uniform", 24),
@@ -149,7 +150,8 @@ BAD_INPUTS = {
     "height_moment_checks": [lambda t: fw.height_moment_checks(np.array([]))],
     "inversion_ratio": [lambda t: fw.inversion_ratio(SEQ, 0),
                         lambda t: fw.inversion_ratio(SEQ, 9),
-                        lambda t: fw.inversion_ratio(fw.BitSequence(np.ones(1 << 15)))],
+                        lambda t: fw.inversion_ratio(fw.BitSequence(np.ones(1 << 15))),
+                        lambda t: fw.inversion_ratio(5), lambda t: fw.inversion_ratio(SEQ.values)],
     "inversion_ratio_naive_batch": [lambda t: fw.inversion_ratio_naive_batch(SEQ.values[None, :], 0)],
     "alpha_q_estimate": [lambda t: fw.alpha_q_estimate(SPEC, WHOLE, 0.2, 999),
                          lambda t: fw.alpha_q_estimate(SPEC, WHOLE, NAN, 1000),
@@ -178,7 +180,7 @@ NO_ARGUMENT_RULE = {
                      "MomentChecks", "InversionReport", "UnpredictabilityRow", "UnpredictabilityReport",
                      "CertificationReport", "CriterionResult"], "result records the package builds"),
     **dict.fromkeys(["fractal_length", "split_points"], "read only an already checked FractalParams"),
-    **dict.fromkeys(["dumps", "weighted_majority_expected_payoff"], "read only an already checked sequence"),
+    "weighted_majority_expected_payoff": "reads only an already checked sequence",
     "total_variation": "compares two given laws",
     "generate": "reads only an already checked GeneratorSpec",
     "format_result": "formats a CriterionResult",

@@ -1,12 +1,103 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from fractalwalk import BitSequence, IntSequence, SequenceFormatError, dumps, loads, seqio
+from fractalwalk import BitSequence, ConfigurationError, IntSequence, SequenceFormatError, dumps, loads, seqio
 from fractalwalk.seqio import _csv_bytes, atomic_write_bytes, read_binary, read_csv
-from fractalwalk.sequences import MAX_TOTAL_LEN
+from fractalwalk.sequences import _MAX_ENTRY, MAX_TOTAL_LEN
+
+
+# The per-entry zigzag LEB128 loop the package's codec replaced: the oracle
+# its bytes, values and errors are pinned to.
+
+
+def _loop_encode(values) -> bytes:
+    out = bytearray()
+    for v in values:
+        z = (v << 1) if v >= 0 else ((-v << 1) - 1)
+        while z > 0x7F:
+            out.append(0x80 | (z & 0x7F))
+            z >>= 7
+        out.append(z)
+    return bytes(out)
+
+
+def _loop_decode(payload: bytes, n: int) -> list[int]:
+    """``n`` values read one varint at a time; a varint takes at most 10 bytes,
+    and its value must fit int64."""
+    values, pos = [], 0
+    for i in range(n):
+        z = shift = 0
+        while True:
+            if pos >= len(payload):
+                raise SequenceFormatError("truncated varint payload")
+            b = payload[pos]
+            pos += 1
+            z |= (b & 0x7F) << shift
+            if not b & 0x80:
+                break
+            shift += 7
+            if shift >= 70:
+                raise SequenceFormatError("varint longer than 10 bytes")
+        if z >> 64:
+            raise SequenceFormatError(f"entry {i} is wider than 64 bits")
+        values.append((z >> 1) if not z & 1 else -((z + 1) >> 1))
+    if pos != len(payload):
+        raise SequenceFormatError("trailing bytes after integer payload")
+    return values
+
+
+def _loop_loads(n: int, payload: bytes) -> IntSequence:
+    if n > len(payload):
+        raise SequenceFormatError(f"{n} integers cannot fit in {len(payload)} payload bytes")
+    return IntSequence(_loop_decode(payload, n))
+
+
+# Each side of every 7-bit group boundary an IntSequence entry can reach, and its extremes.
+WIDEST = _MAX_ENTRY - 1
+BOUNDARIES = sorted({s * ((1 << 7 * k) + d) for k in range(1, 6) for d in (-1, 1) for s in (-1, 1)}
+                    | {1, -1, WIDEST, -WIDEST})
+entries = st.one_of(st.sampled_from(BOUNDARIES), st.integers(-WIDEST, WIDEST).map(lambda v: v | 1))
+
+
+@given(st.lists(entries, min_size=1, max_size=200))
+@example(BOUNDARIES)
+def test_int_dumps_matches_the_loop_encoder(values):
+    blob = dumps(IntSequence(values))
+    assert blob == _header(1, len(values)) + _loop_encode(values)
+
+
+@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1, max_size=50))
+@example([-(1 << 63), (1 << 63) - 1, 0])
+def test_varints_match_the_loop_across_int64(values):
+    # Past IntSequence's cap, up to the 10-byte codes of int64's extremes.
+    data = seqio._varints(np.array(values, dtype=np.int64)).tobytes()
+    assert data == _loop_encode(values)
+    assert seqio._unvarints(data, len(values)).tolist() == values
+
+
+varint_bytes = st.one_of(st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0x81, 0xFE, 0xFF]), st.integers(0, 255))
+
+
+@given(st.integers(1, 8), st.lists(varint_bytes, max_size=40).map(bytes))
+@example(1, b"\xff" * 9 + b"\x02")
+@example(1, b"\x80" * 10 + b"\x00")
+@example(2, b"\x03\x81")
+@example(2, b"\x02\x80" * 6 + b"\x01")
+@example(1, b"\x80" * 10)
+def test_int_loads_matches_the_loop_decoder(n, payload):
+    # The same values, or the same error: its class, and the first message a
+    # reader walking the payload entry by entry meets.
+    try:
+        want = _loop_loads(n, payload)
+    except (SequenceFormatError, ConfigurationError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            loads(_header(1, n) + payload)
+    else:
+        assert loads(_header(1, n) + payload) == want
 
 
 @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300))
@@ -97,10 +188,14 @@ def test_csv_length_cap_checked_before_parsing(tmp_path, monkeypatch):
         read_csv(p)
 
 
-def test_widest_varint_decodes():
-    # Ten bytes carry the zigzag code of int64's minimum, 2**64 - 1.
-    assert seqio._read_varint(b"\xff" * 9 + b"\x01", 0) == ((1 << 64) - 1, 10)
-    assert seqio._zigzag_decode((1 << 64) - 1) == -(1 << 63)
+def test_widest_varint_decodes_as_the_loop_does():
+    # Ten bytes carry the zigzag code of int64's minimum, 2**64 - 1: it decodes,
+    # and IntSequence then refuses the even entry, as after the loop.
+    payload = b"\xff" * 9 + b"\x01"
+    assert _loop_decode(payload, 1) == [-(1 << 63)]
+    assert seqio._unvarints(payload, 1).tolist() == [-(1 << 63)]
+    with pytest.raises(ConfigurationError, match="odd"):
+        loads(_header(1, 1) + payload)
 
 
 @pytest.mark.parametrize(
