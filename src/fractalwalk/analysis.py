@@ -301,12 +301,10 @@ def _live_pair_count(prefix: np.ndarray, min_len: int) -> int:
 # won up to 20k entries, and on sorted rows, where nothing is pruned, at
 # every size.  Past about 22k entries its cost per entry nearly doubled
 # (T = 108, min_len <= 8: 0.46-0.53 ms, against 0.21-0.32 ms swept).
-# Longer sequences are swept, building each start's first summary, of up to
-# _FIRST_POINTS points, in one pass: on short sweeps the steps it replaces
-# would cost more numpy calls than the rest of the sweep.  The sweep checks
-# pruning every _PRUNE_EVERY steps, a fraction of a step's cost.
+# Longer sequences are swept one point per step from each start's first point
+# (the timings above are against a sweep with a heavier start, not re-run).  The
+# sweep checks pruning every _PRUNE_EVERY steps, a fraction of a step's cost.
 _ONE_PASS_ENTRIES = 20 << 10
-_FIRST_POINTS = 16
 _PRUNE_EVERY = 8
 
 # A scan of at most _SCALAR_STEPS steps, start lo walking the points P[lo+1 ..
@@ -392,8 +390,8 @@ def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int
     come from the same block.
 
     Longer sequences are swept over the length ``k`` for all starts at once,
-    one point per step, from first summaries of up to ``_FIRST_POINTS``
-    points; ``best[lo]`` is the smallest ratio of start ``lo`` so far.  Every
+    one point per step, each start's summary beginning at its own first point;
+    ``best[lo]`` is the smallest ratio of start ``lo`` so far.  Every
     few steps a start is dropped once ``min(rise, drop) / hmax`` exceeds the
     best ratio so far, ``hmax`` being the largest ``|P[hi] - P[lo]|`` still
     ahead of it: no longer interval of that start can then reach that ratio,
@@ -432,16 +430,12 @@ def _exhaustive_scan(prefix: np.ndarray, min_len: int) -> tuple[float, tuple[int
     if not live:
         return math.inf, None, 0
     ahead = np.maximum.accumulate(q[::-1], axis=0)[::-1]  # suffix max of P and -P
-    first = min(min_len, _FIRST_POINTS)
-    # Each start's first points, as sliding windows over q.
-    win = np.ndarray((first, T - first + 2, 2), q.dtype, q, strides=(q.strides[0], *q.strides))
-    lows = np.minimum.accumulate(win, axis=0)
-    low = lows[-1].copy()  # min of P and of -P over each start's points
-    gain = (win - lows).max(axis=0)  # largest rise and largest drop among them
+    low = q[: T + 1].copy()  # min of P and of -P over each start's points
+    gain = np.zeros_like(low)  # largest rise and largest drop among them
     best = np.full(T - min_len + 1, math.inf)
     starts = None  # the compacted active starts; None while the sweep is dense
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(first, T + 1):
+        for k in range(1, T + 1):
             if starts is None:
                 n = T - k + 1
                 hi, base, lw, gn, bst = q[k : k + n], q[:n], low[:n], gain[:n], best[:n]

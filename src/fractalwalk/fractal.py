@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _instance, _integer, _real
 from .sequences import MAX_TOTAL_LEN, BitSequence
 
 __all__ = [
@@ -144,13 +144,13 @@ def _length(height: int, alpha: float, memo: dict[int, int]) -> int:
 
 def fractal_length(params: FractalParams) -> int:
     """Length of :func:`build_fractal` output, without materializing anything."""
-    return _length(params.target_height, params.alpha, {})
+    return _length(_instance(params, "params", (FractalParams,)).target_height, params.alpha, {})
 
 
 def split_points(params: FractalParams) -> tuple[int, int] | None:
     """Top-level boundaries ``(i, j)``: ``seq[:i]`` and ``seq[j:]`` are the identical
     outer copies, ``seq[i:j]`` the inverted middle.  ``None`` below the base threshold."""
-    h = params.target_height
+    h = _instance(params, "params", (FractalParams,)).target_height
     if h <= BASE_HEIGHT:
         return None
     a, c = _parts(h, params.alpha)

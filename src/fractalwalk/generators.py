@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SamplingBudgetError, _enum, _integer, _power_of_two, _real
+from .errors import ConfigurationError, SamplingBudgetError, _enum, _instance, _integer, _power_of_two, _real
 from .seeding import _SEED_MAX, make_rng
 from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _row_blocks, _sum_dtype
 
@@ -475,7 +475,7 @@ def simulate_heights(
     the final heights are int64.  A call that needs more than ``2**28``
     base-block heights is refused before anything is drawn.
     """
-    T = spec.total_len
+    T = _instance(spec, "spec", (GeneratorSpec,)).total_len
     trials = _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
@@ -613,7 +613,7 @@ def generate_batch(
     counts should chunk via :func:`iter_generate_batches`.  A matrix of more
     than ``2**28`` entries is refused before anything is drawn.
     """
-    T = spec.total_len
+    T = _instance(spec, "spec", (GeneratorSpec,)).total_len
     planted_prefix = _check_planted(spec, planted_prefix)
     trials = _check_entries(trials, T)
     rng = make_rng(rng if rng is not None else spec.seed)
@@ -639,7 +639,7 @@ def iter_generate_batches(
     drawn as it is taken.
     """
     trials = _integer(trials, "trials")
-    planted_prefix = _check_planted(spec, planted_prefix)
+    planted_prefix = _check_planted(_instance(spec, "spec", (GeneratorSpec,)), planted_prefix)
     chunk = min(_integer(chunk, "chunk"), _MAX_MATRIX_ENTRIES // spec.total_len)
     rng = make_rng(rng if rng is not None else spec.seed)
     return (

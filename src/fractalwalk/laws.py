@@ -12,11 +12,12 @@ nothing from :mod:`~fractalwalk.generators` but the spec types (``Family``,
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _power_of_two, _real
+from .errors import ConfigurationError, _instance, _integer, _power_of_two, _real
 from .generators import Family, FlipMode, GeneratorSpec
 from .sequences import MAX_TOTAL_LEN
 
@@ -156,6 +157,6 @@ def distribution_moment(dist: dict[Fraction, Fraction], order: int) -> Fraction:
 
 def total_variation(d1: dict[Fraction, Fraction], d2: dict[Fraction, Fraction]) -> Fraction:
     """Exact total-variation distance between two rational distributions."""
-    keys = set(d1) | set(d2)
+    keys = set(_instance(d1, "d1", (Mapping,))) | set(_instance(d2, "d2", (Mapping,)))
     gap = sum((abs(d1.get(k, Fraction(0)) - d2.get(k, Fraction(0))) for k in keys), start=Fraction(0))
     return gap / 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IntervalError, _integer, _real
+from .errors import ConfigurationError, IntervalError, _instance, _integer, _real
 from .seeding import make_rng
 from .sequences import BitSequence, IntSequence, Interval, _entries, _row_blocks, _sum_dtype
 
@@ -75,6 +75,8 @@ class PredictionPlan:
     stop_rule: StopRule | None = None
 
     def __post_init__(self) -> None:
+        _instance(self.interval, "interval", (Interval,))
+        _instance(self.stop_rule, "stop_rule", (StopRule, type(None)))
         pp = _entries(self.per_position, np.int8)
         if pp.shape != (len(self.interval),):
             raise ConfigurationError(
@@ -232,7 +234,8 @@ def weighted_majority_expected_payoff(seq: BitSequence) -> float:
     ``sum x_t * tanh(eta * H_{t-1} / 2)``; always at least
     ``|h(seq)| - weighted_majority_guarantee(T)``.
     """
-    return float(_weighted_majority_payoffs(seq.values[None, :])[0])
+    values = _instance(seq, "seq", (BitSequence, IntSequence)).values
+    return float(_weighted_majority_payoffs(values[None, :])[0])
 
 
 def _check_block_len(block_len: int, T: int, name: str = "block_len") -> int:

@@ -658,6 +658,33 @@ def test_one_pass_and_sweep_agree_around_the_switch():
     _agree_around(last, ("one_pass", "sweep"))
 
 
+def _long_rows(T, seed):
+    """Random, sorted and period-3 bit rows, random odd integers, and a random
+    bit row whose middle third is sorted: there pruning keeps a third of the
+    starts, so the compacted sweep runs to the end."""
+    rng = np.random.default_rng(seed)
+    bits = 2 * rng.integers(0, 2, size=(2, T)) - 1
+    middle = bits[1].copy()
+    middle[T // 3 : 2 * T // 3].sort()
+    return np.array([bits[0], np.sort(bits[0]), np.resize([1, 1, -1], T), 2 * rng.integers(-4, 4, T) + 1, middle])
+
+
+@pytest.mark.parametrize("T", [512, 2048])
+def test_sweep_matches_references_at_the_sizes_it_serves(T):
+    rows = _long_rows(T, seed=T)
+    for min_len in (1, DEFAULT_MIN_LEN, 64):
+        want_ratios = inversion_ratio_dp_batch(rows, min_len)
+        for row, ratio in zip(rows, want_ratios):
+            seq = _as_sequence(row)
+            report = inversion_ratio(seq, min_len=min_len)
+            assert float.hex(report.overall_ratio) == float.hex(float(ratio))
+            live = np.triu(seq.prefix[:, None] != seq.prefix[None, :], k=min_len)
+            assert report.n_intervals == np.count_nonzero(live)
+            if T == 512:
+                with _switches(*_REGIMES["one_pass"]):
+                    assert repr(inversion_ratio(seq, min_len=min_len)) == repr(report)
+
+
 def _aligned_intervals(T, min_len):
     size = 1
     while size < min_len:

@@ -76,19 +76,25 @@ BAD_INPUTS = {
                           lambda t: fw.entropy_threshold(1e308, 64)],
     "generate_batch": [lambda t: fw.generate_batch(SPEC, 2.0),
                        lambda t: fw.generate_batch(SPEC, 10, planted_prefix=64),
-                       lambda t: fw.generate_batch(SPEC, 10, planted_prefix=3)],
+                       lambda t: fw.generate_batch(SPEC, 10, planted_prefix=3),
+                       lambda t: fw.generate_batch(3, 4)],
+    "generate": [lambda t: fw.generate(3)],
     "iter_generate_batches": [lambda t: fw.iter_generate_batches(SPEC, 10, chunk=-3),
                               lambda t: fw.iter_generate_batches(SPEC, 10, chunk=0),
                               lambda t: fw.iter_generate_batches(SPEC, 1.5),
-                              lambda t: fw.iter_generate_batches(SPEC, 10, planted_prefix=3)],
+                              lambda t: fw.iter_generate_batches(SPEC, 10, planted_prefix=3),
+                              lambda t: fw.iter_generate_batches("frw", 10)],
     "simulate_heights": [lambda t: fw.simulate_heights(SPEC, 1.5),
-                         lambda t: fw.simulate_heights(SPEC, 1 << 40)],
+                         lambda t: fw.simulate_heights(SPEC, 1 << 40),
+                         lambda t: fw.simulate_heights(None, 10)],
     "FractalParams": [lambda t: fw.FractalParams(0.7, 10),
                       lambda t: fw.FractalParams(0.3, 4.0)],
     "solve_theta": [lambda t: fw.solve_theta(0.51), lambda t: fw.solve_theta(NAN)],
     "theta_residual": [lambda t: fw.theta_residual(0.2, 0.0),
                        lambda t: fw.theta_residual(NAN, 0.5)],
     "build_fractal": [lambda t: fw.build_fractal(fw.FractalParams(0.5, 1 << 20))],
+    "fractal_length": [lambda t: fw.fractal_length(3)],
+    "split_points": [lambda t: fw.split_points(3)],
     "measured_exponent": [lambda t: fw.measured_exponent(fw.FractalParams(0.3, 1))],
     "FbmParams": [lambda t: fw.FbmParams(0.5, 2.5),
                   lambda t: fw.FbmParams(1.0, 8),
@@ -111,13 +117,17 @@ BAD_INPUTS = {
     "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0])),
                        lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([257, -1])),
                        lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1.5, -1.0])),
-                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [257, -1])],
+                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [257, -1]),
+                       lambda t: fw.PredictionPlan("1", [1]),
+                       lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [1, -1], stop_rule=(-1, 5))],
     "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError)],
-    "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE)],
+    "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE),
+                      lambda t: fw.constant_plan(1, "1")],
     "sign_of_prefix_plan": [lambda t: fw.sign_of_prefix_plan(SEQ, 0, fw.Interval(4, 8, 8)),
                             lambda t: fw.sign_of_prefix_plan(SEQ, 5, fw.Interval(4, 8, 8))],
     "weighted_majority_rate": [lambda t: fw.weighted_majority_rate(0)],
     "weighted_majority_guarantee": [lambda t: fw.weighted_majority_guarantee(-1)],
+    "weighted_majority_expected_payoff": [lambda t: fw.weighted_majority_expected_payoff([1, 1])],
     "weighted_majority_run": [lambda t: fw.weighted_majority_run(SEQ, rng=-1)],
     "block_momentum_payoff": [lambda t: fw.block_momentum_payoff(SEQ, 3),
                               lambda t: fw.block_momentum_payoff(SEQ, 0)],
@@ -146,6 +156,7 @@ BAD_INPUTS = {
         lambda t: fw.decomposition_height_distribution(Fraction(1, 4), 5),
         lambda t: fw.decomposition_height_distribution(NAN, 2),
     ],
+    "total_variation": [lambda t: fw.total_variation(1, 2)],
     "distribution_moment": [lambda t: fw.distribution_moment({Fraction(1): Fraction(1)}, 1.5)],
     "height_moment_checks": [lambda t: fw.height_moment_checks(np.array([]))],
     "inversion_ratio": [lambda t: fw.inversion_ratio(SEQ, 0),
@@ -179,10 +190,6 @@ NO_ARGUMENT_RULE = {
     **dict.fromkeys(["MergeCounters", "Generated", "PayoffLedger", "DeviationRow", "DeviationReport",
                      "MomentChecks", "InversionReport", "UnpredictabilityRow", "UnpredictabilityReport",
                      "CertificationReport", "CriterionResult"], "result records the package builds"),
-    **dict.fromkeys(["fractal_length", "split_points"], "read only an already checked FractalParams"),
-    "weighted_majority_expected_payoff": "reads only an already checked sequence",
-    "total_variation": "compares two given laws",
-    "generate": "reads only an already checked GeneratorSpec",
     "format_result": "formats a CriterionResult",
 }
 
