@@ -32,7 +32,9 @@ from .generators import (
     GeneratorSpec,
     _MERGE_FAMILIES,
     _check_entries,
+    _check_heights,
     _map_batches,
+    _map_streams,
     iter_generate_batches,  # callers still import it from here
     simulate_heights,
 )
@@ -99,22 +101,29 @@ def deviation_stats(
 
     The exponent is the least-squares slope of ``log(median_dev)`` against
     ``log(T)``.  Lengths get independent derived seeds, so extending
-    ``T_list`` never perturbs other rows.
+    ``T_list`` never perturbs other rows, and they run concurrently on the
+    cores (:func:`~fractalwalk.generators._map_streams`) with the same report.
+    Every length is checked before any is drawn.
     """
+    spec = _instance(spec, "spec", (GeneratorSpec,))
     trials = _integer(trials, "trials", _MIN_DEVIATION_TRIALS)
     if not T_list:
         raise ConfigurationError("T_list must not be empty")
     if len(set(T_list)) != len(T_list):
         raise ConfigurationError(f"T_list must not repeat a length, got {T_list}")
-    rows = []
-    for T in T_list:
-        cell = spec.with_total_len(T)
-        rng = derive_rng(spec.seed, "deviation", T)
+    cells = [spec.with_total_len(T) for T in T_list]
+    for cell in cells:
+        _check_heights(cell, trials)
+
+    def row(cell: GeneratorSpec) -> DeviationRow:
+        rng = derive_rng(spec.seed, "deviation", cell.total_len)
         dev = np.abs(simulate_heights(cell, trials, rng)).astype(np.float64)
         mean = float(dev.mean())
         rms = float(np.sqrt(np.mean(dev**2)))
         assert mean <= rms * (1.0 + 1e-12)
-        rows.append(DeviationRow(T, mean, float(np.median(dev)), rms, trials))
+        return DeviationRow(cell.total_len, mean, float(np.median(dev)), rms, trials)
+
+    rows = _map_streams(row, cells, lambda cell: cell.total_len)
     exponent = stderr = None
     if len(rows) >= 2:
         exponent, stderr = _ols(
@@ -637,6 +646,7 @@ def alpha_q_estimate(
     """
     trials = _check_entries(_integer(trials, "trials", _MIN_ESTIMATOR_TRIALS), 1)
     alpha = _real(alpha, "alpha", 0)
+    spec, interval = _instance(spec, "spec", (GeneratorSpec,)), _instance(interval, "interval", (Interval,))
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
     rng = derive_rng(spec.seed, "alpha_q", interval.lo, interval.hi)
@@ -750,7 +760,7 @@ def estimate_delta(
     """
     mode = _enum(EstimationMode, mode, "mode")
     trials = _integer(trials, "trials", _MIN_ESTIMATOR_TRIALS)
-    T = spec.total_len
+    T = _instance(spec, "spec", (GeneratorSpec,)).total_len
     rng = derive_rng(spec.seed, "estimate_delta", mode.value)
 
     # (window, interval lo, interval len) cells grouped by planted prefix.  A cell
@@ -836,6 +846,7 @@ def certify_inversion(
             f"per-stage limits degenerate: need alpha*theta/s >= 1, got "
             f"alpha={alpha}, theta={theta}, s={s_iterations}"
         )
+    spec, interval = _instance(spec, "spec", (GeneratorSpec,)), _instance(interval, "interval", (Interval,))
     if interval.total_len != spec.total_len:
         raise ConfigurationError("interval ambient length must match spec.total_len")
     _check_entries(trials, 2 * s_iterations + 1)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import ctypes
 import dataclasses
 import enum
 import io
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
-from .generators import _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, generate, generate_batch
+from .generators import _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, _cores, _glibc, generate, generate_batch
 from .seeding import derive_rng, derive_seed
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
 from .sequences import DEFAULT_MIN_LEN, Interval
@@ -372,8 +371,8 @@ def _sweep_cell(payload: dict) -> dict:
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "spec": payload["spec"]}
     finally:
-        libc = ctypes.CDLL(None) if sys.platform == "linux" else None
-        if hasattr(libc, "malloc_trim"):  # glibc
+        libc = _glibc()
+        if libc is not None:
             libc.malloc_trim(0)
 
 
@@ -413,7 +412,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # The pool starts all its workers up front, so it gets no more than there
     # are cells or cores.
-    workers = min(args.parallelism, len(cells), os.cpu_count() or 1)
+    workers = min(args.parallelism, len(cells), _cores())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

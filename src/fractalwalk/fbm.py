@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _instance, _integer, _real
 from .generators import _check_entries
 from .predictors import _sign_bets
 from .seeding import _SEED_MAX, make_rng
@@ -121,7 +121,7 @@ def fbm_sample_batch(
     matrix-entry cap at ``grid_len`` columns is refused before any draw,
     whatever ``times`` keeps.
     """
-    n = params.grid_len
+    n = _instance(params, "params", (FbmParams,)).grid_len
     trials = _check_entries(trials, n)
     cols = None if times is None else [_integer(t, "times", 1, n) - 1 for t in times]
     rng = make_rng(rng if rng is not None else params.seed)
@@ -164,7 +164,7 @@ def fbm_sign_predictor_payoff(
     window, lag_ratio = _integer(window, "window"), _integer(lag_ratio, "lag_ratio")
     t_mid = lag_ratio * window
     t_end = (lag_ratio + 1) * window
-    if t_end > params.grid_len:
+    if t_end > _instance(params, "params", (FbmParams,)).grid_len:
         raise ConfigurationError(
             f"grid_len {params.grid_len} too short for lag_ratio {lag_ratio} x window {window}"
         )

@@ -27,7 +27,11 @@ not needed).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
+import sys
+import threading
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -307,6 +311,7 @@ _INVERSION_MAX_MEAN = 30.0
 _TABLE_BITS = 16
 _FILL_CHUNK = 1 << 14
 _inversion_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_inversion_lock = threading.Lock()  # threads of one _map_streams call build a missing table once
 
 
 def _inversion_draw(l: int, u: float) -> int | None:
@@ -339,8 +344,13 @@ def _inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     it.  ``table`` holds the height ``2x - l`` of each of the ``2**_TABLE_BITS``
     buckets of ``m`` that no cut splits, and ``l + 1`` for the others.
     """
-    if l in _inversion_tables:
+    with _inversion_lock:
+        if l not in _inversion_tables:
+            _inversion_tables[l] = _build_inversion_table(l)
         return _inversion_tables[l]
+
+
+def _build_inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     top = 1 << 53
     # Larger uniforms never draw less, so a bound passed anywhere on the grid
     # is passed at its last point.
@@ -363,7 +373,6 @@ def _inversion_table(l: int) -> tuple[np.ndarray, np.ndarray]:
     table = np.where(x_first == x_last, 2 * x_first - l, l + 1)
     cuts = m * 2.0**-shift
     cuts.flags.writeable = table.flags.writeable = False
-    _inversion_tables[l] = (cuts, table)
     return cuts, table
 
 
@@ -442,6 +451,12 @@ def _check_entries(trials: int, cols: int) -> int:
     return trials
 
 
+def _check_heights(spec: GeneratorSpec, trials: int) -> int:
+    """``trials`` as :func:`simulate_heights` takes it for ``spec``: one base-block height per
+    column in the merge families, one per row in the others, checked by :func:`_check_entries`."""
+    return _check_entries(trials, spec.total_len // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
+
+
 def _check_planted(spec: GeneratorSpec, planted_prefix: int) -> int:
     """``planted_prefix`` as an int below ``spec.total_len``; in the merge families
     it must cover whole base blocks."""
@@ -476,7 +491,7 @@ def simulate_heights(
     base-block heights is refused before anything is drawn.
     """
     T = _instance(spec, "spec", (GeneratorSpec,)).total_len
-    trials = _check_entries(trials, T // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
+    trials = _check_heights(spec, trials)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
 
@@ -589,6 +604,64 @@ def _entropy_heights(
     out = np.empty(trials, dtype=np.int64)
     _rejection_fill(out, spec, max(4096, min(trials * 4, 1 << 16)), draw, counters)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Independent streams on the cores
+
+
+def _cores() -> int:
+    """The cores this process may run on: its affinity mask where the OS keeps one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _glibc():
+    """The C library through ``ctypes`` when it is glibc (it has ``malloc_trim``), else None."""
+    if sys.platform != "linux":
+        return None
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "malloc_trim"):
+        return None
+    libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return libc
+
+
+# glibc's mallopt parameter for the most malloc arenas a process may make.
+_M_ARENA_MAX = -8
+
+
+def _map_streams(fn, items: list, size) -> list:
+    """``[fn(item) for item in items]``, computed on ``min(len(items), _cores())`` threads.
+
+    Each call must draw only from a generator of its own, so no result depends
+    on which thread ran it or when.  Items are submitted largest ``size(item)``
+    first and read back in the given order, so an error is the first failing
+    item's.  One item or one core runs inline, with no thread.  numpy's
+    samplers and ufuncs release the GIL, so the threads overlap.
+
+    Before a pool starts, glibc is held to one malloc arena for the rest of
+    the process.  Each thread would otherwise get its own and keep the heap it
+    freed: on a 2-core machine two threads raised the peak RSS of perfbench
+    ``mc_heights`` from 68.8 to 79.0 MB, and to 69.7 MB with one arena.
+    """
+    workers = min(len(items), _cores())
+    if workers < 2:
+        return [fn(item) for item in items]
+    libc = _glibc()
+    if libc is not None:
+        libc.mallopt(_M_ARENA_MAX, 1)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(fn, items[i])
+                   for i in sorted(range(len(items)), key=lambda i: size(items[i]), reverse=True)}
+        return [futures[i].result() for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------

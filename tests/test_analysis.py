@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -124,6 +128,107 @@ class TestDeviationStats:
         short = deviation_stats(self.SPEC, [256, 512], 200)
         long = deviation_stats(self.SPEC, [256, 512, 1024], 200)
         assert short.rows == long.rows[:2]
+
+    @pytest.mark.parametrize("T_list, trials, match", [
+        ([1024, 3], 1000, "total_len must be a power of two"),
+        ([1024, 24, 3], 1000, "got 24"),
+        ([64, 1 << 16], 1 << 20, "exceed the cap"),
+    ])
+    def test_every_length_refused_before_any_draw(self, monkeypatch, T_list, trials, match):
+        # The error is the first bad length's in T_list order, raised before the
+        # good lengths ahead of it are simulated.
+        calls = []
+        monkeypatch.setattr(analysis, "simulate_heights", lambda *a, **k: calls.append(a))
+        spec = GeneratorSpec("frw", 1024, delta=0.1, base_len=2, seed=3)
+        with pytest.raises(ConfigurationError, match=match):
+            deviation_stats(spec, T_list, trials)
+        assert calls == []
+
+    # One spec per family.  frw at base length 4 has its lengths build the
+    # same l = 4 inversion table, on two threads at once when the table is new.
+    FAMILY_SPECS = [
+        GeneratorSpec("uniform", 1024, seed=1),
+        GeneratorSpec("frw", 1024, delta=0.1, base_len=4, seed=2),
+        GeneratorSpec("opt_frw", 1024, delta=0.1, seed=3),
+        GeneratorSpec("afrw", 1024, delta=0.1, base_len=16, seed=4),
+        GeneratorSpec("aofrw", 1024, delta=0.2, seed=5),
+        GeneratorSpec("entropy_conditioned", 1024, k=1.0, seed=6),
+    ]
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family.value)
+    def test_same_report_on_one_core_and_on_threads(self, monkeypatch, spec):
+        T_list = [64, 1024, 256, 128]
+        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        inline = deviation_stats(spec, T_list, 300)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(generators, "_inversion_tables", {})
+        assert deviation_stats(spec, T_list, 300) == inline
+
+    def test_threads_build_a_missing_inversion_table_once(self, monkeypatch):
+        # Four threads on at most two cores, switching as often as the
+        # interpreter allows: each base length's table is still built once,
+        # and the report equals the inline one.
+        spec = GeneratorSpec("frw", 1024, delta=0.1, base_len=4, seed=2)
+        T_list = [64, 128, 256, 512]
+        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        inline = deviation_stats(spec, T_list, 300)
+        built = []
+        build = generators._build_inversion_table
+        monkeypatch.setattr(generators, "_build_inversion_table", lambda l: built.append(l) or build(l))
+        monkeypatch.setattr(generators, "_inversion_tables", {})
+        monkeypatch.setattr(generators, "_cores", lambda: 4)
+        reports = []
+        caller = threading.Thread(target=lambda: reports.append(deviation_stats(spec, T_list, 300)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert reports == [inline] and built == [4]
+
+    def test_lengths_submitted_longest_first_and_read_in_order(self, monkeypatch):
+        submitted, pools = [], []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cell):
+                submitted.append(cell.total_len)
+                future = concurrent.futures.Future()
+                future.set_result(fn(cell))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(generators, "_glibc", lambda: types.SimpleNamespace(mallopt=lambda *a: pools.append(a)))
+        report = deviation_stats(self.SPEC, [256, 1024, 512], 200)
+        # glibc is held to one malloc arena (M_ARENA_MAX is -8) before the pool starts.
+        assert pools == [(-8, 1), 2] and submitted == [1024, 512, 256]
+        assert [row.total_len for row in report.rows] == [256, 1024, 512]
+        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        assert deviation_stats(self.SPEC, [256, 1024, 512], 200) == report
+
+    def test_one_length_starts_no_thread(self, monkeypatch):
+        # A sweep cell passes one length per call: it runs inline, with no pool.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-length call started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(generators, "_glibc", refuse)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        threads = threading.active_count()
+        assert deviation_stats(self.SPEC, [256], 200).rows[0].total_len == 256
+        assert threading.active_count() == threads
 
 
 class TestClosedFormReferences:
@@ -667,6 +772,22 @@ def _long_rows(T, seed):
     middle = bits[1].copy()
     middle[T // 3 : 2 * T // 3].sort()
     return np.array([bits[0], np.sort(bits[0]), np.resize([1, 1, -1], T), 2 * rng.integers(-4, 4, T) + 1, middle])
+
+
+# A row whose first minimiser, (85, 125) at min_len 8 with ratio 1/24, ends at
+# T and is reached by a start the sweep has compacted.  Found by searching
+# random rows against inversion_ratio_dp_batch: a compacted start dropped one
+# step before T reads 1/23 at (84, 125) instead.
+_LAST_POINT_ROW = ("--++++-+++-++++++----+-----+-+--+---++++--+--+++----+-+-+-+-+-++-++--++-----++"
+                   "----+--++++++-++++-+++++++-+++-+-++-+++-+-+++++")
+
+
+def test_sweep_keeps_a_compacted_start_to_the_last_point():
+    row = np.array([1 if c == "+" else -1 for c in _LAST_POINT_ROW], dtype=np.int8)
+    report = inversion_ratio(BitSequence(row), min_len=DEFAULT_MIN_LEN)
+    want = inversion_ratio_dp_batch(row[None, :], DEFAULT_MIN_LEN)[0]
+    assert float.hex(report.overall_ratio) == float.hex(float(want)) == float.hex(1 / 24)
+    assert (report.x_interval.lo, report.x_interval.hi) == (85, 125)
 
 
 @pytest.mark.parametrize("T", [512, 2048])

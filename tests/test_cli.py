@@ -519,6 +519,7 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         args = list(self.ARGS)
         args[args.index("--parallelism") + 1] = str(parallelism)
@@ -541,8 +542,7 @@ class TestSweep:
         # glibc keeps a freed heap, and a sweep's peak memory swung by 12 MB with
         # incidental allocation sizes such as the length of --output-dir.
         trims = []
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(malloc_trim=trims.append))
-        monkeypatch.setattr(cli.sys, "platform", "linux")
+        monkeypatch.setattr(cli, "_glibc", lambda: types.SimpleNamespace(malloc_trim=trims.append))
         for k in (1.0, float("inf")):  # a cell that succeeds, and one that fails
             spec = {"family": "entropy_conditioned", "total_len": 64, "delta": 0.0, "k": k, "seed": 1}
             cli._sweep_cell({"spec": spec, "trials": 200, "metrics": ["deviation"]})

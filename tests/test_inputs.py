@@ -105,13 +105,15 @@ BAD_INPUTS = {
     "fbm_sample_batch": [lambda t: fw.fbm_sample_batch(FBM, 0),
                          lambda t: fw.fbm_sample_batch(FBM, 1 << 40),
                          lambda t: fw.fbm_sample_batch(FBM, 10, times=(65,)),
-                         lambda t: fw.fbm_sample_batch(fw.FbmParams(1 - 1e-8, 1024), 10)],
+                         lambda t: fw.fbm_sample_batch(fw.FbmParams(1 - 1e-8, 1024), 10),
+                         lambda t: fw.fbm_sample_batch(3, 10)],
     "sign_predictor_closed_form": [lambda t: fw.sign_predictor_closed_form(0.0, 16, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 0, 1.0),
                                    lambda t: fw.sign_predictor_closed_form(0.6, 16, NAN)],
     "fbm_sign_predictor_payoff": [lambda t: fw.fbm_sign_predictor_payoff(FBM, 0, 1),
                                   lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 1.5),
-                                  lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 4)],
+                                  lambda t: fw.fbm_sign_predictor_payoff(FBM, 16, 4),
+                                  lambda t: fw.fbm_sign_predictor_payoff(3, 16, 1)],
     "StopRule": [lambda t: fw.StopRule(0, 5), lambda t: fw.StopRule(-1, 0.5), lambda t: fw.StopRule(-2**70, 5),
                  lambda t: fw.StopRule(-1, 2**63)],
     "PredictionPlan": [lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), np.array([1, 0])),
@@ -141,7 +143,8 @@ BAD_INPUTS = {
     "deviation_stats": [lambda t: fw.deviation_stats(SPEC, [64], 99),
                         lambda t: fw.deviation_stats(SPEC, [], 100),
                         lambda t: fw.deviation_stats(SPEC, [64, 64], 100),
-                        lambda t: fw.deviation_stats(SPEC, [24], 100)],
+                        lambda t: fw.deviation_stats(SPEC, [24], 100),
+                        lambda t: fw.deviation_stats("frw", [64], 100)],
     "afrw_moment_oracle": [lambda t: fw.afrw_moment_oracle(0.1, -1, 2),
                            lambda t: fw.afrw_moment_oracle(1.5, 16, 2),
                            lambda t: fw.afrw_moment_oracle(0.1, 16, 2.5)],
@@ -166,18 +169,23 @@ BAD_INPUTS = {
     "inversion_ratio_naive_batch": [lambda t: fw.inversion_ratio_naive_batch(SEQ.values[None, :], 0)],
     "alpha_q_estimate": [lambda t: fw.alpha_q_estimate(SPEC, WHOLE, 0.2, 999),
                          lambda t: fw.alpha_q_estimate(SPEC, WHOLE, NAN, 1000),
-                         lambda t: fw.alpha_q_estimate(SPEC, fw.Interval(0, 8, 8), 0.2, 1000)],
+                         lambda t: fw.alpha_q_estimate(SPEC, fw.Interval(0, 8, 8), 0.2, 1000),
+                         lambda t: fw.alpha_q_estimate(3, WHOLE, 0.2, 1000),
+                         lambda t: fw.alpha_q_estimate(SPEC, (0, 64), 0.2, 1000)],
     "estimate_delta": [lambda t: fw.estimate_delta(SPEC, "bogus", 1000),
                        lambda t: fw.estimate_delta(SPEC, "strict", 999),
                        lambda t: fw.estimate_delta(fw.GeneratorSpec("frw", 64, delta=0.1, base_len=64), "strict",
-                                                   1000)],
+                                                   1000),
+                       lambda t: fw.estimate_delta("x", "strict", 1000)],
     "certify_inversion": [lambda t: fw.certify_inversion(SPEC, WHOLE, 0, 1, 100),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 0, 100),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 1.5),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 100, alpha=NAN),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 4, 1, 100, alpha=0.2),
                           lambda t: fw.certify_inversion(SPEC, WHOLE, 32, 1, 100, alpha=1e308),
-                          lambda t: fw.certify_inversion(SPEC, WHOLE, 2**64, 1, 100)],
+                          lambda t: fw.certify_inversion(SPEC, WHOLE, 2**64, 1, 100),
+                          lambda t: fw.certify_inversion(None, WHOLE, 32, 1, 100),
+                          lambda t: fw.certify_inversion(SPEC, range(64), 32, 1, 100)],
     "run_criterion": [lambda t: fw.run_criterion("bogus")],
     "run_all": [lambda t: fw.run_all(names=["bogus"])],
 }
