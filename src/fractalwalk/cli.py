@@ -38,7 +38,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
-from .generators import _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, _cores, _glibc, generate, generate_batch
+from .generators import (
+    _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, _cores, _enter_pool, _glibc, generate, generate_batch,
+)
 from .seeding import derive_rng, derive_seed
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
 from .sequences import DEFAULT_MIN_LEN, Interval
@@ -411,12 +413,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 })
 
     # The pool starts all its workers up front, so it gets no more than there
-    # are cells or cores.
+    # are cells or cores.  They keep those cores busy, so a cell's own
+    # _map_streams calls run inline in them.
     workers = min(args.parallelism, len(cells), _cores())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_enter_pool) as pool:
             outcomes = list(pool.map(_sweep_cell, cells))
     else:
         outcomes = [_sweep_cell(c) for c in cells]

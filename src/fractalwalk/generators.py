@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import os
 import sys
@@ -451,10 +452,16 @@ def _check_entries(trials: int, cols: int) -> int:
     return trials
 
 
+def _fill_len(spec: GeneratorSpec) -> int:
+    """The length of the blocks :func:`simulate_heights` fills: ``base_len`` in the merge
+    families, ``total_len`` in the others."""
+    return spec.base_len if spec.family in _MERGE_FAMILIES else spec.total_len
+
+
 def _check_heights(spec: GeneratorSpec, trials: int) -> int:
     """``trials`` as :func:`simulate_heights` takes it for ``spec``: one base-block height per
     column in the merge families, one per row in the others, checked by :func:`_check_entries`."""
-    return _check_entries(trials, spec.total_len // spec.base_len if spec.family in _MERGE_FAMILIES else 1)
+    return _check_entries(trials, spec.total_len // _fill_len(spec))
 
 
 def _check_planted(spec: GeneratorSpec, planted_prefix: int) -> int:
@@ -483,33 +490,138 @@ def simulate_heights(
     additions.  Only that split is approximate after an augment event, because
     eligible counts are derived from heights alone (see :class:`MergeCounters`).
 
-    Base-block heights are ``2 * rng.binomial(l, 0.5) - l``, and the fill
-    equals that call draw for draw (see :func:`_base_heights`); the merge
-    levels then draw in row-major order.  Block heights merge in
-    :func:`_height_dtype`, int32 unless an augmented spec can reach 2**31, and
-    the final heights are int64.  A call that needs more than ``2**28``
-    base-block heights is refused before anything is drawn.
+    Base-block heights are ``2 * rng.binomial(l, 0.5) - l`` (``l = total_len``
+    outside the merge families), and the fill equals that call draw for draw
+    (see :func:`_base_heights`); the merge levels then draw in row-major order.
+    Block heights merge in :func:`_height_dtype`, int32 unless an augmented
+    spec can reach 2**31, and the final heights are int64.  A call that needs
+    more than ``2**28`` base-block heights is refused before anything is drawn.
+
+    Rows are split across the cores when the whole stream has a fixed layout,
+    with the same result as one pass.  That holds on a PCG64 generator when
+    the fill goes through the inversion table (``l <= 60``), one double per
+    block, and every merge level is ``exact_count``, one double per merge: then
+    rows ``[r0, r1)`` of each stage read a known segment of the stream.
+    :func:`_split_rows` gives :func:`_map_streams` row ranges, each on a copy
+    of ``rng`` advanced to its rows' segment of every stage; the per-row
+    kernels run unchanged on each range, counters add up, and ``rng`` is left
+    where one pass leaves it.  A BTPE fill (``l > 60``), ``bernoulli`` merges,
+    an ``entropy_conditioned`` spec and any other bit generator draw a varying
+    count, and the whole call then runs on ``rng`` over all rows.
     """
-    T = _instance(spec, "spec", (GeneratorSpec,)).total_len
+    _instance(spec, "spec", (GeneratorSpec,))
     trials = _check_heights(spec, trials)
     rng = make_rng(rng if rng is not None else spec.seed)
     counters = MergeCounters()
 
-    if spec.family is Family.UNIFORM:
-        heights = _base_heights(rng, T, trials)
-    elif spec.family is Family.ENTROPY_CONDITIONED:
+    if spec.family is Family.ENTROPY_CONDITIONED:
         heights = _entropy_heights(spec, trials, rng, counters)
     else:
-        n = spec.base_len
-        H = _base_heights(rng, n, (trials, T // n), _height_dtype(spec))
-        while n < T:
-            H = _merge_level(spec, n, H, rng, counters)
-            n *= 2
+        fixed = type(rng.bit_generator) is np.random.PCG64 and _fixed_layout(spec)
+        parts = _pool_workers(trials, _height_draws(spec, trials)) if fixed else 1
+        if parts > 1:
+            H = _split_rows(spec, trials, rng, counters, parts)
+        else:
+            H = _block_heights(spec, trials, rng, counters)
         heights = H[:, 0].astype(np.int64)
 
     if with_counters:
         return heights, counters
     return heights
+
+
+# The cost of one BTPE height (numpy's binomial above the inversion range) in
+# inversion-table doubles.  Medians over 2**20 draws on a 2-core x86-64 machine:
+# a table double 5.7 ns, a BTPE height 37-45 ns at l = 2**10..2**16 and 78 ns
+# at l = 128, an exact_count merge 15-18 ns.
+_BTPE_COST = 8
+
+
+def _fill_cost(l: int) -> int:
+    """The cost of one base-block height of length ``l`` (see :data:`_BTPE_COST`)."""
+    return 1 if l * 0.5 <= _INVERSION_MAX_MEAN else _BTPE_COST
+
+
+def _height_draws(spec: GeneratorSpec, trials: int) -> int:
+    """The work :func:`simulate_heights` does for ``spec``, in inversion-table doubles:
+    each row's base blocks at :func:`_fill_cost` and one per merge, or an entropy
+    fill's first chunk of candidates.  Where every stage reads a fixed count
+    (:func:`_fixed_layout`), it is the doubles the call reads."""
+    if spec.family is Family.ENTROPY_CONDITIONED:
+        return _entropy_chunk(trials) * _fill_cost(spec.total_len)
+    blocks = spec.total_len // _fill_len(spec)
+    return trials * (blocks * _fill_cost(_fill_len(spec)) + blocks - 1)
+
+
+def _fixed_layout(spec: GeneratorSpec) -> bool:
+    """Whether every stage of :func:`_block_heights` reads a fixed count of doubles per
+    row: the fill through the inversion table and ``exact_count`` merges, if any."""
+    return _fill_cost(_fill_len(spec)) == 1 and (
+        spec.family not in _MERGE_FAMILIES or spec.flip_mode is FlipMode.EXACT_COUNT
+    )
+
+
+def _block_heights(
+    spec: GeneratorSpec, trials: int, rng: np.random.Generator, counters: MergeCounters, seek=None
+) -> np.ndarray:
+    """The ``(trials, 1)`` heights of ``spec``'s base blocks merged up to its length.
+
+    Stage 0 fills the base blocks, and stage ``k >= 1`` merges blocks of ``l
+    << (k - 1)``.  ``seek(k)``, if given, is called before stage ``k`` draws.
+    """
+    T = spec.total_len
+    n = _fill_len(spec)
+    if seek:
+        seek(0)
+    H = _base_heights(rng, n, (trials, T // n), _height_dtype(spec))
+    k = 1
+    while n < T:
+        if seek:
+            seek(k)
+        H = _merge_level(spec, n, H, rng, counters)
+        n *= 2
+        k += 1
+    return H
+
+
+def _split_rows(
+    spec: GeneratorSpec, trials: int, rng: np.random.Generator, counters: MergeCounters, parts: int
+) -> np.ndarray:
+    """:func:`_block_heights` on ``parts`` contiguous row ranges, through
+    :func:`_map_streams`, as one pass over all rows on ``rng`` computes it.
+
+    Stage ``k`` reads ``d_k`` doubles per row (:func:`_fixed_layout`), row
+    after row, so rows ``[r0, r1)`` of it start ``trials * (d_0 + ... + d_{k-1})
+    + r0 * d_k`` outputs past ``rng``'s state: each range gets a PCG64 set there
+    before every stage.  ``rng`` is then advanced past every stage.  ``advance``
+    drops the buffered 32-bit half, which doubles never touch, so it is put back.
+    """
+    blocks = spec.total_len // _fill_len(spec)
+    per_row = [blocks >> k for k in range(blocks.bit_length())]
+    firsts = list(itertools.accumulate((trials * d for d in per_row), initial=0))
+    bg = rng.bit_generator
+    start = bg.state
+    ranges = [range(trials * p // parts, trials * (p + 1) // parts) for p in range(parts)]
+
+    def part(rows: range) -> tuple[np.ndarray, MergeCounters]:
+        g = np.random.Generator(np.random.PCG64(0))
+        c = MergeCounters()
+
+        def seek(k: int) -> None:
+            g.bit_generator.state = start
+            g.bit_generator.advance(firsts[k] + rows.start * per_row[k])
+
+        return _block_heights(spec, len(rows), g, c, seek), c
+
+    results = _map_streams(part, ranges, lambda rows: len(rows) * sum(per_row))
+    bg.advance(firsts[-1])
+    end = bg.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bg.state = end
+    for _, c in results:
+        for f in fields(MergeCounters):
+            setattr(counters, f.name, getattr(counters, f.name) + getattr(c, f.name))
+    return np.concatenate([h for h, _ in results])
 
 
 # A rejection fill is refused before its first draw when even an upper bound
@@ -602,8 +714,13 @@ def _entropy_heights(
         return h, h
 
     out = np.empty(trials, dtype=np.int64)
-    _rejection_fill(out, spec, max(4096, min(trials * 4, 1 << 16)), draw, counters)
+    _rejection_fill(out, spec, _entropy_chunk(trials), draw, counters)
     return out
+
+
+def _entropy_chunk(trials: int) -> int:
+    """Candidates an ``entropy_conditioned`` height fill draws per call."""
+    return max(4096, min(trials * 4, 1 << 16))
 
 
 # ---------------------------------------------------------------------------
@@ -632,35 +749,80 @@ def _glibc():
     return libc
 
 
-# glibc's mallopt parameter for the most malloc arenas a process may make.
+# glibc's mallopt parameters: the most malloc arenas a process may make, the
+# size from which a block is mmapped, and the free heap top kept untrimmed.
 _M_ARENA_MAX = -8
+_M_MMAP_THRESHOLD = -3
+_M_TRIM_THRESHOLD = -1
+
+# _map_streams runs its items inline while their summed size, in inversion-table
+# doubles (see _height_draws), is below this.  On a 2-core machine rows split in
+# two took afrw (T = 2**10, l = 16) from 12.7 to 14.9 ms at 1M doubles and from
+# 25 to 29 ms at 2M, and frw (T = 2**12, l = 16) from 23 to 24 ms at 2M: the
+# threads mostly take a row range's short numpy calls in turns.  deviation_stats
+# over lengths 2**10..2**16, inline (ranges over fresh processes) against
+# threads (medians of warm calls in 15 fresh processes): entropy_conditioned at
+# 10k trials (2.2M) 12.7-18.8 against 12.6 ms, uniform at 100k (5.6M) 36-51
+# against 30.4 ms, aofrw at 3k (1.5M) 12-19 against 11.4 ms; opt_frw at 10k
+# (criteria 5 and 6, 5.0M) gains too.
+# Uniform at 10k trials (560k) stays inline: a process's first call took 29 ms
+# against 38 ms with the pool's start-up.
+_POOL_FLOOR = 1_000_000
+
+# ``.inside`` is True on the threads of a pool: _map_streams' own and the main
+# thread of each sweep worker process.
+_pool_thread = threading.local()
+
+
+def _enter_pool() -> None:
+    """Mark the calling thread as a pool's worker, on which :func:`_map_streams` runs
+    inline.  It is the initializer of ``_map_streams``' threads and of the sweep's
+    worker processes, which run their tasks on the thread that ran it."""
+    _pool_thread.inside = True
+
+
+def _pool_workers(items: int, size: int) -> int:
+    """The threads :func:`_map_streams` gives ``items`` items of summed ``size``:
+    ``min(items, _cores())``, or 1 (inline) below :data:`_POOL_FLOOR` or on a
+    pool's thread, whose cores the pool already keeps busy."""
+    if size < _POOL_FLOOR or getattr(_pool_thread, "inside", False):
+        return 1
+    return min(items, _cores())
 
 
 def _map_streams(fn, items: list, size) -> list:
-    """``[fn(item) for item in items]``, computed on ``min(len(items), _cores())`` threads.
+    """``[fn(item) for item in items]``, computed on :func:`_pool_workers` threads.
 
     Each call must draw only from a generator of its own, so no result depends
-    on which thread ran it or when.  Items are submitted largest ``size(item)``
-    first and read back in the given order, so an error is the first failing
-    item's.  One item or one core runs inline, with no thread.  numpy's
-    samplers and ufuncs release the GIL, so the threads overlap.
+    on which thread ran it or when.  ``size(item)`` is the item's work in
+    inversion-table doubles (see :func:`_height_draws`).  Items are submitted
+    largest first and read back in the given order, so an error is the first
+    failing item's.  One thread runs inline, with no pool.  numpy's samplers
+    and ufuncs release the GIL, so the threads overlap in long calls.
 
     Before a pool starts, glibc is held to one malloc arena for the rest of
     the process.  Each thread would otherwise get its own and keep the heap it
     freed: on a 2-core machine two threads raised the peak RSS of perfbench
-    ``mc_heights`` from 68.8 to 79.0 MB, and to 69.7 MB with one arena.
+    ``mc_heights`` from 68.8 to 79.0 MB, and to 69.7 MB with one arena.  Its
+    mmap and trim thresholds are also fixed, at the ceilings glibc raises them
+    to as blocks are freed.  Left to move, they let threads sharing the arena
+    trim its top and fault it back in: ``aofrw`` heights (T = 2**14, l = 16,
+    4000 rows) split in two took 4413 minor page faults a call, and 2 fixed.
     """
-    workers = min(len(items), _cores())
+    sizes = [size(item) for item in items]
+    workers = _pool_workers(len(items), sum(sizes))
     if workers < 2:
         return [fn(item) for item in items]
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_ARENA_MAX, 1)
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(fn, items[i])
-                   for i in sorted(range(len(items)), key=lambda i: size(items[i]), reverse=True)}
+    with ThreadPoolExecutor(max_workers=workers, initializer=_enter_pool) as pool:
+        order = sorted(range(len(items)), key=sizes.__getitem__, reverse=True)
+        futures = {i: pool.submit(fn, items[i]) for i in order}
         return [futures[i].result() for i in range(len(items))]
 
 

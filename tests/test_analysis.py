@@ -158,6 +158,7 @@ class TestDeviationStats:
     @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family.value)
     def test_same_report_on_one_core_and_on_threads(self, monkeypatch, spec):
         T_list = [64, 1024, 256, 128]
+        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)  # these small lengths would run inline
         monkeypatch.setattr(generators, "_cores", lambda: 1)
         inline = deviation_stats(spec, T_list, 300)
         monkeypatch.setattr(generators, "_cores", lambda: 2)
@@ -170,6 +171,7 @@ class TestDeviationStats:
         # and the report equals the inline one.
         spec = GeneratorSpec("frw", 1024, delta=0.1, base_len=4, seed=2)
         T_list = [64, 128, 256, 512]
+        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
         monkeypatch.setattr(generators, "_cores", lambda: 1)
         inline = deviation_stats(spec, T_list, 300)
         built = []
@@ -193,7 +195,8 @@ class TestDeviationStats:
         submitted, pools = [], []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is generators._enter_pool
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -209,14 +212,28 @@ class TestDeviationStats:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
         monkeypatch.setattr(generators, "_cores", lambda: 2)
         monkeypatch.setattr(generators, "_glibc", lambda: types.SimpleNamespace(mallopt=lambda *a: pools.append(a)))
-        report = deviation_stats(self.SPEC, [256, 1024, 512], 200)
-        # glibc is held to one malloc arena (M_ARENA_MAX is -8) before the pool starts.
-        assert pools == [(-8, 1), 2] and submitted == [1024, 512, 256]
+        # Lengths are submitted by the heights they draw, which grow with the
+        # length at a fixed base length (uniform lengths draw one per row and
+        # tie).  BTPE base blocks and bernoulli merges keep each length's rows
+        # in one range, so the recorder sees lengths only.
+        spec = GeneratorSpec("frw", 1024, delta=0.1, base_len=128, flip_mode="bernoulli", seed=17)
+        report = deviation_stats(spec, [256, 1024, 512], 200)
+        # Before the pool starts glibc is held to one malloc arena (M_ARENA_MAX
+        # is -8), and its mmap (-3) and trim (-1) thresholds are fixed.
+        assert pools == [(-8, 1), (-3, 32 << 20), (-1, 64 << 20), 2] and submitted == [1024, 512, 256]
         assert [row.total_len for row in report.rows] == [256, 1024, 512]
         monkeypatch.setattr(generators, "_cores", lambda: 1)
-        assert deviation_stats(self.SPEC, [256, 1024, 512], 200) == report
+        assert deviation_stats(spec, [256, 1024, 512], 200) == report
+
+    def test_any_iterable_of_lengths(self):
+        # A range, a numpy array and a generator give the list's report.
+        report = deviation_stats(self.SPEC, [64, 128], 200)
+        assert deviation_stats(self.SPEC, range(64, 129, 64), 200) == report
+        assert deviation_stats(self.SPEC, np.array([64, 128]), 200) == report
+        assert deviation_stats(self.SPEC, (64 << k for k in range(2)), 200) == report
 
     def test_one_length_starts_no_thread(self, monkeypatch):
         # A sweep cell passes one length per call: it runs inline, with no pool.
@@ -229,6 +246,53 @@ class TestDeviationStats:
         threads = threading.active_count()
         assert deviation_stats(self.SPEC, [256], 200).rows[0].total_len == 256
         assert threading.active_count() == threads
+
+    def test_lengths_below_the_floor_start_no_thread(self, monkeypatch):
+        # Seven uniform lengths draw one BTPE height per row each: 70k heights
+        # at 10k trials, weighing 560k table doubles, which a pool's start-up
+        # would not repay.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a call below the floor started a thread pool")
+
+        lengths = [1 << k for k in range(10, 17)]
+        assert sum(generators._height_draws(self.SPEC.with_total_len(T), 10_000) for T in lengths) == 560_000
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        assert len(deviation_stats(self.SPEC, lengths, 10_000).rows) == 7
+
+    @pytest.mark.parametrize("spec, trials, threads", [
+        (GeneratorSpec("uniform", 1 << 16, seed=1), 10_000, False),
+        (GeneratorSpec("uniform", 1 << 16, seed=1), 100_000, True),
+        (GeneratorSpec("entropy_conditioned", 1 << 16, k=1.0, seed=1), 10_000, True),
+        (GeneratorSpec("aofrw", 1 << 16, delta=0.1, seed=1), 3_000, True),
+    ], ids=["uniform-10k", "uniform-100k", "entropy-10k", "aofrw-3k"])
+    def test_lengths_weighed_by_their_fill(self, monkeypatch, spec, trials, threads):
+        # Lengths 2**10..2**16 fill by BTPE, which costs several table doubles a
+        # height, so these calls reach the floor although they draw under 10**6.
+        lengths = [1 << k for k in range(10, 17)]
+        size = sum(generators._height_draws(spec.with_total_len(T), trials) for T in lengths)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        assert (generators._pool_workers(len(lengths), size) == 2) == threads
+
+    def test_length_threads_split_no_rows(self, monkeypatch):
+        # simulate_heights on a length's thread runs its rows inline, so the
+        # lengths' pool is the only one; a one-length call splits its rows.
+        pools, splits = [], []
+        pool = concurrent.futures.ThreadPoolExecutor
+        split_rows = generators._split_rows
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+        monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
+        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        spec = GeneratorSpec("afrw", 256, delta=0.1, base_len=4, seed=4)
+        threaded = deviation_stats(spec, [64, 256, 128], 300)
+        assert len(pools) == 1 and splits == []
+        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        assert deviation_stats(spec, [64, 256, 128], 300) == threaded
+        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        pools.clear()
+        assert deviation_stats(spec, [256], 300).rows == threaded.rows[1:2]
+        assert len(pools) == 1 and splits == [2]
 
 
 class TestClosedFormReferences:
@@ -960,6 +1024,19 @@ def test_prefix_at_matches_full_cumsum(data):
 
 
 class TestEstimateDelta:
+    @pytest.mark.parametrize("trials", [1000, 1001, 1200, 4097, 10_000])
+    def test_bootstrap_blocks_equal_one_resample_per_call(self, trials):
+        # Integer payoffs as the sign bets give them, and floats whose sums
+        # would change with the order of the additions.  At 1200 trials the
+        # last block of six resamples holds two.
+        source = np.random.default_rng(trials)
+        for pay in (source.integers(-64, 65, trials).astype(np.float64), source.standard_normal(trials) * 1e6):
+            rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+            want = np.array([pay[ref_rng.integers(0, trials, size=trials)].mean() for _ in range(analysis._BOOTSTRAP)])
+            got = analysis._bootstrap_means(pay, rng)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_needs_enough_trials(self):
         spec = GeneratorSpec(family=Family.UNIFORM, total_len=64, seed=1)
         with pytest.raises(ConfigurationError, match="trials"):

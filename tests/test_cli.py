@@ -34,7 +34,7 @@ from fractalwalk import (
     read_csv,
     sign_predictor_closed_form,
 )
-from fractalwalk import cli
+from fractalwalk import cli, generators
 from fractalwalk.cli import run
 from fractalwalk.seqio import _csv_bytes
 
@@ -506,7 +506,9 @@ class TestSweep:
         started = []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                # Each worker process runs its cells' _map_streams calls inline.
+                assert initializer is generators._enter_pool
                 started.append(max_workers)
 
             def __enter__(self):

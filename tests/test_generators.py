@@ -884,3 +884,99 @@ class TestSizeCap:
         # Uniform heights are one binomial draw per trial, whatever the length.
         spec = GeneratorSpec(Family.UNIFORM, 1 << 20)
         assert simulate_heights(spec, 300).shape == (300,)
+
+
+# ---------------------------------------------------------------------------
+# Row ranges on threads
+
+# One spec per family, flip mode and base fill.  Base length 4 fills through
+# the inversion table and 128 by BTPE (numpy's binomial above a mean of 30);
+# uniform fills its whole length, by the table at 32 and by BTPE at 256.
+SPLIT_SPECS = [
+    GeneratorSpec(Family.UNIFORM, 32, seed=1),
+    GeneratorSpec(Family.UNIFORM, 256, seed=1),
+    GeneratorSpec(Family.ENTROPY_CONDITIONED, 64, k=1.0, seed=2),
+] + [
+    GeneratorSpec(family, 256, delta=0.3, base_len=l, flip_mode=mode, seed=3)
+    for family in MERGE_FAMILIES for mode in FlipMode for l in (4, 128)
+]
+
+
+def _split_id(spec: GeneratorSpec) -> str:
+    if spec.family in MERGE_FAMILIES:
+        return f"{spec.family.value}-{spec.flip_mode.value}-l{spec.base_len}"
+    return f"{spec.family.value}-{spec.total_len}"
+
+
+def _buffered_pcg64() -> np.random.Generator:
+    """A PCG64 generator holding the high half of its last output for the next uint32 draw."""
+    rng = np.random.default_rng(11)
+    rng.integers(0, 1 << 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+SPLIT_RNGS = {
+    "seed": lambda: None,
+    "pcg64-buffered": _buffered_pcg64,
+    "mt19937": lambda: np.random.Generator(np.random.MT19937(12)),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 1001])
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=_split_id)
+def test_split_rows_equal_one_range(spec, trials, monkeypatch):
+    """Rows split over three threads give the heights, counters and final
+    generator state of one pass; trials 1 and 2 have fewer rows than threads.
+
+    Rows split exactly where every stage reads a fixed count of doubles on a
+    PCG64 generator: a table fill (length <= 32) and exact_count merges, if any."""
+    splits = []
+    split_rows = generators._split_rows
+    monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
+    monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
+    fixed = spec.family is not Family.ENTROPY_CONDITIONED and generators._fill_len(spec) <= 32 and (
+        spec.family is Family.UNIFORM or spec.flip_mode is FlipMode.EXACT_COUNT
+    )
+    for name, make in SPLIT_RNGS.items():
+        runs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(generators, "_cores", lambda: cores)
+            splits.clear()
+            rng = make()
+            heights, counters = simulate_heights(spec, trials, rng, with_counters=True)
+            runs.append((heights, counters, None if rng is None else rng.bit_generator.state, list(splits)))
+        (one, one_counters, one_state, one_splits), (got, got_counters, got_state, got_splits) = runs
+        assert one_splits == []
+        assert got_splits == ([min(trials, 3)] if fixed and name != "mt19937" and trials > 1 else [])
+        assert got.dtype == one.dtype == np.int64
+        assert np.array_equal(got, one) and got_counters == one_counters
+        assert (got_state is None) or _same_state(got_state, one_state)
+
+
+def test_split_leaves_the_buffered_word_for_the_next_draw(monkeypatch):
+    # The caller's next uint32 is the half it held before the split.
+    spec = GeneratorSpec(Family.AFRW, 256, delta=0.3, base_len=4, seed=3)
+    monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
+    words = []
+    for cores in (1, 2):
+        monkeypatch.setattr(generators, "_cores", lambda: cores)
+        rng = _buffered_pcg64()
+        simulate_heights(spec, 50, rng)
+        words.append(rng.integers(0, 1 << 32, size=3, dtype=np.uint32))
+    assert np.array_equal(words[0], words[1])
+
+
+def test_rows_split_only_above_the_floor(monkeypatch):
+    # 40 rows of afrw at l = 4, T = 256 draw 40 * (64 + 63) doubles.
+    spec = GeneratorSpec(Family.AFRW, 256, delta=0.3, base_len=4, seed=3)
+    assert generators._height_draws(spec, 40) == 40 * 127
+    splits = []
+    split_rows = generators._split_rows
+    monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
+    monkeypatch.setattr(generators, "_cores", lambda: 2)
+    for floor, want in ((40 * 127 + 1, []), (40 * 127, [2])):
+        monkeypatch.setattr(generators, "_POOL_FLOOR", floor)
+        splits.clear()
+        simulate_heights(spec, 40)
+        assert splits == want

@@ -144,7 +144,9 @@ BAD_INPUTS = {
                         lambda t: fw.deviation_stats(SPEC, [], 100),
                         lambda t: fw.deviation_stats(SPEC, [64, 64], 100),
                         lambda t: fw.deviation_stats(SPEC, [24], 100),
-                        lambda t: fw.deviation_stats("frw", [64], 100)],
+                        lambda t: fw.deviation_stats("frw", [64], 100),
+                        lambda t: fw.deviation_stats(SPEC, 64, 100),
+                        lambda t: fw.deviation_stats(SPEC, [[64]], 100)],
     "afrw_moment_oracle": [lambda t: fw.afrw_moment_oracle(0.1, -1, 2),
                            lambda t: fw.afrw_moment_oracle(1.5, 16, 2),
                            lambda t: fw.afrw_moment_oracle(0.1, 16, 2.5)],
