@@ -20,7 +20,7 @@ defined.  Each CLI command likewise loads only the modules it runs.
 __version__ = "0.1.0"
 
 # The submodules whose ``__all__`` make up the package's, in the order they are searched.
-_SOURCES = ("errors", "seeding", "sequences", "seqio", "generators", "fractal", "fbm",
+_SOURCES = ("errors", "streams", "sequences", "seqio", "generators", "fractal", "fbm",
             "predictors", "laws", "analysis", "verify")
 
 

@@ -35,14 +35,13 @@ from .generators import (
     _check_heights,
     _height_draws,
     _map_batches,
-    _map_streams,
     iter_generate_batches,  # callers still import it from here
     simulate_heights,
 )
 from .laws import afrw_moment_oracle  # perfbench reads it from here
 from .predictors import _bettor_limits, _bettor_stages, _sign_bets
-from .seeding import derive_rng
 from .sequences import DEFAULT_MIN_LEN, BitSequence, IntSequence, Interval, _row_blocks, _sum_dtype
+from .streams import _map_streams, derive_rng
 
 __all__ = [
     "DeviationRow",
@@ -109,7 +108,7 @@ def deviation_stats(
     The exponent is the least-squares slope of ``log(median_dev)`` against
     ``log(T)``.  Lengths get independent derived seeds, so extending
     ``T_list`` never perturbs other rows, and they run concurrently on the
-    cores (:func:`~fractalwalk.generators._map_streams`) with the same report.
+    cores (:func:`~fractalwalk.streams._map_streams`) with the same report.
     Every length is checked before any is drawn.
     """
     spec = _instance(spec, "spec", (GeneratorSpec,))
@@ -184,7 +183,7 @@ class MomentChecks:
 def height_moment_checks(heights: np.ndarray) -> MomentChecks:
     """Sample-moment diagnostics; the Cauchy-Schwarz floor holds for *any*
     empirical distribution, so a violation means an arithmetic bug, not noise."""
-    _integer(np.size(heights), "number of heights")
+    _integer(np.size(_instance(heights, "heights", (np.ndarray, list, tuple))), "number of heights")
     a = np.abs(heights).astype(np.float64)
     mean_abs = float(a.mean())
     m2 = float(np.mean(a**2))

@@ -38,12 +38,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, SamplingBudgetError, SequenceFormatError, _enum, _integer, _real
-from .generators import (
-    _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, _cores, _enter_pool, _glibc, generate, generate_batch,
-)
-from .seeding import derive_rng, derive_seed
+from .generators import _MAX_MATRIX_ENTRIES, Family, FlipMode, GeneratorSpec, generate, generate_batch
 from .seqio import _csv_bytes, atomic_write_bytes, dumps, read_binary, read_csv
 from .sequences import DEFAULT_MIN_LEN, Interval
+from .streams import _enter_pool, _glibc, _workers, derive_rng, derive_seed
 
 __all__ = ["run", "build_parser"]
 
@@ -412,10 +410,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "mode": args.mode, "alpha": args.alpha,
                 })
 
-    # The pool starts all its workers up front, so it gets no more than there
-    # are cells or cores.  They keep those cores busy, so a cell's own
-    # _map_streams calls run inline in them.
-    workers = min(args.parallelism, len(cells), _cores())
+    # The workers keep their cores busy, so a cell's own _map_streams calls run inline in them.
+    workers = _workers(args.parallelism, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, _instance, _integer, _real
 from .generators import _check_entries
 from .predictors import _sign_bets
-from .seeding import _SEED_MAX, make_rng
 from .sequences import _BLOCK_ENTRIES
+from .streams import _SEED_MAX, make_rng
 
 __all__ = [
     "MAX_GRID_LEN",

@@ -161,5 +161,5 @@ def split_points(params: FractalParams) -> tuple[int, int] | None:
 
 def measured_exponent(params: FractalParams) -> float:
     """``log L / log h`` for the built length; approaches ``1/theta`` for large heights."""
-    _integer(params.target_height, "measured_exponent's target_height", 2)
+    _integer(_instance(params, "params", (FractalParams,)).target_height, "measured_exponent's target_height", 2)
     return math.log(fractal_length(params)) / math.log(params.target_height)

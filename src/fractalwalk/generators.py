@@ -27,19 +27,16 @@ not needed).
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
-import os
-import sys
 import threading
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, SamplingBudgetError, _enum, _instance, _integer, _power_of_two, _real
-from .seeding import _SEED_MAX, make_rng
 from .sequences import MAX_TOTAL_LEN, BitSequence, IntSequence, _row_blocks, _sum_dtype
+from .streams import _SEED_MAX, _buffered, _map_streams, _pool_workers, _seek, make_rng
 
 __all__ = [
     "Family",
@@ -315,6 +312,12 @@ _inversion_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _inversion_lock = threading.Lock()  # threads of one _map_streams call build a missing table once
 
 
+def _table_fill(l: int) -> bool:
+    """Whether numpy draws Binomial(l, 1/2) by inversion, which :func:`_base_heights`
+    reads off :func:`_inversion_table` one double a height, rather than by BTPE."""
+    return l * 0.5 <= _INVERSION_MAX_MEAN
+
+
 def _inversion_draw(l: int, u: float) -> int | None:
     """numpy's ``random_binomial_inversion`` for Binomial(l, 1/2) on the uniform ``u``.
 
@@ -392,7 +395,7 @@ def _base_heights(rng: np.random.Generator, l: int, shape, dtype=np.int64) -> np
     """
     heights = np.empty(shape, dtype=dtype)
     flat = heights.reshape(-1)
-    btpe = l * 0.5 > _INVERSION_MAX_MEAN
+    btpe = not _table_fill(l)
     if not btpe:
         cuts, table = _inversion_table(l)
     for lo in range(0, flat.size, _FILL_CHUNK):
@@ -497,17 +500,11 @@ def simulate_heights(
     spec can reach 2**31, and the final heights are int64.  A call that needs
     more than ``2**28`` base-block heights is refused before anything is drawn.
 
-    Rows are split across the cores when the whole stream has a fixed layout,
-    with the same result as one pass.  That holds on a PCG64 generator when
-    the fill goes through the inversion table (``l <= 60``), one double per
-    block, and every merge level is ``exact_count``, one double per merge: then
-    rows ``[r0, r1)`` of each stage read a known segment of the stream.
-    :func:`_split_rows` gives :func:`_map_streams` row ranges, each on a copy
-    of ``rng`` advanced to its rows' segment of every stage; the per-row
-    kernels run unchanged on each range, counters add up, and ``rng`` is left
-    where one pass leaves it.  A BTPE fill (``l > 60``), ``bernoulli`` merges,
-    an ``entropy_conditioned`` spec and any other bit generator draw a varying
-    count, and the whole call then runs on ``rng`` over all rows.
+    Rows are split across the cores (:func:`_split_rows`) when every stage reads
+    a fixed count of doubles per row on a PCG64 generator (:func:`_fixed_layout`),
+    with the heights, counters and final generator state of one pass.  A BTPE
+    fill (``l > 60``), ``bernoulli`` merges, an ``entropy_conditioned`` spec and
+    any other bit generator draw a varying count, and run on ``rng`` over all rows.
     """
     _instance(spec, "spec", (GeneratorSpec,))
     trials = _check_heights(spec, trials)
@@ -539,7 +536,7 @@ _BTPE_COST = 8
 
 def _fill_cost(l: int) -> int:
     """The cost of one base-block height of length ``l`` (see :data:`_BTPE_COST`)."""
-    return 1 if l * 0.5 <= _INVERSION_MAX_MEAN else _BTPE_COST
+    return 1 if _table_fill(l) else _BTPE_COST
 
 
 def _height_draws(spec: GeneratorSpec, trials: int) -> int:
@@ -556,7 +553,7 @@ def _height_draws(spec: GeneratorSpec, trials: int) -> int:
 def _fixed_layout(spec: GeneratorSpec) -> bool:
     """Whether every stage of :func:`_block_heights` reads a fixed count of doubles per
     row: the fill through the inversion table and ``exact_count`` merges, if any."""
-    return _fill_cost(_fill_len(spec)) == 1 and (
+    return _table_fill(_fill_len(spec)) and (
         spec.family not in _MERGE_FAMILIES or spec.flip_mode is FlipMode.EXACT_COUNT
     )
 
@@ -569,18 +566,14 @@ def _block_heights(
     Stage 0 fills the base blocks, and stage ``k >= 1`` merges blocks of ``l
     << (k - 1)``.  ``seek(k)``, if given, is called before stage ``k`` draws.
     """
-    T = spec.total_len
     n = _fill_len(spec)
     if seek:
         seek(0)
-    H = _base_heights(rng, n, (trials, T // n), _height_dtype(spec))
-    k = 1
-    while n < T:
+    H = _base_heights(rng, n, (trials, spec.total_len // n), _height_dtype(spec))
+    for k in range(1, (spec.total_len // n).bit_length()):
         if seek:
             seek(k)
-        H = _merge_level(spec, n, H, rng, counters)
-        n *= 2
-        k += 1
+        H = _merge_level(spec, n << (k - 1), H, rng, counters)
     return H
 
 
@@ -593,8 +586,8 @@ def _split_rows(
     Stage ``k`` reads ``d_k`` doubles per row (:func:`_fixed_layout`), row
     after row, so rows ``[r0, r1)`` of it start ``trials * (d_0 + ... + d_{k-1})
     + r0 * d_k`` outputs past ``rng``'s state: each range gets a PCG64 set there
-    before every stage.  ``rng`` is then advanced past every stage.  ``advance``
-    drops the buffered 32-bit half, which doubles never touch, so it is put back.
+    (:func:`~fractalwalk.streams._seek`) before every stage.  ``rng`` is then set
+    past every stage, with the buffered 32-bit half it held, which doubles never touch.
     """
     blocks = spec.total_len // _fill_len(spec)
     per_row = [blocks >> k for k in range(blocks.bit_length())]
@@ -608,16 +601,12 @@ def _split_rows(
         c = MergeCounters()
 
         def seek(k: int) -> None:
-            g.bit_generator.state = start
-            g.bit_generator.advance(firsts[k] + rows.start * per_row[k])
+            _seek(g.bit_generator, start, firsts[k] + rows.start * per_row[k])
 
         return _block_heights(spec, len(rows), g, c, seek), c
 
     results = _map_streams(part, ranges, lambda rows: len(rows) * sum(per_row))
-    bg.advance(firsts[-1])
-    end = bg.state
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    bg.state = end
+    _seek(bg, start, firsts[-1])
     for _, c in results:
         for f in fields(MergeCounters):
             setattr(counters, f.name, getattr(counters, f.name) + getattr(c, f.name))
@@ -724,109 +713,6 @@ def _entropy_chunk(trials: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Independent streams on the cores
-
-
-def _cores() -> int:
-    """The cores this process may run on: its affinity mask where the OS keeps one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _glibc():
-    """The C library through ``ctypes`` when it is glibc (it has ``malloc_trim``), else None."""
-    if sys.platform != "linux":
-        return None
-    import ctypes
-
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "malloc_trim"):
-        return None
-    libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return libc
-
-
-# glibc's mallopt parameters: the most malloc arenas a process may make, the
-# size from which a block is mmapped, and the free heap top kept untrimmed.
-_M_ARENA_MAX = -8
-_M_MMAP_THRESHOLD = -3
-_M_TRIM_THRESHOLD = -1
-
-# _map_streams runs its items inline while their summed size, in inversion-table
-# doubles (see _height_draws), is below this.  On a 2-core machine rows split in
-# two took afrw (T = 2**10, l = 16) from 12.7 to 14.9 ms at 1M doubles and from
-# 25 to 29 ms at 2M, and frw (T = 2**12, l = 16) from 23 to 24 ms at 2M: the
-# threads mostly take a row range's short numpy calls in turns.  deviation_stats
-# over lengths 2**10..2**16, inline (ranges over fresh processes) against
-# threads (medians of warm calls in 15 fresh processes): entropy_conditioned at
-# 10k trials (2.2M) 12.7-18.8 against 12.6 ms, uniform at 100k (5.6M) 36-51
-# against 30.4 ms, aofrw at 3k (1.5M) 12-19 against 11.4 ms; opt_frw at 10k
-# (criteria 5 and 6, 5.0M) gains too.
-# Uniform at 10k trials (560k) stays inline: a process's first call took 29 ms
-# against 38 ms with the pool's start-up.
-_POOL_FLOOR = 1_000_000
-
-# ``.inside`` is True on the threads of a pool: _map_streams' own and the main
-# thread of each sweep worker process.
-_pool_thread = threading.local()
-
-
-def _enter_pool() -> None:
-    """Mark the calling thread as a pool's worker, on which :func:`_map_streams` runs
-    inline.  It is the initializer of ``_map_streams``' threads and of the sweep's
-    worker processes, which run their tasks on the thread that ran it."""
-    _pool_thread.inside = True
-
-
-def _pool_workers(items: int, size: int) -> int:
-    """The threads :func:`_map_streams` gives ``items`` items of summed ``size``:
-    ``min(items, _cores())``, or 1 (inline) below :data:`_POOL_FLOOR` or on a
-    pool's thread, whose cores the pool already keeps busy."""
-    if size < _POOL_FLOOR or getattr(_pool_thread, "inside", False):
-        return 1
-    return min(items, _cores())
-
-
-def _map_streams(fn, items: list, size) -> list:
-    """``[fn(item) for item in items]``, computed on :func:`_pool_workers` threads.
-
-    Each call must draw only from a generator of its own, so no result depends
-    on which thread ran it or when.  ``size(item)`` is the item's work in
-    inversion-table doubles (see :func:`_height_draws`).  Items are submitted
-    largest first and read back in the given order, so an error is the first
-    failing item's.  One thread runs inline, with no pool.  numpy's samplers
-    and ufuncs release the GIL, so the threads overlap in long calls.
-
-    Before a pool starts, glibc is held to one malloc arena for the rest of
-    the process.  Each thread would otherwise get its own and keep the heap it
-    freed: on a 2-core machine two threads raised the peak RSS of perfbench
-    ``mc_heights`` from 68.8 to 79.0 MB, and to 69.7 MB with one arena.  Its
-    mmap and trim thresholds are also fixed, at the ceilings glibc raises them
-    to as blocks are freed.  Left to move, they let threads sharing the arena
-    trim its top and fault it back in: ``aofrw`` heights (T = 2**14, l = 16,
-    4000 rows) split in two took 4413 minor page faults a call, and 2 fixed.
-    """
-    sizes = [size(item) for item in items]
-    workers = _pool_workers(len(items), sum(sizes))
-    if workers < 2:
-        return [fn(item) for item in items]
-    libc = _glibc()
-    if libc is not None:
-        libc.mallopt(_M_ARENA_MAX, 1)
-        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers, initializer=_enter_pool) as pool:
-        order = sorted(range(len(items)), key=sizes.__getitem__, reverse=True)
-        futures = {i: pool.submit(fn, items[i]) for i in order}
-        return [futures[i].result() for i in range(len(items))]
-
-
-# ---------------------------------------------------------------------------
 # Materialized generation
 
 
@@ -922,7 +808,7 @@ def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     mapped in place to ``(~b >> 7) | 1``: +1 when its top bit is set, else -1.
 
     PCG64's ``next_uint32`` returns the low, then the high half of one
-    ``next_uint64`` and buffers the high half in ``has_uint32``/``uinteger``.
+    ``next_uint64`` and buffers the high half (:func:`~fractalwalk.streams._buffered`).
     So its words are read as raw 64-bit outputs.  A buffered half comes first:
     the generator steps back one output (mod 2**128), the redrawn output's
     low half is skipped and its high half is overwritten with the buffered
@@ -936,16 +822,13 @@ def _bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     bg = rng.bit_generator
     if type(bg) is np.random.PCG64 and size:
         state = bg.state
-        skip = state["has_uint32"]
+        skip, word = _buffered(state)
         if skip:
-            bg.advance(-1)
+            _seek(bg, state, -1)
         raw = bg.random_raw(-(-(words + skip) // 2)).astype("<u8", copy=False)
         if skip:
-            raw.view("<u4")[1] = state["uinteger"]
-        state = bg.state
-        state["has_uint32"] = (words + skip) & 1
-        state["uinteger"] = int(raw[-1] >> 32)
-        bg.state = state
+            raw.view("<u4")[1] = word
+        _seek(bg, bg.state, 0, ((words + skip) & 1, int(raw[-1] >> 32)))
         b = raw.view(np.int8)[4 * skip : 4 * skip + size]
     else:
         raw = rng.integers(0, 1 << 32, size=words, dtype=np.uint32)

@@ -53,7 +53,7 @@ def exact_height_law(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     as the sampler computes it, and convolves the result with the law of the
     second half.  Probabilities are float64 and sum to 1 up to rounding.
     """
-    fam = spec.family
+    fam = _instance(spec, "spec", (GeneratorSpec,)).family
     if not (fam is Family.UNIFORM or (fam in (Family.AFRW, Family.AOFRW)
                                       and spec.flip_mode is FlipMode.EXACT_COUNT)):
         raise ConfigurationError(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntervalError, _instance, _integer, _real
-from .seeding import make_rng
 from .sequences import BitSequence, IntSequence, Interval, _entries, _row_blocks, _sum_dtype
+from .streams import make_rng
 
 __all__ = [
     "StopCause",
@@ -152,8 +152,8 @@ def _bettor_stages(
 
 def run_plan(seq: BitSequence | IntSequence, plan: PredictionPlan) -> PayoffLedger:
     """Execute a plan: running payoff halts at the first stop-rule hit."""
-    iv = plan.interval
-    if iv.total_len != len(seq.values):
+    iv = _instance(plan, "plan", (PredictionPlan,)).interval
+    if iv.total_len != len(_instance(seq, "seq", (BitSequence, IntSequence)).values):
         raise IntervalError(f"plan interval {iv} does not fit a sequence of length {len(seq.values)}")
     gains = plan.per_position.astype(np.int64) * seq.values[iv.lo : iv.hi]
     rule = plan.stop_rule
@@ -221,7 +221,7 @@ def weighted_majority_run(
 ) -> int:
     """One randomized pass; each bit is predicted +1 with the current weight fraction."""
     rng = make_rng(rng)
-    p_plus = 0.5 * (1.0 + _hedges(seq.prefix[:-1]))
+    p_plus = 0.5 * (1.0 + _hedges(_instance(seq, "seq", (BitSequence, IntSequence)).prefix[:-1]))
     preds = np.where(rng.random(p_plus.shape) < p_plus, 1, -1).astype(np.int64)
     return int(np.sum(preds * seq.values))
 
@@ -260,7 +260,8 @@ def block_momentum_payoff(seq: BitSequence, block_len: int) -> int:
 
     Zero previous height bets +1.  The first block is skipped (no history).
     """
-    return int(_block_momentum_payoffs(seq.values[None, :], block_len)[0])
+    values = _instance(seq, "seq", (BitSequence, IntSequence)).values
+    return int(_block_momentum_payoffs(values[None, :], block_len)[0])
 
 
 def _bettor_limits(theta: int, alpha: float, stages: int = 1) -> tuple[int, int]:

@@ -102,7 +102,7 @@ def dumps(seq: BitSequence | IntSequence) -> bytes:
 
 
 def loads(data: bytes) -> BitSequence | IntSequence:
-    if len(data) < 14:
+    if len(_instance(data, "data", (bytes, bytearray, memoryview))) < 14:
         raise SequenceFormatError("file too short to hold a sequence header")
     if data[:4] != MAGIC:
         raise SequenceFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
@@ -136,7 +136,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     ``tempfile.mkstemp`` so the result keeps the umask-derived mode of a
     plainly written file instead of mkstemp's 0600.
     """
-    path = Path(path)
+    path = Path(_instance(path, "path", (str, os.PathLike)))
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
@@ -150,7 +150,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def read_binary(path: str | Path) -> BitSequence | IntSequence:
-    return loads(Path(path).read_bytes())
+    return loads(Path(_instance(path, "path", (str, os.PathLike))).read_bytes())
 
 
 def _csv_bytes(seq: BitSequence | IntSequence) -> bytes:
@@ -160,7 +160,7 @@ def _csv_bytes(seq: BitSequence | IntSequence) -> bytes:
 
 def read_csv(path: str | Path) -> BitSequence | IntSequence:
     try:
-        rows = Path(path).read_text().split()
+        rows = Path(_instance(path, "path", (str, os.PathLike))).read_text().split()
     except UnicodeDecodeError as exc:
         raise SequenceFormatError(f"CSV sequence file is not text: {exc}") from exc
     if not rows:

@@ -24,8 +24,8 @@ import numpy as np
 from . import analysis, fbm, fractal, laws, predictors
 from .errors import ConfigurationError
 from .generators import Family, GeneratorSpec, _map_batches, simulate_heights
-from .seeding import derive_rng, derive_seed
 from .sequences import MAX_TOTAL_LEN, BitSequence, Interval
+from .streams import derive_rng, derive_seed
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "format_result"]
 

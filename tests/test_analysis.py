@@ -50,7 +50,7 @@ from fractalwalk import (
     total_variation,
     upper_bound_rms,
 )
-from fractalwalk import analysis, generators, sequences
+from fractalwalk import analysis, generators, sequences, streams
 from fractalwalk.analysis import (
     DEFAULT_MIN_LEN,
     _ols,
@@ -158,10 +158,10 @@ class TestDeviationStats:
     @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family.value)
     def test_same_report_on_one_core_and_on_threads(self, monkeypatch, spec):
         T_list = [64, 1024, 256, 128]
-        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)  # these small lengths would run inline
-        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        monkeypatch.setattr(streams, "_POOL_FLOOR", 0)  # these small lengths would run inline
+        monkeypatch.setattr(streams, "_cores", lambda: 1)
         inline = deviation_stats(spec, T_list, 300)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
         monkeypatch.setattr(generators, "_inversion_tables", {})
         assert deviation_stats(spec, T_list, 300) == inline
 
@@ -171,14 +171,14 @@ class TestDeviationStats:
         # and the report equals the inline one.
         spec = GeneratorSpec("frw", 1024, delta=0.1, base_len=4, seed=2)
         T_list = [64, 128, 256, 512]
-        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
-        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        monkeypatch.setattr(streams, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(streams, "_cores", lambda: 1)
         inline = deviation_stats(spec, T_list, 300)
         built = []
         build = generators._build_inversion_table
         monkeypatch.setattr(generators, "_build_inversion_table", lambda l: built.append(l) or build(l))
         monkeypatch.setattr(generators, "_inversion_tables", {})
-        monkeypatch.setattr(generators, "_cores", lambda: 4)
+        monkeypatch.setattr(streams, "_cores", lambda: 4)
         reports = []
         caller = threading.Thread(target=lambda: reports.append(deviation_stats(spec, T_list, 300)), daemon=True)
         interval = sys.getswitchinterval()
@@ -196,7 +196,7 @@ class TestDeviationStats:
 
         class Recorder:
             def __init__(self, max_workers, initializer):
-                assert initializer is generators._enter_pool
+                assert initializer is streams._enter_pool
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -212,9 +212,9 @@ class TestDeviationStats:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
-        monkeypatch.setattr(generators, "_glibc", lambda: types.SimpleNamespace(mallopt=lambda *a: pools.append(a)))
+        monkeypatch.setattr(streams, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_glibc", lambda: types.SimpleNamespace(mallopt=lambda *a: pools.append(a)))
         # Lengths are submitted by the heights they draw, which grow with the
         # length at a fixed base length (uniform lengths draw one per row and
         # tie).  BTPE base blocks and bernoulli merges keep each length's rows
@@ -225,7 +225,7 @@ class TestDeviationStats:
         # is -8), and its mmap (-3) and trim (-1) thresholds are fixed.
         assert pools == [(-8, 1), (-3, 32 << 20), (-1, 64 << 20), 2] and submitted == [1024, 512, 256]
         assert [row.total_len for row in report.rows] == [256, 1024, 512]
-        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        monkeypatch.setattr(streams, "_cores", lambda: 1)
         assert deviation_stats(spec, [256, 1024, 512], 200) == report
 
     def test_any_iterable_of_lengths(self):
@@ -241,8 +241,8 @@ class TestDeviationStats:
             raise AssertionError("a one-length call started a thread pool")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(generators, "_glibc", refuse)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_glibc", refuse)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
         threads = threading.active_count()
         assert deviation_stats(self.SPEC, [256], 200).rows[0].total_len == 256
         assert threading.active_count() == threads
@@ -257,7 +257,7 @@ class TestDeviationStats:
         lengths = [1 << k for k in range(10, 17)]
         assert sum(generators._height_draws(self.SPEC.with_total_len(T), 10_000) for T in lengths) == 560_000
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
         assert len(deviation_stats(self.SPEC, lengths, 10_000).rows) == 7
 
     @pytest.mark.parametrize("spec, trials, threads", [
@@ -271,8 +271,8 @@ class TestDeviationStats:
         # height, so these calls reach the floor although they draw under 10**6.
         lengths = [1 << k for k in range(10, 17)]
         size = sum(generators._height_draws(spec.with_total_len(T), trials) for T in lengths)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
-        assert (generators._pool_workers(len(lengths), size) == 2) == threads
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
+        assert (streams._pool_workers(len(lengths), size) == 2) == threads
 
     def test_length_threads_split_no_rows(self, monkeypatch):
         # simulate_heights on a length's thread runs its rows inline, so the
@@ -282,14 +282,14 @@ class TestDeviationStats:
         split_rows = generators._split_rows
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
         monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
-        monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
         spec = GeneratorSpec("afrw", 256, delta=0.1, base_len=4, seed=4)
         threaded = deviation_stats(spec, [64, 256, 128], 300)
         assert len(pools) == 1 and splits == []
-        monkeypatch.setattr(generators, "_cores", lambda: 1)
+        monkeypatch.setattr(streams, "_cores", lambda: 1)
         assert deviation_stats(spec, [64, 256, 128], 300) == threaded
-        monkeypatch.setattr(generators, "_cores", lambda: 2)
+        monkeypatch.setattr(streams, "_cores", lambda: 2)
         pools.clear()
         assert deviation_stats(spec, [256], 300).rows == threaded.rows[1:2]
         assert len(pools) == 1 and splits == [2]

@@ -34,7 +34,7 @@ from fractalwalk import (
     read_csv,
     sign_predictor_closed_form,
 )
-from fractalwalk import cli, generators
+from fractalwalk import cli, streams
 from fractalwalk.cli import run
 from fractalwalk.seqio import _csv_bytes
 
@@ -508,7 +508,7 @@ class TestSweep:
         class Recorder:
             def __init__(self, max_workers, initializer):
                 # Each worker process runs its cells' _map_streams calls inline.
-                assert initializer is generators._enter_pool
+                assert initializer is streams._enter_pool
                 started.append(max_workers)
 
             def __enter__(self):
@@ -670,13 +670,15 @@ class TestExitCodes:
         assert "finite" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    def test_exhausted_rejection_budget_exit_1(self, tmp_path, capsys):
-        # No fair sequence of 1024 steps reaches |h| >= 320 within the draw budget.
+    def test_hopeless_rejection_budget_exit_1(self, tmp_path, capsys):
+        # No fair sequence of 1024 steps reaches |h| >= 320 within the draw budget,
+        # so the fill is refused before its first draw.
         argv = ("stats", "--family", "entropy_conditioned", "--T", "1024", "--k", "10",
                 "--T-list", "1024", "--trials", "100")
         assert run_in(tmp_path, *argv) == 1
         err = capsys.readouterr().err
-        assert "analysis failure:" in err and "Traceback" not in err
+        assert "analysis failure: rejection budget 10000000 cannot accept 100 samples" in err
+        assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("T, k", [("64", "8"), ("1024", "20")])

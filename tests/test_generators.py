@@ -33,7 +33,7 @@ from fractalwalk import (
     iter_generate_batches,
     simulate_heights,
 )
-from fractalwalk import generators
+from fractalwalk import generators, streams
 from fractalwalk.cli import _jsonable
 from fractalwalk.generators import (
     _FILL_CHUNK,
@@ -435,12 +435,20 @@ class TestEntropyConditioned:
         assert np.all(batch[:, :6] == 1)
         assert np.all(np.abs(batch.sum(axis=1)) >= entropy_threshold(1.0, 16))
 
-    def test_budget_exhaustion_raises(self):
+    def test_hopeless_budget_refused_before_any_draw(self):
         # Demanding |height| >= 992 out of 1024 is astronomically rare.
         spec = GeneratorSpec(
             family=Family.ENTROPY_CONDITIONED, total_len=1024, k=31.0, seed=1
         )
-        with pytest.raises(SamplingBudgetError, match="budget"):
+        with pytest.raises(SamplingBudgetError, match="rejection budget 10000000 cannot accept 10 samples"):
+            simulate_heights(spec, 10)
+
+    def test_budget_exhausted_after_accepting_some(self, monkeypatch):
+        # |h| >= 28 of 64 fair steps has chance about 6e-4: 10**4 candidates hold
+        # 10 with a chance the hopeless check cannot rule out, and these hold 4.
+        monkeypatch.setattr(generators, "DEFAULT_REJECTION_BUDGET", 10_000)
+        spec = GeneratorSpec(family=Family.ENTROPY_CONDITIONED, total_len=64, k=3.5, seed=1)
+        with pytest.raises(SamplingBudgetError, match="rejection budget 10000 exhausted after accepting 4/10"):
             simulate_heights(spec, 10)
 
     @pytest.mark.parametrize("n, planted", [(n, p) for n in (1, 2, 15, 16, 63, 64) for p in (0, 1, 6)])
@@ -829,6 +837,29 @@ def test_fill_is_exact_at_every_cut(l):
     assert np.array_equal(_base_heights(_Uniforms(u), l, u.size), want)
 
 
+def test_table_or_btpe_is_numpys_switch():
+    """One predicate picks the fill, its cost and the fixed layout, at numpy's switch.
+
+    numpy inverts Binomial(l, 1/2) while the mean l/2 is at most 30, and every
+    fill length is a power of two: the table serves l = 32 (mean 16) and BTPE
+    l = 64 (mean 32).  Inversion reads one double a height; BTPE reads more.
+    """
+    lengths = [1 << k for k in range(11)]
+    assert [l for l in lengths if generators._table_fill(l)] == TABLE_LENGTHS
+    for l in (32, 64):
+        rng, doubles = np.random.default_rng(5), np.random.default_rng(5)
+        _base_heights(rng, l, 1000)
+        doubles.random(1000)
+        assert (rng.bit_generator.state == doubles.bit_generator.state) == (l in TABLE_LENGTHS)
+        assert generators._fill_cost(l) == (1 if l in TABLE_LENGTHS else generators._BTPE_COST)
+    for l in lengths:
+        uniform = GeneratorSpec(Family.UNIFORM, l)
+        merged = GeneratorSpec(Family.AFRW, 2048, delta=0.1, base_len=l)
+        bernoulli = dataclasses.replace(merged, flip_mode=FlipMode.BERNOULLI)
+        assert generators._fixed_layout(uniform) == generators._fixed_layout(merged) == (l in TABLE_LENGTHS)
+        assert not generators._fixed_layout(bernoulli)
+
+
 class TestSizeCap:
     def test_heights_refused_before_allocating(self):
         spec = GeneratorSpec(Family.AFRW, 1 << 10, delta=0.1, base_len=16)
@@ -934,14 +965,14 @@ def test_split_rows_equal_one_range(spec, trials, monkeypatch):
     splits = []
     split_rows = generators._split_rows
     monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
-    monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
+    monkeypatch.setattr(streams, "_POOL_FLOOR", 0)
     fixed = spec.family is not Family.ENTROPY_CONDITIONED and generators._fill_len(spec) <= 32 and (
         spec.family is Family.UNIFORM or spec.flip_mode is FlipMode.EXACT_COUNT
     )
     for name, make in SPLIT_RNGS.items():
         runs = []
         for cores in (1, 3):
-            monkeypatch.setattr(generators, "_cores", lambda: cores)
+            monkeypatch.setattr(streams, "_cores", lambda: cores)
             splits.clear()
             rng = make()
             heights, counters = simulate_heights(spec, trials, rng, with_counters=True)
@@ -957,10 +988,10 @@ def test_split_rows_equal_one_range(spec, trials, monkeypatch):
 def test_split_leaves_the_buffered_word_for_the_next_draw(monkeypatch):
     # The caller's next uint32 is the half it held before the split.
     spec = GeneratorSpec(Family.AFRW, 256, delta=0.3, base_len=4, seed=3)
-    monkeypatch.setattr(generators, "_POOL_FLOOR", 0)
+    monkeypatch.setattr(streams, "_POOL_FLOOR", 0)
     words = []
     for cores in (1, 2):
-        monkeypatch.setattr(generators, "_cores", lambda: cores)
+        monkeypatch.setattr(streams, "_cores", lambda: cores)
         rng = _buffered_pcg64()
         simulate_heights(spec, 50, rng)
         words.append(rng.integers(0, 1 << 32, size=3, dtype=np.uint32))
@@ -974,9 +1005,9 @@ def test_rows_split_only_above_the_floor(monkeypatch):
     splits = []
     split_rows = generators._split_rows
     monkeypatch.setattr(generators, "_split_rows", lambda *a: splits.append(a[4]) or split_rows(*a))
-    monkeypatch.setattr(generators, "_cores", lambda: 2)
+    monkeypatch.setattr(streams, "_cores", lambda: 2)
     for floor, want in ((40 * 127 + 1, []), (40 * 127, [2])):
-        monkeypatch.setattr(generators, "_POOL_FLOOR", floor)
+        monkeypatch.setattr(streams, "_POOL_FLOOR", floor)
         splits.clear()
         simulate_heights(spec, 40)
         assert splits == want

@@ -52,11 +52,14 @@ BAD_INPUTS = {
     "IntSequence": [lambda t: fw.IntSequence([2, 1]), lambda t: fw.IntSequence([1.5, 3]),
                     lambda t: fw.IntSequence([2**64 + 1, 1]), lambda t: fw.IntSequence([1, 2**39 + 1]),
                     lambda t: fw.IntSequence([True, 3])],
-    "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError)],
-    "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError)],
+    "atomic_write_bytes": [(lambda t: fw.atomic_write_bytes(t / "missing" / "x", b""), OSError),
+                           lambda t: fw.atomic_write_bytes(object(), b"")],
+    "read_binary": [(lambda t: fw.read_binary(_written(t, "bad.fwsq", b"junk")), SequenceFormatError),
+                    lambda t: fw.read_binary(object())],
     "read_csv": [(lambda t: fw.read_csv(_written(t, "bad.csv", b"1\nx\n")), SequenceFormatError),
-                 (lambda t: fw.read_csv(_written(t, "big.csv", b"1\n99999999999999999999\n")), SequenceFormatError)],
-    "loads": [(lambda t: fw.loads(b"FWSQ"), SequenceFormatError)],
+                 (lambda t: fw.read_csv(_written(t, "big.csv", b"1\n99999999999999999999\n")), SequenceFormatError),
+                 lambda t: fw.read_csv(object())],
+    "loads": [(lambda t: fw.loads(b"FWSQ"), SequenceFormatError), lambda t: fw.loads(object())],
     "dumps": [lambda t: fw.dumps(5), lambda t: fw.dumps(SEQ.values)],
     "GeneratorSpec": [
         lambda t: fw.GeneratorSpec("bogus", 64),
@@ -95,7 +98,8 @@ BAD_INPUTS = {
     "build_fractal": [lambda t: fw.build_fractal(fw.FractalParams(0.5, 1 << 20))],
     "fractal_length": [lambda t: fw.fractal_length(3)],
     "split_points": [lambda t: fw.split_points(3)],
-    "measured_exponent": [lambda t: fw.measured_exponent(fw.FractalParams(0.3, 1))],
+    "measured_exponent": [lambda t: fw.measured_exponent(fw.FractalParams(0.3, 1)),
+                          lambda t: fw.measured_exponent(object())],
     "FbmParams": [lambda t: fw.FbmParams(0.5, 2.5),
                   lambda t: fw.FbmParams(1.0, 8),
                   lambda t: fw.FbmParams(0.5, 8, seed=-1)],
@@ -122,7 +126,8 @@ BAD_INPUTS = {
                        lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [257, -1]),
                        lambda t: fw.PredictionPlan("1", [1]),
                        lambda t: fw.PredictionPlan(fw.Interval(0, 2, 4), [1, -1], stop_rule=(-1, 5))],
-    "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError)],
+    "run_plan": [(lambda t: fw.run_plan(SEQ, fw.constant_plan(1, fw.Interval(0, 4, 4))), IntervalError),
+                 lambda t: fw.run_plan(object(), fw.constant_plan(1, fw.Interval(0, 8, 8)))],
     "constant_plan": [lambda t: fw.constant_plan(0, WHOLE), lambda t: fw.constant_plan(True, WHOLE),
                       lambda t: fw.constant_plan(1, "1")],
     "sign_of_prefix_plan": [lambda t: fw.sign_of_prefix_plan(SEQ, 0, fw.Interval(4, 8, 8)),
@@ -130,9 +135,11 @@ BAD_INPUTS = {
     "weighted_majority_rate": [lambda t: fw.weighted_majority_rate(0)],
     "weighted_majority_guarantee": [lambda t: fw.weighted_majority_guarantee(-1)],
     "weighted_majority_expected_payoff": [lambda t: fw.weighted_majority_expected_payoff([1, 1])],
-    "weighted_majority_run": [lambda t: fw.weighted_majority_run(SEQ, rng=-1)],
+    "weighted_majority_run": [lambda t: fw.weighted_majority_run(SEQ, rng=-1),
+                              lambda t: fw.weighted_majority_run(object())],
     "block_momentum_payoff": [lambda t: fw.block_momentum_payoff(SEQ, 3),
-                              lambda t: fw.block_momentum_payoff(SEQ, 0)],
+                              lambda t: fw.block_momentum_payoff(SEQ, 0),
+                              lambda t: fw.block_momentum_payoff(object(), 4)],
     "adaptive_inversion_bettor": [
         lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 1, 0.3),
         lambda t: fw.adaptive_inversion_bettor(SEQ, fw.Interval(0, 8, 8), 0, 0.5),
@@ -150,7 +157,7 @@ BAD_INPUTS = {
     "afrw_moment_oracle": [lambda t: fw.afrw_moment_oracle(0.1, -1, 2),
                            lambda t: fw.afrw_moment_oracle(1.5, 16, 2),
                            lambda t: fw.afrw_moment_oracle(0.1, 16, 2.5)],
-    "exact_height_law": [lambda t: fw.exact_height_law(SPEC)],
+    "exact_height_law": [lambda t: fw.exact_height_law(SPEC), lambda t: fw.exact_height_law(object())],
     "upper_bound_rms": [lambda t: fw.upper_bound_rms(0.1, 2.0),
                         lambda t: fw.upper_bound_rms(0.1, 1000),
                         lambda t: fw.upper_bound_rms(NAN, 64)],
@@ -163,7 +170,8 @@ BAD_INPUTS = {
     ],
     "total_variation": [lambda t: fw.total_variation(1, 2)],
     "distribution_moment": [lambda t: fw.distribution_moment({Fraction(1): Fraction(1)}, 1.5)],
-    "height_moment_checks": [lambda t: fw.height_moment_checks(np.array([]))],
+    "height_moment_checks": [lambda t: fw.height_moment_checks(np.array([])),
+                             lambda t: fw.height_moment_checks(object())],
     "inversion_ratio": [lambda t: fw.inversion_ratio(SEQ, 0),
                         lambda t: fw.inversion_ratio(SEQ, 9),
                         lambda t: fw.inversion_ratio(fw.BitSequence(np.ones(1 << 15))),

@@ -102,6 +102,21 @@ def test_laws_load_no_estimator_module():
     assert not estimators & set(out.split())
 
 
+def test_streams_load_only_errors():
+    # Seeds, offsets and pools sit under every other module.  Importing them
+    # loads no other package module, no pool, and no module that numpy has not
+    # loaded already (numpy loads ctypes itself), and opens no C library.
+    out = fresh_interpreter(
+        "import sys, numpy\nbefore = set(sys.modules)\nimport fractalwalk.streams as s\n"
+        "print(s._glibc.cache_info().currsize, *(set(sys.modules) - before))"
+    ).split()
+    opened, added = out[0], set(out[1:])
+    assert opened == "0"
+    assert {m for m in added if m.startswith("fractalwalk")} == {
+        "fractalwalk", "fractalwalk.errors", "fractalwalk.streams"}
+    assert not {m for m in added if m.split(".")[0] in ("concurrent", "ctypes", "_ctypes")}
+
+
 def test_readme_quick_start_runs_as_written():
     readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
     block = re.search(r"## Python quick start\n\n```python\n(.*?)```", readme, re.S)
